@@ -9,6 +9,7 @@ success or an accepting verdict, 1 for a rejecting or negative verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -353,6 +354,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="facet",

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
+from facet.choosability import SimpleGraph, blocks
 from facet.embedding import (
     EmbeddedGraph,
     FaceProfile,
@@ -225,67 +226,36 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
 # -- structure predicates ---------------------------------------------------
 
 
-def _has_bridge(g: EmbeddedGraph) -> bool:
-    for e in range(g.m):
-        u, v = g.endpoints[e]
-        if u == v:
-            continue
-        # BFS from u avoiding edge e
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for d in g.rotation[x]:
-                if (d >> 1) == e:
-                    continue
-                y = g.dart_vertex(twin(d))
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if v not in seen:
-            return True
-    return False
-
-
-def _has_cut_vertex(g: EmbeddedGraph) -> bool:
-    if g.n <= 2:
-        return False
-    for v in range(g.n):
-        rest = [x for x in range(g.n) if x != v]
-        seen = {rest[0]}
-        stack = [rest[0]]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y != v and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != g.n - 1:
-            return True
-    return False
-
-
 def _two_connected(g: EmbeddedGraph) -> bool:
-    # A 2-cycle counts (cycle of two parallel edges); a single edge with
-    # its bridge does not.
-    return (
-        g.n >= 2
-        and g.is_connected
-        and not _has_cut_vertex(g)
-        and not _has_bridge(g)
-    )
+    """2-connectivity of the pseudograph, from one lowpoint pass.
 
-
-def _short_cycles(g: EmbeddedGraph, max_len: int = 7) -> list[list[int]]:
-    """Simple cycles with at most ``max_len`` edges, as dart sequences.
-
-    Loops are 1-cycles and parallel pairs 2-cycles.  Each cycle appears
-    once (deduplicated by edge set); the start vertex is its minimum.
+    A 2-cycle (two parallel edges) counts; a single edge, a bridge, does
+    not.  From three vertices on, loops and parallel edges cannot change
+    the answer, so the simple underlying graph decides it; a disconnected
+    one has a block per component at least.
     """
-    out: list[list[int]] = []
+    if g.n < 2:
+        return False
+    links = [(u, v) for u, v in g.endpoints if u != v]
+    if g.n == 2:
+        return len(links) >= 2
+    return len(blocks(SimpleGraph.from_edges(g.n, links)).blocks) == 1
+
+
+def _short_cycles(g: EmbeddedGraph, max_len: int = 7) -> Iterator[list[int]]:
+    """Yield the simple cycles with at most ``max_len`` edges, as dart
+    sequences.
+
+    Loops are 1-cycles and parallel pairs 2-cycles.  Each cycle is
+    yielded once (deduplicated by edge set); the start vertex is its
+    minimum.  Enumeration is lazy, so a caller that stops at the first
+    hit skips the rest of the search.
+    """
     seen: set[frozenset[int]] = set()
 
-    def dfs(s: int, v: int, path: list[int], visited: set[int], used: set[int]) -> None:
+    def dfs(
+        s: int, v: int, path: list[int], visited: set[int], used: set[int]
+    ) -> Iterator[list[int]]:
         for d in g.rotation[v]:
             e = d >> 1
             if e in used:
@@ -295,19 +265,18 @@ def _short_cycles(g: EmbeddedGraph, max_len: int = 7) -> list[list[int]]:
                 key = frozenset(used | {e})
                 if key not in seen:
                     seen.add(key)
-                    out.append(path + [d])
+                    yield path + [d]
                 continue
             if w < s or w in visited or len(path) + 1 >= max_len:
                 continue
             visited.add(w)
             used.add(e)
-            dfs(s, w, path + [d], visited, used)
+            yield from dfs(s, w, path + [d], visited, used)
             visited.discard(w)
             used.discard(e)
 
     for s in range(g.n):
-        dfs(s, s, [], {s}, set())
-    return out
+        yield from dfs(s, s, [], {s}, set())
 
 
 def _cycle_separating(g: EmbeddedGraph, cyc: list[int]) -> bool:

@@ -1,6 +1,6 @@
 """Shared graph builders for the test suite."""
 
-from facet.embedding import EmbeddedGraph
+from facet.embedding import EmbeddedGraph, twin
 
 
 def antiprism5() -> EmbeddedGraph:
@@ -165,3 +165,93 @@ def brute_chromatic(adjacency) -> int:
     while not feasible(k):
         k += 1
     return k
+
+
+def _has_bridge(g: EmbeddedGraph) -> bool:
+    for e in range(g.m):
+        u, v = g.endpoints[e]
+        if u == v:
+            continue
+        # search from u avoiding edge e
+        seen = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for d in g.rotation[x]:
+                if (d >> 1) == e:
+                    continue
+                y = g.dart_vertex(twin(d))
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if v not in seen:
+            return True
+    return False
+
+
+def _has_cut_vertex(g: EmbeddedGraph) -> bool:
+    if g.n <= 2:
+        return False
+    for v in range(g.n):
+        rest = [x for x in range(g.n) if x != v]
+        seen = {rest[0]}
+        stack = [rest[0]]
+        while stack:
+            x = stack.pop()
+            for y in g.neighbors(x):
+                if y != v and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != g.n - 1:
+            return True
+    return False
+
+
+def brute_two_connected(g: EmbeddedGraph) -> bool:
+    """Reference 2-connectivity test: one graph search per vertex for a
+    cut vertex and one per edge for a bridge, O(n*m) in all.
+
+    A 2-cycle (two parallel edges) counts; a single edge, a bridge, does
+    not.
+    """
+    return (
+        g.n >= 2
+        and g.is_connected
+        and not _has_cut_vertex(g)
+        and not _has_bridge(g)
+    )
+
+
+def list_short_cycles(g: EmbeddedGraph, max_len: int = 7) -> list[list[int]]:
+    """Reference cycle enumeration that builds the whole list up front.
+
+    Same search and order as ``discharging._short_cycles``: simple
+    cycles with at most ``max_len`` edges as dart sequences, each once
+    by edge set, started at its minimum vertex.
+    """
+    out: list[list[int]] = []
+    seen: set[frozenset[int]] = set()
+
+    def dfs(s: int, v: int, path: list[int], visited: set[int], used: set[int]) -> None:
+        for d in g.rotation[v]:
+            e = d >> 1
+            if e in used:
+                continue
+            w = g.dart_vertex(twin(d))
+            if w == s:
+                key = frozenset(used | {e})
+                if key not in seen:
+                    seen.add(key)
+                    out.append(path + [d])
+                continue
+            if w < s or w in visited or len(path) + 1 >= max_len:
+                continue
+            visited.add(w)
+            used.add(e)
+            dfs(s, w, path + [d], visited, used)
+            visited.discard(w)
+            used.discard(e)
+
+    for s in range(g.n):
+        dfs(s, s, [], {s}, set())
+    return out

@@ -1,9 +1,13 @@
 """End-to-end runs of the facet command line."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import facet
 from facet.cli import main
 from facet.embedding import parse_peg
 from facet.facial_coloring import parse_coloring
@@ -305,6 +309,33 @@ class TestHarness:
         f = tmp_path / "junk.peg"
         f.write_text("not a graph\n")
         assert main(["chi", "--graph", str(f)]) == 2
+
+    def test_repeated_calls_match_fresh_processes(self, c7, capsys, monkeypatch):
+        src = str(Path(facet.__file__).resolve().parents[1])
+        monkeypatch.setenv("PYTHONPATH", src)
+        runs = [
+            ["chi"],
+            ["chi", "--graph", str(c7), "--json"],
+            ["discharge", "--graph", str(c7), "--json"],
+        ]
+        results = []
+        for argv in runs:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "facet.cli", *argv],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode,
+                fresh.stdout,
+                fresh.stderr,
+            )
+            results.append((code, captured.err))
+        assert [code for code, _ in results] == [2, 0, 0]
+        assert results[0][1].startswith("usage: facet chi")
 
     def test_threads_garbage_rejected(self, c7, monkeypatch, capsys):
         monkeypatch.setenv("FACET_THREADS", "banana")

@@ -1,5 +1,6 @@
 """Charge bookkeeping, the discharging rules, and structure predicates."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -14,10 +15,28 @@ from facet.discharging import (
     structure_report,
     _cycle_separating,
     _short_cycles,
+    _two_connected,
 )
-from facet.embedding import face_profiles, generate, parse_peg, random_plane_graph
+from facet.embedding import (
+    EmbeddedGraph,
+    contract_edge,
+    delete_edge,
+    delete_vertex,
+    face_profiles,
+    generate,
+    parse_peg,
+    random_plane_graph,
+    subdivide_edge,
+)
 
-from helpers import antiprism5, bipyramid5, pendant_path_host, two_ring_host
+from helpers import (
+    antiprism5,
+    bipyramid5,
+    brute_two_connected,
+    list_short_cycles,
+    pendant_path_host,
+    two_ring_host,
+)
 
 
 def lengths(g):
@@ -233,6 +252,83 @@ class TestSeparatingCycles:
     @pytest.mark.parametrize("name", ["k4", "prism-3", "theta-1-1-3", "cycle-12"])
     def test_face_boundaries_do_not_separate(self, catalog, name):
         assert structure_report(catalog[name]).no_short_separating_cycle
+
+    @staticmethod
+    def cycle_hosts():
+        yield bipyramid5()
+        for n in range(3, 8):
+            yield generate("prism", n)
+        for seed in range(40):
+            yield random_plane_graph(seed, max_ops=3 + seed % 8)
+
+    def test_lazy_enumeration_matches_full_list(self):
+        for g in self.cycle_hosts():
+            full = list_short_cycles(g, 7)
+            lazy = _short_cycles(g, 7)
+            head = list(itertools.islice(lazy, 1))
+            assert head == full[:1]
+            assert head + list(lazy) == full
+
+    def test_predicate_matches_full_scan(self):
+        seen = set()
+        for g in self.cycle_hosts():
+            full = not any(_cycle_separating(g, c) for c in list_short_cycles(g, 7))
+            assert structure_report(g).no_short_separating_cycle == full
+            seen.add(full)
+        assert seen == {True, False}
+
+
+def _surgery_results(g):
+    for e in range(g.m):
+        for op in (delete_edge, contract_edge, subdivide_edge):
+            yield op(g, e).graph
+    for v in range(g.n):
+        yield delete_vertex(g, v).graph
+
+
+class TestTwoConnected:
+    @pytest.mark.parametrize(
+        "n, endpoints, rotation, expected",
+        [
+            (1, [(0, 0)], [[0, 1]], False),
+            (2, [(0, 1)], [[0], [1]], False),
+            (2, [(0, 1), (0, 1)], [[0, 2], [1, 3]], True),
+            (2, [(0, 1), (0, 0)], [[0, 2, 3], [1]], False),
+            (3, [(0, 1), (1, 2)], [[0], [1, 2], [3]], False),
+            (
+                5,
+                [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],
+                [[0, 5, 6, 11], [1, 2], [3, 4], [7, 8], [9, 10]],
+                False,
+            ),
+            (3, [(0, 1), (0, 1), (1, 2), (2, 0)], [[0, 2, 7], [3, 1, 4], [5, 6]], True),
+            (3, [(0, 1), (1, 2), (2, 0), (0, 0)], [[0, 6, 7, 5], [1, 2], [3, 4]], True),
+        ],
+        ids=[
+            "single-loop",
+            "single-edge",
+            "two-cycle",
+            "edge-and-loop",
+            "path",
+            "two-triangles-one-vertex",
+            "triangle-with-parallel",
+            "triangle-with-loop",
+        ],
+    )
+    def test_hand_cases(self, n, endpoints, rotation, expected):
+        g = EmbeddedGraph.build(n, endpoints, rotation)
+        assert _two_connected(g) == expected
+        assert brute_two_connected(g) == expected
+
+    def test_matches_brute_force_on_random_graphs_and_surgery(self):
+        verdicts = set()
+        for seed in range(30):
+            g = random_plane_graph(seed, max_ops=3 + seed % 8)
+            for h in (g, *_surgery_results(g)):
+                want = brute_two_connected(h)
+                assert _two_connected(h) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestAudit:
