@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
+from facet._cached import cached_attribute
+
 
 class ListColoringError(ValueError):
     pass
@@ -41,8 +43,12 @@ class SimpleGraph:
             adj[v].add(u)
         return SimpleGraph(n, tuple(frozenset(s) for s in adj))
 
+    @cached_attribute
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(len(a) for a in self.adjacency)
+
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.degrees[v]
 
     def edges(self) -> list[tuple[int, int]]:
         return [
@@ -50,6 +56,10 @@ class SimpleGraph:
         ]
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_attribute
+    def _connected(self) -> bool:
         if self.n == 0:
             return True
         seen = {0}
@@ -61,6 +71,17 @@ class SimpleGraph:
                     seen.add(y)
                     stack.append(y)
         return len(seen) == self.n
+
+    @cached_attribute
+    def _gallai_tree(self) -> bool:
+        for blk in blocks(self).blocks:
+            k = len(blk)
+            inner = [len(self.adjacency[v] & blk) for v in blk]
+            if not all(d == k - 1 for d in inner) and not (
+                k >= 3 and k % 2 and all(d == 2 for d in inner)
+            ):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -127,17 +148,6 @@ def blocks(g: SimpleGraph) -> BlockDecomposition:
     return BlockDecomposition(blocks=tuple(out), cut_vertices=frozenset(cuts))
 
 
-def _is_complete(g: SimpleGraph, verts: frozenset[int]) -> bool:
-    k = len(verts)
-    return all(len(g.adjacency[v] & verts) == k - 1 for v in verts)
-
-
-def _is_odd_cycle(g: SimpleGraph, verts: frozenset[int]) -> bool:
-    if len(verts) < 3 or len(verts) % 2 == 0:
-        return False
-    return all(len(g.adjacency[v] & verts) == 2 for v in verts)
-
-
 def is_gallai_tree(g: SimpleGraph) -> bool:
     """True when every block induces a complete graph or an odd cycle.
 
@@ -145,9 +155,18 @@ def is_gallai_tree(g: SimpleGraph) -> bool:
     """
     if not g.is_connected():
         raise ListColoringError("Gallai-tree test needs a connected graph")
-    return all(
-        _is_complete(g, blk) or _is_odd_cycle(g, blk)
-        for blk in blocks(g).blocks
+    return g._gallai_tree
+
+
+def degree_guarantee(g: SimpleGraph, sizes: Sequence[int]) -> bool:
+    """Whether lists of these sizes are guaranteed colorable: every size
+    at least its degree, the graph connected, and some size above its
+    degree or the graph not a Gallai tree."""
+    pairs = list(zip(sizes, g.degrees, strict=True))
+    return (
+        all(s >= d for s, d in pairs)
+        and g.is_connected()
+        and (any(s > d for s, d in pairs) or not is_gallai_tree(g))
     )
 
 
@@ -169,16 +188,14 @@ def list_color(
         )
     domains: list[set[Hashable]] = [set(l) for l in lists]
     assign: dict[int, Hashable] = {}
+    order = sorted(range(g.n), key=lambda v: -g.degrees[v])  # stable: ties by id
 
     def pick() -> Optional[int]:
-        best = None
-        for v in range(g.n):
-            if v in assign:
-                continue
-            key = (len(domains[v]), -g.degree(v), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        return None if best is None else best[1]
+        best = size = None
+        for v in order:
+            if v not in assign and (best is None or len(domains[v]) < size):
+                best, size = v, len(domains[v])
+        return best
 
     def go() -> bool:
         v = pick()
@@ -204,8 +221,7 @@ def list_color(
                 domains[u].add(c)
         return False
 
-    if any(not d for d in domains) and g.n:
-        # An empty list is an immediate refusal unless that vertex count is 0.
+    if any(not d for d in domains):
         return None
     return dict(assign) if go() else None
 
@@ -225,15 +241,13 @@ def degree_feasible_colorable(
     sizes = [len(set(l)) for l in lists]
     if len(sizes) != g.n:
         raise ListColoringError("one list per vertex required")
-    for v in range(g.n):
-        if sizes[v] < g.degree(v):
+    for v, (size, d) in enumerate(zip(sizes, g.degrees)):
+        if size < d:
             raise ListColoringError(
                 f"list at vertex {v} smaller than its degree"
             )
-    slack = any(sizes[v] > g.degree(v) for v in range(g.n))
-    guaranteed = slack or not is_gallai_tree(g)
     coloring = list_color(g, lists)
-    return guaranteed, coloring is not None, coloring
+    return degree_guarantee(g, sizes), coloring is not None, coloring
 
 
 # -- systems of distinct representatives ----------------------------------

@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from facet._cached import cached_attribute
+
 
 class EmbeddingError(ValueError):
     """Rotation system is structurally broken or not a plane embedding."""
@@ -39,10 +41,6 @@ def twin(dart: int) -> int:
 
 def edge_of(dart: int) -> int:
     return dart >> 1
-
-
-def dart_of(edge: int, end: int) -> int:
-    return 2 * edge + end
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,6 @@ class EmbeddedGraph:
     endpoints: tuple[tuple[int, int], ...]
     rotation: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...] = field(default=(), compare=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- construction -------------------------------------------------
 
@@ -153,7 +150,7 @@ class EmbeddedGraph:
         # Per-component sphere check: V - E + F = 2, one empty face for a
         # dartless component.  Equivalent to the plane-drawing formula
         # V - E + F = 1 + #components once outer faces are merged.
-        comp = self._component_labels()
+        comp = self._component_labels
         ncomp = 1 + max(comp, default=0) if self.n else 0
         verts = [0] * ncomp
         edgec = [0] * ncomp
@@ -192,30 +189,28 @@ class EmbeddedGraph:
         contributes the vertex itself twice)."""
         return [self.dart_vertex(twin(d)) for d in self.rotation[v]]
 
+    @cached_attribute
     def _component_labels(self) -> list[int]:
-        comp = self._cache.get("components")
-        if comp is None:
-            comp = [-1] * self.n
-            nxt = 0
-            for s in range(self.n):
-                if comp[s] != -1:
-                    continue
-                comp[s] = nxt
-                stack = [s]
-                while stack:
-                    x = stack.pop()
-                    for d in self.rotation[x]:
-                        y = self.dart_vertex(twin(d))
-                        if comp[y] == -1:
-                            comp[y] = nxt
-                            stack.append(y)
-                nxt += 1
-            self._cache["components"] = comp
+        comp = [-1] * self.n
+        nxt = 0
+        for s in range(self.n):
+            if comp[s] != -1:
+                continue
+            comp[s] = nxt
+            stack = [s]
+            while stack:
+                x = stack.pop()
+                for d in self.rotation[x]:
+                    y = self.dart_vertex(twin(d))
+                    if comp[y] == -1:
+                        comp[y] = nxt
+                        stack.append(y)
+            nxt += 1
         return comp
 
     @property
     def component_count(self) -> int:
-        return 1 + max(self._component_labels(), default=-1)
+        return 1 + max(self._component_labels, default=-1)
 
     @property
     def is_connected(self) -> bool:
@@ -225,74 +220,75 @@ class EmbeddedGraph:
 
     def sigma(self) -> tuple[int, ...]:
         """Clockwise-successor permutation on darts."""
-        sig = self._cache.get("sigma")
-        if sig is None:
-            out = [0] * (2 * self.m)
-            for rot in self.rotation:
-                k = len(rot)
-                for i, d in enumerate(rot):
-                    out[d] = rot[(i + 1) % k]
-            sig = tuple(out)
-            self._cache["sigma"] = sig
-        return sig
+        return self._sigma
+
+    @cached_attribute
+    def _sigma(self) -> tuple[int, ...]:
+        out = [0] * (2 * self.m)
+        for rot in self.rotation:
+            k = len(rot)
+            for i, d in enumerate(rot):
+                out[d] = rot[(i + 1) % k]
+        return tuple(out)
 
     def phi(self) -> tuple[int, ...]:
         """Face permutation phi(d) = sigma(twin(d))."""
-        ph = self._cache.get("phi")
-        if ph is None:
-            sig = self.sigma()
-            ph = tuple(sig[twin(d)] for d in range(2 * self.m))
-            self._cache["phi"] = ph
-        return ph
+        return self._phi
+
+    @cached_attribute
+    def _phi(self) -> tuple[int, ...]:
+        sig = self.sigma()
+        return tuple(sig[twin(d)] for d in range(2 * self.m))
 
     def faces(self) -> tuple[FaceWalk, ...]:
         """Face walks as phi-orbits, indexed by discovery order over darts."""
-        fw = self._cache.get("faces")
-        if fw is None:
-            ph = self.phi()
-            seen = [False] * (2 * self.m)
-            walks = []
-            for start in range(2 * self.m):
-                if seen[start]:
-                    continue
-                orbit = []
-                d = start
-                while not seen[d]:
-                    seen[d] = True
-                    orbit.append(d)
-                    d = ph[d]
-                walks.append(
-                    FaceWalk(
-                        index=len(walks),
-                        darts=tuple(orbit),
-                        edges=tuple(edge_of(d) for d in orbit),
-                        vertices=tuple(self.dart_vertex(d) for d in orbit),
-                    )
+        return self._faces
+
+    @cached_attribute
+    def _faces(self) -> tuple[FaceWalk, ...]:
+        ph = self.phi()
+        seen = [False] * (2 * self.m)
+        walks = []
+        for start in range(2 * self.m):
+            if seen[start]:
+                continue
+            orbit = []
+            d = start
+            while not seen[d]:
+                seen[d] = True
+                orbit.append(d)
+                d = ph[d]
+            walks.append(
+                FaceWalk(
+                    index=len(walks),
+                    darts=tuple(orbit),
+                    edges=tuple(edge_of(d) for d in orbit),
+                    vertices=tuple(self.dart_vertex(d) for d in orbit),
                 )
-            fw = tuple(walks)
-            self._cache["faces"] = fw
-        return fw
+            )
+        return tuple(walks)
 
     def face_of_dart(self, dart: int) -> int:
-        lookup = self._cache.get("face_of_dart")
-        if lookup is None:
-            lookup = [0] * (2 * self.m)
-            for walk in self.faces():
-                for d in walk.darts:
-                    lookup[d] = walk.index
-            self._cache["face_of_dart"] = lookup
-        return lookup[dart]
+        return self._face_of_dart[dart]
+
+    @cached_attribute
+    def _face_of_dart(self) -> list[int]:
+        lookup = [0] * (2 * self.m)
+        for walk in self.faces():
+            for d in walk.darts:
+                lookup[d] = walk.index
+        return lookup
 
     def faces_at_vertex(self, v: int) -> frozenset[int]:
-        table = self._cache.get("faces_at_vertex")
-        if table is None:
-            table = [set() for _ in range(self.n)]
-            for walk in self.faces():
-                for x in walk.vertices:
-                    table[x].add(walk.index)
-            table = [frozenset(s) for s in table]
-            self._cache["faces_at_vertex"] = table
-        return table[v]
+        return self._faces_at_vertex[v]
+
+    @cached_attribute
+    def _faces_at_vertex(self) -> list[frozenset[int]]:
+        table = [set() for _ in range(self.n)]
+        for walk in self.faces():
+            for x in walk.vertices:
+                table[x].add(walk.index)
+        return [frozenset(s) for s in table]
 
     # -- facial distance -------------------------------------------------
 
@@ -303,19 +299,19 @@ class EmbeddedGraph:
         for the face realising the minimum.  Pairs never sharing a face
         are absent.
         """
-        table = self._cache.get("edge_gaps")
-        if table is None:
-            table = self._gap_table(key="edges")
-            self._cache["edge_gaps"] = table
-        return table
+        return self._edge_gaps
 
     def vertex_gap_table(self) -> dict[tuple[int, int], tuple[int, int, int, int]]:
         """Same as :meth:`edge_gap_table` but between vertex occurrences."""
-        table = self._cache.get("vertex_gaps")
-        if table is None:
-            table = self._gap_table(key="vertices")
-            self._cache["vertex_gaps"] = table
-        return table
+        return self._vertex_gaps
+
+    @cached_attribute
+    def _edge_gaps(self) -> dict:
+        return self._gap_table(key="edges")
+
+    @cached_attribute
+    def _vertex_gaps(self) -> dict:
+        return self._gap_table(key="vertices")
 
     def _gap_table(self, key: str) -> dict:
         best: dict[tuple[int, int], tuple[int, int, int, int]] = {}
@@ -337,10 +333,6 @@ class EmbeddedGraph:
                     if cur is None or gap < cur[0]:
                         best[(a, b)] = (gap, walk.index, pi, pj)
         return best
-
-
-def faces(g: EmbeddedGraph) -> tuple[FaceWalk, ...]:
-    return g.faces()
 
 
 def facial_distance(g: EmbeddedGraph, e: int, f: int) -> float:
@@ -685,15 +677,6 @@ def identify_edges(g: EmbeddedGraph, e: int, f: int, face: int) -> SurgeryResult
 
     t_f = twin(a_f)
     dead = {a_f, t_f}
-    phi = list(g.phi())
-
-    def orbit_from(d0: int) -> list[int]:
-        orb = [d0]
-        d = phi[d0]
-        while d != d0:
-            orb.append(d)
-            d = phi[d]
-        return orb
 
     new_walks: list[list[int]] = []
     for other in walks:
@@ -1060,7 +1043,7 @@ def euler_characteristic(g: EmbeddedGraph) -> int:
     """V - E + F with F counted as face-walk orbits plus one empty face
     per dartless component (2 for any connected plane graph, 2c for c
     components since each sits on its own sphere)."""
-    comp = g._component_labels()
+    comp = g._component_labels
     facec = [0] * g.component_count
     for walk in g.faces():
         facec[comp[walk.vertices[0]]] += 1

@@ -22,7 +22,7 @@ from typing import Optional
 
 from facet.choosability import (
     SimpleGraph,
-    is_gallai_tree,
+    degree_guarantee,
     subset_hall_lower_bounds,
 )
 from facet.embedding import (
@@ -307,17 +307,12 @@ def _check_obligation(config: Configuration, ob: str) -> list[CheckStep]:
         )
 
     elif ob == "slack-list-extension":
-        # Degree-feasible guarantee on the conflict graph: every list
-        # exceeds or meets its degree, with slack somewhere or a block
-        # that is neither complete nor an odd cycle.
+        # Degree-feasible guarantee on the conflict graph.
         sizes = [caps[v] for v in free]
-        fit = all(sizes[k] >= sg.degree(k) for k in range(sg.n))
-        slack = any(sizes[k] > sg.degree(k) for k in range(sg.n))
-        guaranteed = fit and sg.is_connected() and (slack or not is_gallai_tree(sg))
         log(
             "slack-list-extension",
-            guaranteed,
-            f"sizes {sizes} vs degrees {[sg.degree(k) for k in range(sg.n)]}",
+            degree_guarantee(sg, sizes),
+            f"sizes {sizes} vs degrees {list(sg.degrees)}",
         )
 
     elif ob == "pair-merge-or-disjoint":
@@ -358,16 +353,10 @@ def _check_obligation(config: Configuration, ob: str) -> list[CheckStep]:
             ]
             rg = SimpleGraph.from_edges(len(rest), redges)
             sizes = [caps[v] - 1 for v in rest]
-            fit = all(sizes[k] >= rg.degree(k) for k in range(rg.n))
-            slack = any(sizes[k] > rg.degree(k) for k in range(rg.n))
-            guaranteed = (
-                fit and rg.is_connected() and (slack or not is_gallai_tree(rg))
-            )
             log(
                 f"common-color-{a}-{b}",
-                guaranteed,
-                f"residual sizes {sizes}, degrees "
-                f"{[rg.degree(k) for k in range(rg.n)]}",
+                degree_guarantee(rg, sizes),
+                f"residual sizes {sizes}, degrees {list(rg.degrees)}",
             )
         # Case B: all pairs separated; size-level Hall gives distinct
         # representatives, and all-distinct colors satisfy any conflict.

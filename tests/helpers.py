@@ -1,5 +1,6 @@
 """Shared graph builders for the test suite."""
 
+from facet.choosability import ListColoringError, SearchBudgetError, blocks
 from facet.embedding import EmbeddedGraph, twin
 
 
@@ -255,3 +256,110 @@ def list_short_cycles(g: EmbeddedGraph, max_len: int = 7) -> list[list[int]]:
     for s in range(g.n):
         dfs(s, s, [], {s}, set())
     return out
+
+
+def reference_connected(g) -> bool:
+    """Connectivity of a ``SimpleGraph`` by a fresh search on every call."""
+    if g.n == 0:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in g.adjacency[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == g.n
+
+
+def reference_gallai_tree(g) -> bool:
+    """Gallai-tree test that recomputes the block decomposition on every
+    call: True when every block induces a complete graph or an odd cycle.
+    """
+    if not reference_connected(g):
+        raise ListColoringError("Gallai-tree test needs a connected graph")
+
+    def complete(verts):
+        return all(len(g.adjacency[v] & verts) == len(verts) - 1 for v in verts)
+
+    def odd_cycle(verts):
+        if len(verts) < 3 or len(verts) % 2 == 0:
+            return False
+        return all(len(g.adjacency[v] & verts) == 2 for v in verts)
+
+    return all(complete(b) or odd_cycle(b) for b in blocks(g).blocks)
+
+
+def reference_list_color(g, lists, max_nodes: int = 25):
+    """Reference list-coloring search, reading degrees off the adjacency
+    sets at every node.
+
+    Same search as ``choosability.list_color``: smallest remaining list
+    first (degree descending, id as the tiebreaks), colors in ``repr``
+    order, forward checking; so the two return the same coloring.
+    """
+    if len(lists) != g.n:
+        raise ListColoringError("one list per vertex required")
+    if g.n > max_nodes:
+        raise SearchBudgetError(
+            f"graph has {g.n} vertices, search budget is {max_nodes}"
+        )
+    domains = [set(l) for l in lists]
+    assign = {}
+
+    def pick():
+        best = None
+        for v in range(g.n):
+            if v in assign:
+                continue
+            key = (len(domains[v]), -len(g.adjacency[v]), v)
+            if best is None or key < best[0]:
+                best = (key, v)
+        return None if best is None else best[1]
+
+    def go():
+        v = pick()
+        if v is None:
+            return True
+        for c in sorted(domains[v], key=repr):
+            pruned = []
+            ok = True
+            for u in g.adjacency[v]:
+                if u in assign:
+                    continue
+                if c in domains[u]:
+                    domains[u].discard(c)
+                    pruned.append(u)
+                    if not domains[u]:
+                        ok = False
+            if ok:
+                assign[v] = c
+                if go():
+                    return True
+                del assign[v]
+            for u in pruned:
+                domains[u].add(c)
+        return False
+
+    if any(not d for d in domains):
+        return None
+    return dict(assign) if go() else None
+
+
+def reference_degree_feasible_colorable(g, lists):
+    """``choosability.degree_feasible_colorable`` built from the reference
+    routines above: same checks, same error messages, same result tuple,
+    with every graph-only fact recomputed per call."""
+    if not reference_connected(g):
+        raise ListColoringError("guarantee needs a connected graph")
+    sizes = [len(set(l)) for l in lists]
+    if len(sizes) != g.n:
+        raise ListColoringError("one list per vertex required")
+    degrees = [len(a) for a in g.adjacency]
+    for v in range(g.n):
+        if sizes[v] < degrees[v]:
+            raise ListColoringError(f"list at vertex {v} smaller than its degree")
+    slack = any(sizes[v] > degrees[v] for v in range(g.n))
+    guaranteed = slack or not reference_gallai_tree(g)
+    coloring = reference_list_color(g, lists)
+    return guaranteed, coloring is not None, coloring

@@ -3,19 +3,28 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from facet import choosability
 from facet.choosability import (
     ListColoringError,
     SearchBudgetError,
     SimpleGraph,
     blocks,
     degree_feasible_colorable,
+    degree_guarantee,
     is_gallai_tree,
     list_color,
     sdr,
     subset_hall_lower_bounds,
+)
+
+from helpers import (
+    reference_degree_feasible_colorable,
+    reference_gallai_tree,
+    reference_list_color,
 )
 
 
@@ -151,6 +160,105 @@ class TestDegreeFeasible:
     def test_needs_connected(self):
         with pytest.raises(ListColoringError, match="connected"):
             degree_feasible_colorable(SimpleGraph.from_edges(2, []), [{1}, {1}])
+
+
+class TestDegreeGuarantee:
+    @pytest.mark.parametrize(
+        "g, sizes, expect",
+        [
+            (complete(3), [2, 2, 2], False),
+            (complete(3), [3, 2, 2], True),
+            (cycle(4), [2, 2, 2, 2], True),
+            (bowtie(), [2, 2, 4, 2, 2], False),
+            (path(3), [1, 1, 1], False),
+            (SimpleGraph.from_edges(3, [(0, 1)]), [5, 5, 5], False),
+        ],
+        ids=["k3-tight", "k3-slack", "c4-tight", "bowtie-tight", "unfit", "disconnected"],
+    )
+    def test_verdict(self, g, sizes, expect):
+        assert degree_guarantee(g, sizes) is expect
+
+    def test_size_count_must_match(self):
+        with pytest.raises(ValueError):
+            degree_guarantee(path(3), [2, 2])
+
+
+class TestGraphFactCache:
+    @staticmethod
+    def count_blocks(monkeypatch):
+        calls = []
+        real = choosability.blocks
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(choosability, "blocks", counting)
+        return calls
+
+    def test_tight_lists_decompose_the_graph_once(self, monkeypatch):
+        calls = self.count_blocks(monkeypatch)
+        g = bowtie()
+        rng = random.Random(7)
+        for _ in range(50):
+            lists = [rng.sample(range(1, 6), g.degree(v)) for v in range(g.n)]
+            guaranteed, _, _ = degree_feasible_colorable(g, lists)
+            assert not guaranteed
+        assert len(calls) == 1
+
+    def test_slack_lists_never_decompose_the_graph(self, monkeypatch):
+        calls = self.count_blocks(monkeypatch)
+        g = bowtie()
+        rng = random.Random(8)
+        for _ in range(50):
+            lists = [rng.sample(range(1, 7), g.degree(v)) for v in range(g.n)]
+            lists[rng.randrange(g.n)].append(9)
+            guaranteed, colorable, _ = degree_feasible_colorable(g, lists)
+            assert guaranteed and colorable
+        assert calls == []
+
+    def test_cached_facts_leave_equality_and_repr_alone(self):
+        g, fresh = bowtie(), bowtie()
+        before = repr(g)
+        assert g.is_connected() and is_gallai_tree(g) and g.degrees
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == before
+
+
+def _small_atlas_graphs():
+    """Every atlas graph on at most 5 vertices, connected or not."""
+    out = []
+    for a in nx.graph_atlas_g():
+        if a.number_of_nodes() > 5:
+            break
+        out.append(SimpleGraph.from_edges(a.number_of_nodes(), a.edges()))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ListColoringError as exc:
+        return ("raised", str(exc))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_matches_uncached_reference_on_atlas(seed):
+    """Tuple-for-tuple agreement with the reference routines on every
+    atlas graph with n <= 5: list sizes from degree - 1 to degree + 1, so
+    tight, slack and too-small lists all occur, and the errors match too.
+    """
+    rng = random.Random(seed)
+    for g in _small_atlas_graphs():
+        assert _outcome(is_gallai_tree, g) == _outcome(reference_gallai_tree, g)
+        for _ in range(30):
+            lists = [
+                rng.sample(range(1, 7), max(0, g.degree(v) + rng.choice((-1, 0, 0, 1))))
+                for v in range(g.n)
+            ]
+            assert _outcome(degree_feasible_colorable, g, lists) == _outcome(
+                reference_degree_feasible_colorable, g, lists
+            ), (g, lists)
+            assert list_color(g, lists) == reference_list_color(g, lists)
 
 
 class TestSdr:

@@ -67,6 +67,14 @@ class TestFaces:
             for i, d in enumerate(walk.darts):
                 assert g.dart_vertex(d) == walk.vertices[i]
 
+    def test_cached_tables_leave_equality_and_repr_alone(self):
+        g, fresh = generate("prism", 4), generate("prism", 4)
+        before = repr(g)
+        assert g.faces() is g.faces()
+        assert g.edge_gap_table() is g.edge_gap_table()
+        g.vertex_gap_table(), g.face_of_dart(0), g.faces_at_vertex(0)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == before
+
 
 class TestDistance:
     def test_c10_antipodal(self):
