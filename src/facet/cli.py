@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -461,22 +460,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    raw = os.environ.get("FACET_THREADS", "1")
-    try:
-        threads = int(raw)
-        if threads < 1:
-            raise ValueError
-    except ValueError:
-        print(
-            f"error: FACET_THREADS={raw!r} is not a positive integer",
-            file=sys.stderr,
-        )
-        return 2
-    if threads > 1:
-        print(
-            "note: this build searches on one thread; FACET_THREADS ignored",
-            file=sys.stderr,
-        )
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

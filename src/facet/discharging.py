@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
 from facet.choosability import SimpleGraph, blocks
 from facet.embedding import (
     EmbeddedGraph,
-    FaceProfile,
     face_profiles,
     in_two_thread,
     twin,

@@ -5,7 +5,18 @@ X_1..X_n yields the polynomial  P = prod over constrained pairs (i, j)
 of (X_i - X_j).  If the coefficient of a monomial  prod X_i^{t_i}  with
 sum t_i = deg P  is nonzero and every variable has more than t_i
 admissible values, a proper choice always exists regardless of which
-lists the adversary supplies.
+lists the adversary supplies (Alon, Combinatorial Nullstellensatz).
+
+One kernel, :func:`_capped_expansion`, multiplies the factors in order
+and keeps the monomials whose exponents stay below per-variable caps.
+It drops a partial product once it cannot reach such a monomial: with
+r_i factors on variable i still to come, exponents e_i can reach degree
+at most  sum_i min(cap_i - 1, e_i + r_i).  Each factor lowers that by
+zero or one, so the loss is counted in the key bits above the exponents
+(it depends only on exponents and step, so equal monomials still merge).
+The coefficient is the kernel with caps = target + 1, whose zero slack
+leaves only the target; the witness is its smallest key under the
+certificate's caps.
 
 Monomials are nibble-packed: exponent of variable i (0-based) lives in
 bits 4i..4i+3 of an int key, so individual exponents must stay below 16.
@@ -70,39 +81,69 @@ class Certificate:
         return len(self.pairs)
 
 
+def _capped_expansion(
+    pairs: tuple[tuple[int, int], ...], caps: tuple[int, ...]
+) -> dict[int, int]:
+    """Monomials of ``prod (X_i - X_j)`` with every exponent below its cap.
+
+    Returns packed key -> nonzero coefficient; ``len(caps)`` is the
+    variable count.  Raises :class:`ExponentOverflow` up front when an
+    exponent allowed by its cap and its factor count would pass 15.
+    """
+    left = [0] * len(caps)
+    for i, j in pairs:
+        left[i - 1] += 1
+        left[j - 1] += 1
+    tops = [min(c - 1, r) for c, r in zip(caps, left)]
+    for v, top in enumerate(tops):
+        if top > _NIBBLE:
+            raise ExponentOverflow(f"variable {v + 1} is in {left[v]} factors, past 15")
+    slack = sum(tops) - len(pairs)
+    if slack < 0 or min(tops, default=0) < 0:
+        return {}
+    lost = 1 << (4 * len(caps))
+    dead = (slack + 1) * lost
+    poly: dict[int, int] = {0: 1}
+    for i, j in pairs:
+        ii, jj = i - 1, j - 1
+        shift_i, shift_j = 4 * ii, 4 * jj
+        inc_i, inc_j = 1 << shift_i, 1 << shift_j
+        # a variable may grow while below cap - 1; the other one loses
+        # reach if its exponent plus its factors left is at most cap - 1
+        grow_i, grow_j = caps[ii] - 2, caps[jj] - 2
+        keep_i, keep_j = caps[ii] - 1 - left[ii], caps[jj] - 1 - left[jj]
+        left[ii] -= 1
+        left[jj] -= 1
+        nxt: dict[int, int] = {}
+        for key, coef in poly.items():
+            if not coef:  # cancelled; zeros are dropped at the end
+                continue
+            ei = (key >> shift_i) & _NIBBLE
+            ej = (key >> shift_j) & _NIBBLE
+            # a live key stays live unless a loss is added
+            if ei <= grow_i:
+                k2 = key + inc_i
+                if ej > keep_j or (k2 := k2 + lost) < dead:
+                    nxt[k2] = nxt.get(k2, 0) + coef
+            if ej <= grow_j:
+                k2 = key + inc_j
+                if ei > keep_i or (k2 := k2 + lost) < dead:
+                    nxt[k2] = nxt.get(k2, 0) - coef
+        poly = nxt
+    return {k % lost: c for k, c in poly.items() if c}
+
+
 def graph_polynomial_coefficient(
     nvars: int,
     pairs: Iterable[tuple[int, int]],
     target: tuple[int, ...],
 ) -> int:
-    """Coefficient of ``prod X_i^{target[i-1]}`` in ``prod (X_i - X_j)``.
-
-    Multiplies the factors sequentially over a sparse dict keyed by
-    packed exponent vectors, pruning any monomial whose exponent already
-    exceeds the target in some variable (factors only raise exponents,
-    so such monomials can never contribute).
-    """
+    """Coefficient of ``prod X_i^{target[i-1]}`` in ``prod (X_i - X_j)``."""
     pairs = tuple(pairs)
     if sum(target) != len(pairs):
         return 0
-    tgt = tuple(target)
-    poly: dict[int, int] = {0: 1}
-    for i, j in pairs:
-        ii, jj = i - 1, j - 1
-        shift_i, shift_j = 4 * ii, 4 * jj
-        cap_i, cap_j = tgt[ii], tgt[jj]
-        nxt: dict[int, int] = {}
-        for key, coef in poly.items():
-            ei = (key >> shift_i) & _NIBBLE
-            if ei < cap_i:
-                k2 = key + (1 << shift_i)
-                nxt[k2] = nxt.get(k2, 0) + coef
-            ej = (key >> shift_j) & _NIBBLE
-            if ej < cap_j:
-                k2 = key + (1 << shift_j)
-                nxt[k2] = nxt.get(k2, 0) - coef
-        poly = {k: c for k, c in nxt.items() if c}
-    return poly.get(pack(tgt), 0)
+    key = pack(target)
+    return _capped_expansion(pairs, tuple(t + 1 for t in target)).get(key, 0)
 
 
 def expand_polynomial(
@@ -110,33 +151,16 @@ def expand_polynomial(
     pairs: Iterable[tuple[int, int]],
     caps: Optional[tuple[int, ...]] = None,
 ) -> dict[int, int]:
-    """Full sparse expansion of ``prod (X_i - X_j)``.
+    """Sparse expansion of ``prod (X_i - X_j)``, packed key -> coefficient.
 
-    With ``caps`` given, monomials where some exponent reaches
-    ``caps[i]`` are discarded as they grow (sound pruning for witness
-    search: exponents never decrease)."""
-    poly: dict[int, int] = {0: 1}
-    for i, j in pairs:
-        ii, jj = i - 1, j - 1
-        shift_i, shift_j = 4 * ii, 4 * jj
-        lim_i = caps[ii] if caps else _NIBBLE + 1
-        lim_j = caps[jj] if caps else _NIBBLE + 1
-        nxt: dict[int, int] = {}
-        for key, coef in poly.items():
-            ei = (key >> shift_i) & _NIBBLE
-            if ei + 1 < lim_i or (caps is None and ei + 1 <= _NIBBLE):
-                if ei + 1 > _NIBBLE:
-                    raise ExponentOverflow("exponent grew past 15")
-                k2 = key + (1 << shift_i)
-                nxt[k2] = nxt.get(k2, 0) + coef
-            ej = (key >> shift_j) & _NIBBLE
-            if ej + 1 < lim_j or (caps is None and ej + 1 <= _NIBBLE):
-                if ej + 1 > _NIBBLE:
-                    raise ExponentOverflow("exponent grew past 15")
-                k2 = key + (1 << shift_j)
-                nxt[k2] = nxt.get(k2, 0) - coef
-        poly = {k: c for k, c in nxt.items() if c}
-    return poly
+    With ``caps`` given, only monomials whose exponent of variable i
+    stays below ``caps[i-1]`` are kept.  Without, every monomial is
+    kept; a variable in more than 15 factors raises
+    :class:`ExponentOverflow`."""
+    pairs = tuple(pairs)
+    if caps is None:
+        caps = (len(pairs) + 1,) * nvars
+    return _capped_expansion(pairs, tuple(caps))
 
 
 def cn_witness(
@@ -150,17 +174,8 @@ def cn_witness(
     nonzero coefficient and exponent of variable i strictly below
     ``caps[i-1]`` for every i.  Returns its exponent vector or ``None``.
     """
-    pairs = tuple(pairs)
-    poly = expand_polynomial(nvars, pairs, tuple(caps))
-    best: Optional[tuple[int, ...]] = None
-    deg = len(pairs)
-    for key, coef in poly.items():
-        exps = unpack(key, nvars)
-        if sum(exps) != deg:
-            continue
-        if best is None or exps < best:
-            best = exps
-    return best
+    poly = _capped_expansion(tuple(pairs), tuple(caps))
+    return min((unpack(key, nvars) for key in poly), default=None)
 
 
 def coefficient(

@@ -27,13 +27,13 @@ from facet.choosability import (
 )
 from facet.embedding import (
     EmbeddedGraph,
+    EmbeddingError,
     SurgeryError,
     contract_edge,
     contract_face,
     delete_edge,
     delete_vertex,
     facial_distance,
-    facial_neighborhood,
     generate,
     identify_edges,
     parse_peg,
@@ -112,15 +112,17 @@ def neighborhood_audit(
 
     Colored edges are everything outside ``uncolored``; availability is
     ``colors`` minus the count, the worst case over adversarial
-    colorings of the rest of the graph.
+    colorings of the rest of the graph.  One pass over the gap table
+    counts every uncolored edge's colored neighbors at once.
     """
-    dead = set(uncolored)
-    out = {}
     for e in uncolored:
-        nbrs = facial_neighborhood(g, ell, e)
-        count = len(nbrs - dead)
-        out[e] = (count, colors - count)
-    return out
+        if not 0 <= e < g.m:
+            raise EmbeddingError(f"edge id {e} out of range")
+    counts = dict.fromkeys(uncolored, 0)
+    for (a, b), (gap, _, _, _) in g.edge_gap_table().items():
+        if gap <= ell and (a in counts) != (b in counts):
+            counts[a if a in counts else b] += 1
+    return {e: (counts[e], colors - counts[e]) for e in uncolored}
 
 
 def _run_surgery(g: EmbeddedGraph, steps: tuple[tuple, ...]) -> EmbeddedGraph:

@@ -1,7 +1,8 @@
 """Shared graph builders for the test suite."""
 
 from facet.choosability import ListColoringError, SearchBudgetError, blocks
-from facet.embedding import EmbeddedGraph, twin
+from facet.embedding import EmbeddedGraph, facial_neighborhood, twin
+from facet.nullstellensatz import pack, unpack
 
 
 def antiprism5() -> EmbeddedGraph:
@@ -363,3 +364,70 @@ def reference_degree_feasible_colorable(g, lists):
     guaranteed = slack or not reference_gallai_tree(g)
     coloring = reference_list_color(g, lists)
     return guaranteed, coloring is not None, coloring
+
+
+def reference_graph_polynomial_coefficient(nvars, pairs, target) -> int:
+    """Target coefficient of ``prod (X_i - X_j)`` by the earlier kernel:
+    nibble-packed monomials, pruned only where an exponent passes the
+    target, with no reach bound."""
+    pairs = tuple(pairs)
+    if sum(target) != len(pairs):
+        return 0
+    tgt = tuple(target)
+    poly = {0: 1}
+    for i, j in pairs:
+        shift_i, shift_j = 4 * (i - 1), 4 * (j - 1)
+        cap_i, cap_j = tgt[i - 1], tgt[j - 1]
+        nxt = {}
+        for key, coef in poly.items():
+            if (key >> shift_i) & 0xF < cap_i:
+                k2 = key + (1 << shift_i)
+                nxt[k2] = nxt.get(k2, 0) + coef
+            if (key >> shift_j) & 0xF < cap_j:
+                k2 = key + (1 << shift_j)
+                nxt[k2] = nxt.get(k2, 0) - coef
+        poly = {k: c for k, c in nxt.items() if c}
+    return poly.get(pack(tgt), 0)
+
+
+def reference_expand_polynomial(nvars, pairs, caps=None) -> dict[int, int]:
+    """Expansion of ``prod (X_i - X_j)`` by the earlier kernel: a monomial
+    is dropped only once an exponent reaches its cap, with no reach
+    bound.  Uncapped, it silently drops exponents that would reach 16."""
+    poly = {0: 1}
+    for i, j in pairs:
+        shift_i, shift_j = 4 * (i - 1), 4 * (j - 1)
+        lim_i = caps[i - 1] if caps else 16
+        lim_j = caps[j - 1] if caps else 16
+        nxt = {}
+        for key, coef in poly.items():
+            if ((key >> shift_i) & 0xF) + 1 < lim_i:
+                k2 = key + (1 << shift_i)
+                nxt[k2] = nxt.get(k2, 0) + coef
+            if ((key >> shift_j) & 0xF) + 1 < lim_j:
+                k2 = key + (1 << shift_j)
+                nxt[k2] = nxt.get(k2, 0) - coef
+        poly = {k: c for k, c in nxt.items() if c}
+    return poly
+
+
+def reference_cn_witness(nvars, pairs, caps):
+    """Earlier witness search: the lexicographically smallest full-degree
+    monomial of :func:`reference_expand_polynomial` under the caps."""
+    pairs = tuple(pairs)
+    exps = [
+        unpack(key, nvars)
+        for key in reference_expand_polynomial(nvars, pairs, tuple(caps))
+    ]
+    return min((e for e in exps if sum(e) == len(pairs)), default=None)
+
+
+def reference_neighborhood_audit(g, ell, colors, uncolored):
+    """Per uncolored edge, ``(colored facial neighbors, colors left)``
+    from one ``facial_neighborhood`` scan per edge."""
+    dead = set(uncolored)
+    out = {}
+    for e in uncolored:
+        count = len(facial_neighborhood(g, ell, e) - dead)
+        out[e] = (count, colors - count)
+    return out

@@ -133,6 +133,14 @@ class TestCn:
         assert main(["cn", "--lemma", "nope"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_target_exponent_past_fifteen(self, tmp_path, capsys):
+        f = tmp_path / "big.cn"
+        f.write_text("p 1 2\n" * 16 + "t 16 0\n")
+        assert main(["cn", "--pairs", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            "error: exponent 16 of variable 1 not in 0..15\n"
+        )
+
 
 class TestReduce:
     def test_all_pass(self, capsys):
@@ -336,20 +344,3 @@ class TestHarness:
             results.append((code, captured.err))
         assert [code for code, _ in results] == [2, 0, 0]
         assert results[0][1].startswith("usage: facet chi")
-
-    def test_threads_garbage_rejected(self, c7, monkeypatch, capsys):
-        monkeypatch.setenv("FACET_THREADS", "banana")
-        assert main(["distance", "--graph", str(c7), "0", "3"]) == 2
-        assert "FACET_THREADS" in capsys.readouterr().err
-
-    def test_threads_above_one_noted(self, c7, monkeypatch, capsys):
-        monkeypatch.setenv("FACET_THREADS", "4")
-        assert main(["distance", "--graph", str(c7), "0", "3"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == "distance = 3\n"
-        assert "searches on one thread" in captured.err
-
-    def test_threads_one_is_silent(self, c7, monkeypatch, capsys):
-        monkeypatch.setenv("FACET_THREADS", "1")
-        assert main(["distance", "--graph", str(c7), "0", "3"]) == 0
-        assert capsys.readouterr().err == ""

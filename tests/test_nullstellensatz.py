@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import pytest
@@ -19,8 +20,14 @@ from facet.nullstellensatz import (
     unpack,
 )
 
+from helpers import (
+    reference_cn_witness,
+    reference_expand_polynomial,
+    reference_graph_polynomial_coefficient,
+)
 
-def dense_coefficient(nvars, pairs, target):
+
+def dense_expansion(nvars, pairs):
     """Multiply the factors monomial by monomial, no pruning at all."""
     poly = {(0,) * nvars: 1}
     for i, j in pairs:
@@ -33,7 +40,20 @@ def dense_coefficient(nvars, pairs, target):
             down[j - 1] += 1
             nxt[tuple(down)] = nxt.get(tuple(down), 0) - c
         poly = nxt
-    return poly.get(target, 0)
+    return poly
+
+
+def dense_coefficient(nvars, pairs, target):
+    return dense_expansion(nvars, pairs).get(target, 0)
+
+
+def dense_capped(nvars, pairs, caps):
+    """Dense expansion filtered to nonzero monomials below the caps."""
+    return {
+        exps: c
+        for exps, c in dense_expansion(nvars, pairs).items()
+        if c and all(e < cap for e, cap in zip(exps, caps))
+    }
 
 
 def test_pack_unpack_roundtrip():
@@ -152,3 +172,72 @@ def test_expand_respects_caps():
     poly = expand_polynomial(3, pairs, caps=(2, 3, 3))
     for key in poly:
         assert unpack(key, 3)[0] <= 1
+
+
+class TestOracles:
+    """The capped kernel against the earlier, unbounded kernels."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATES))
+    def test_certificate_matches_reference_kernels(self, name):
+        c = CERTIFICATES[name]
+        assert graph_polynomial_coefficient(
+            c.nvars, c.pairs, c.target
+        ) == reference_graph_polynomial_coefficient(c.nvars, c.pairs, c.target)
+        assert expand_polynomial(
+            c.nvars, c.pairs, c.caps
+        ) == reference_expand_polynomial(c.nvars, c.pairs, c.caps)
+        assert cn_witness(
+            c.nvars, c.pairs, c.caps
+        ) == reference_cn_witness(c.nvars, c.pairs, c.caps)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+                        lambda p: p[0] != p[1]
+                    ),
+                    max_size=8,
+                ),
+                st.lists(st.integers(1, 5), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_capped_expansion_matches_dense(self, args):
+        nvars, pairs, caps = args
+        want = dense_capped(nvars, pairs, caps)
+        got = expand_polynomial(nvars, pairs, tuple(caps))
+        assert {unpack(k, nvars): c for k, c in got.items()} == want
+        assert cn_witness(nvars, pairs, tuple(caps)) == min(want, default=None)
+        uncapped = {e: c for e, c in dense_expansion(nvars, pairs).items() if c}
+        got = expand_polynomial(nvars, pairs)
+        assert {unpack(k, nvars): c for k, c in got.items()} == uncapped
+
+    def test_caps_below_degree_leave_nothing(self):
+        # sum(cap - 1) = 2 < 3 factors: no monomial fits
+        pairs = [(1, 2), (1, 3), (2, 3)]
+        assert expand_polynomial(3, pairs, (2, 2, 1)) == {}
+        assert cn_witness(3, pairs, (2, 2, 1)) is None
+
+    def test_target_above_factor_count_is_zero(self):
+        # variable 2 lies in one factor but the target asks for X2^2
+        assert graph_polynomial_coefficient(3, [(1, 2), (1, 3)], (0, 2, 0)) == 0
+
+    def test_binomial_power_fifteen(self):
+        poly = expand_polynomial(2, [(1, 2)] * 15)
+        assert len(poly) == 16
+        for a in range(16):
+            want = math.comb(15, a) * (-1) ** (15 - a)
+            assert poly[pack((a, 15 - a))] == want
+
+    def test_binomial_power_sixteen_overflows(self):
+        with pytest.raises(ExponentOverflow):
+            expand_polynomial(2, [(1, 2)] * 16)
+        with pytest.raises(ExponentOverflow):
+            cn_witness(2, [(1, 2)] * 16, (17, 17))
+
+    def test_target_above_fifteen_keeps_pack_message(self):
+        with pytest.raises(ExponentOverflow, match="exponent 16 of variable 1"):
+            graph_polynomial_coefficient(2, [(1, 2)] * 16, (16, 0))

@@ -1,6 +1,7 @@
 """The reducible-configuration catalog and its replay checker."""
 
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,9 @@ from facet.reducibility import (
     configuration_to_json,
     neighborhood_audit,
 )
+from facet.embedding import EmbeddingError, generate, random_plane_graph
+
+from helpers import reference_neighborhood_audit
 
 EXPECTED_NAMES = [
     "four-vertex",
@@ -69,6 +73,25 @@ def test_three_thread_middle_edge_neighborhood(configs):
     # the middle edge of a three-edge thread sees exactly nine other
     # edges facially, leaving one admissible color out of ten
     assert audit == {1: (9, 1)}
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3, 5])
+def test_audit_matches_per_edge_scan(configs, ell):
+    rng = random.Random(ell)
+    hosts = [(c.host, c.uncolored) for c in configs.values()]
+    for g in [generate("prism", 6)] + [random_plane_graph(s) for s in range(12)]:
+        for k in (1, 3, g.m):
+            hosts.append((g, tuple(rng.sample(range(g.m), min(k, g.m)))))
+    for g, uncolored in hosts:
+        assert neighborhood_audit(g, ell, 10, uncolored) == (
+            reference_neighborhood_audit(g, ell, 10, uncolored)
+        )
+
+
+def test_audit_rejects_edge_out_of_range(configs):
+    c = configs["three-thread"]
+    with pytest.raises(EmbeddingError, match=f"edge id {c.host.m} out of range"):
+        neighborhood_audit(c.host, c.ell, c.colors, (1, c.host.m))
 
 
 def test_face_length_4_neighborhoods(configs):
