@@ -178,7 +178,9 @@ def list_color(
     """Exact list-coloring search; a proper assignment or ``None``.
 
     Backtracking with forward checking.  Vertices are attacked smallest
-    remaining list first (degree descending, id as the tiebreaks).
+    remaining list first (degree descending, id as the tiebreaks), and
+    each tries its live colors in ``repr`` order, read off the union of
+    the lists sorted once.
     """
     if len(lists) != g.n:
         raise ListColoringError("one list per vertex required")
@@ -187,6 +189,7 @@ def list_color(
             f"graph has {g.n} vertices, search budget is {max_nodes}"
         )
     domains: list[set[Hashable]] = [set(l) for l in lists]
+    colors = sorted(set().union(*domains), key=repr)
     assign: dict[int, Hashable] = {}
     order = sorted(range(g.n), key=lambda v: -g.degrees[v])  # stable: ties by id
 
@@ -201,7 +204,10 @@ def list_color(
         v = pick()
         if v is None:
             return True
-        for c in sorted(domains[v], key=repr):
+        live = domains[v]  # same at every pass: pruning skips assigned v
+        for c in colors:
+            if c not in live:
+                continue
             pruned: list[int] = []
             ok = True
             for u in g.adjacency[v]:
@@ -238,7 +244,8 @@ def degree_feasible_colorable(
     """
     if not g.is_connected():
         raise ListColoringError("guarantee needs a connected graph")
-    sizes = [len(set(l)) for l in lists]
+    sets = [set(l) for l in lists]
+    sizes = [len(d) for d in sets]
     if len(sizes) != g.n:
         raise ListColoringError("one list per vertex required")
     for v, (size, d) in enumerate(zip(sizes, g.degrees)):
@@ -246,7 +253,7 @@ def degree_feasible_colorable(
             raise ListColoringError(
                 f"list at vertex {v} smaller than its degree"
             )
-    coloring = list_color(g, lists)
+    coloring = list_color(g, sets)
     return degree_guarantee(g, sizes), coloring is not None, coloring
 
 

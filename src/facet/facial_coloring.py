@@ -71,17 +71,24 @@ class Verdict:
     missing: tuple[int, ...] = ()
 
 
-def conflict_graph(g: EmbeddedGraph, ell: int) -> ConflictGraph:
-    """Build the ell-facial conflict graph of a plane pseudograph."""
+def _close_pairs(table: dict, ell: int) -> list:
+    """Items of a gap table at gap at most ``ell``: the pairs in conflict."""
+    return [item for item in table.items() if item[1][0] <= ell]
+
+
+def _edge_conflicts(g: EmbeddedGraph, ell: int) -> list:
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    return _close_pairs(g.edge_gap_table(), ell)
+
+
+def conflict_graph(g: EmbeddedGraph, ell: int) -> ConflictGraph:
+    """Build the ell-facial conflict graph of a plane pseudograph."""
+    witness = dict(_edge_conflicts(g, ell))
     adj: list[set[int]] = [set() for _ in range(g.m)]
-    witness: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for (a, b), (gap, face, pi, pj) in g.edge_gap_table().items():
-        if gap <= ell:
-            adj[a].add(b)
-            adj[b].add(a)
-            witness[(a, b)] = (gap, face, pi, pj)
+    for a, b in witness:
+        adj[a].add(b)
+        adj[b].add(a)
     return ConflictGraph(
         ell=ell,
         n_edges=g.m,
@@ -90,12 +97,36 @@ def conflict_graph(g: EmbeddedGraph, ell: int) -> ConflictGraph:
     )
 
 
+def _conflict_masks(g: EmbeddedGraph, ell: int) -> list[int]:
+    """Per edge, the bit mask of the edges it conflicts with."""
+    masks = [0] * g.m
+    for (a, b), _ in _edge_conflicts(g, ell):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
+
+
 def _check_ids(coloring: dict[int, int], count: int, kind: str) -> None:
     for key, color in coloring.items():
         if not isinstance(key, int) or not 0 <= key < count:
             raise ColoringError(f"{kind} id {key!r} out of range")
         if not isinstance(color, int) or color < 1:
             raise ColoringError(f"color {color!r} on {kind} {key} not a positive integer")
+
+
+def _verdict(
+    pairs: list, coloring: dict[int, int], count: int, require_total: bool
+) -> Verdict:
+    """Judge a coloring of ids ``0..count-1`` against its close pairs."""
+    bad = tuple(
+        Violation(a, b, coloring[a], face, gap, pi, pj)
+        for (a, b), (gap, face, pi, pj) in sorted(pairs)
+        if a in coloring and b in coloring and coloring[a] == coloring[b]
+    )
+    missing: tuple[int, ...] = ()
+    if require_total:
+        missing = tuple(x for x in range(count) if x not in coloring)
+    return Verdict(ok=not bad and not missing, violations=bad, missing=missing)
 
 
 def verify(
@@ -111,20 +142,7 @@ def verify(
     colored support alone.
     """
     _check_ids(coloring, g.m, "edge")
-    cg = conflict_graph(g, ell)
-    bad = []
-    for (a, b), (gap, face, pi, pj) in sorted(cg.witness.items()):
-        if a in coloring and b in coloring and coloring[a] == coloring[b]:
-            bad.append(
-                Violation(
-                    e=a, f=b, color=coloring[a], face=face, gap=gap,
-                    pos_e=pi, pos_f=pj,
-                )
-            )
-    missing: tuple[int, ...] = ()
-    if require_total:
-        missing = tuple(e for e in range(g.m) if e not in coloring)
-    return Verdict(ok=not bad and not missing, violations=tuple(bad), missing=missing)
+    return _verdict(_edge_conflicts(g, ell), coloring, g.m, require_total)
 
 
 def verify_vertex(
@@ -136,19 +154,8 @@ def verify_vertex(
     """Vertex analogue: vertices at facial distance <= ell along a face
     walk must differ.  Violation fields name vertices instead of edges."""
     _check_ids(coloring, g.n, "vertex")
-    bad = []
-    for (a, b), (gap, face, pi, pj) in sorted(g.vertex_gap_table().items()):
-        if gap <= ell and a in coloring and b in coloring and coloring[a] == coloring[b]:
-            bad.append(
-                Violation(
-                    e=a, f=b, color=coloring[a], face=face, gap=gap,
-                    pos_e=pi, pos_f=pj,
-                )
-            )
-    missing: tuple[int, ...] = ()
-    if require_total:
-        missing = tuple(v for v in range(g.n) if v not in coloring)
-    return Verdict(ok=not bad and not missing, violations=tuple(bad), missing=missing)
+    pairs = _close_pairs(g.vertex_gap_table(), ell)
+    return _verdict(pairs, coloring, g.n, require_total)
 
 
 def available_colors(
@@ -234,28 +241,28 @@ def recolor_candidates(
     return frozenset(inter - outside)
 
 
+def _degree_order(masks: list[int]) -> list[int]:
+    """Conflict degree descending, id as the tiebreak."""
+    return sorted(range(len(masks)), key=lambda e: (-masks[e].bit_count(), e))
+
+
 def _first_fit(
-    cg: ConflictGraph,
-    policy: str = "degree",
-    max_colors: Optional[int] = None,
+    masks: list[int], order: list[int], max_colors: Optional[int] = None
 ) -> dict[int, int]:
     """First-fit over 0-based colors under a node order."""
-    if policy == "degree":
-        order = sorted(range(cg.n_edges), key=lambda e: (-cg.degree(e), e))
-    elif policy == "id":
-        order = list(range(cg.n_edges))
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    classes: list[int] = []  # classes[c]: bit mask of the edges colored c
     coloring: dict[int, int] = {}
     for e in order:
-        used = {coloring[f] for f in cg.adjacency[e] if f in coloring}
         c = 0
-        while c in used:
+        while c < len(classes) and classes[c] & masks[e]:
             c += 1
         if max_colors is not None and c >= max_colors:
             raise ColoringError(
                 f"greedy needs more than {max_colors} colors at edge {e}"
             )
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << e
         coloring[e] = c
     return coloring
 
@@ -272,18 +279,42 @@ def greedy_color(
     tiebreak), "id" by edge id.  Raises :class:`ColoringError` when
     ``max_colors`` is given and first-fit needs more.
     """
-    raw = _first_fit(conflict_graph(g, ell), policy, max_colors)
+    masks = _conflict_masks(g, ell)
+    if policy == "degree":
+        order = _degree_order(masks)
+    elif policy == "id":
+        order = list(range(g.m))
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
+    raw = _first_fit(masks, order, max_colors)
     return {e: c + 1 for e, c in raw.items()}
 
 
-def _greedy_clique(cg: ConflictGraph) -> list[int]:
-    """Greedy clique in the conflict graph, a chromatic lower bound."""
-    order = sorted(range(cg.n_edges), key=lambda e: (-cg.degree(e), e))
-    clique: list[int] = []
+def _greedy_clique(masks: list[int], order: list[int]) -> int:
+    """Greedy clique, as a bit mask, taking nodes in ``order``."""
+    clique = 0
     for e in order:
-        if all(f in cg.adjacency[e] for f in clique):
-            clique.append(e)
+        if clique & ~masks[e] == 0:
+            clique |= 1 << e
     return clique
+
+
+def _face_clique(g: EmbeddedGraph, ell: int) -> set[int]:
+    """Largest conflict clique read off one face walk.
+
+    Any two positions of a walk of length at most 2*ell+1 lie within
+    ell of each other cyclically, and so do any ell+1 consecutive
+    positions of a longer walk; their distinct edges pairwise conflict.
+    """
+    windows = []
+    for walk in g.faces():
+        seq = walk.edges
+        if len(seq) <= 2 * ell + 1:
+            windows.append(seq)
+        else:
+            ring = seq + seq[:ell]
+            windows += [ring[i : i + ell + 1] for i in range(len(seq))]
+    return max(map(set, windows), key=len, default=set())
 
 
 def chromatic_index(
@@ -295,19 +326,21 @@ def chromatic_index(
     """Exact ell-facial chromatic index with a witness coloring.
 
     Branch and bound over a static node order (conflict degree
-    descending, id as tiebreak).  A node may reuse any color seen so far
-    or open exactly one fresh color, so color classes are canonical and
-    no permutation is explored twice.  The greedy clique seeds the lower
-    bound and the greedy coloring the incumbent.  ``upper_bound`` is an
-    advisory hint that only seeds the incumbent; the result is exact
-    regardless of its value.
+    descending, id as tiebreak) with conflicts and color classes as bit
+    masks.  Colors are tried in ascending order, and a node may reuse
+    any color seen so far or open exactly one fresh color, so no color
+    permutation is explored twice.  First-fit in that order seeds the
+    incumbent; the search stops once it meets the lower bound, the larger
+    of a greedy clique and :func:`_face_clique`.  The witness is the
+    first optimal coloring in search order, whatever the bound.
+    ``upper_bound`` is an advisory hint that cannot change the result.
 
     Raises :class:`SolverBudgetError` for instances above ``max_nodes``
     conflict nodes; the search is exact but exponential, and the budget
     keeps misuse loud instead of slow.
     """
-    cg = conflict_graph(g, ell)
-    n = cg.n_edges
+    masks = _conflict_masks(g, ell)
+    n = g.m
     if n > max_nodes:
         raise SolverBudgetError(
             f"conflict graph has {n} nodes, budget is {max_nodes}; "
@@ -316,52 +349,39 @@ def chromatic_index(
     if n == 0:
         return 0, {}
 
-    order = sorted(range(n), key=lambda e: (-cg.degree(e), e))
-    clique = _greedy_clique(cg)
-    lower = max(1, len(clique))
+    order = _degree_order(masks)
+    clique = _greedy_clique(masks, order)
+    lower = max(1, clique.bit_count(), len(_face_clique(g, ell)))
+    first = _first_fit(masks, order)
+    best = 1 + max(first.values())
+    best_col = [first[e] for e in order]
+    if best > lower:
+        adj = [masks[e] for e in order]
+        bits = [1 << e for e in order]
+        classes = [0] * best  # classes[c]: bit mask of the edges colored c
+        assign = [0] * n  # assign[i]: color of order[i]
 
-    best_col = _first_fit(cg, policy="degree")
-    if upper_bound is not None:
-        try:
-            hinted = _first_fit(cg, policy="degree", max_colors=upper_bound)
-            if max(hinted.values()) < max(best_col.values()):
-                best_col = hinted
-        except ColoringError:
-            pass
-    best = 1 + max(best_col.values())
-    if best == lower:
-        return best, {e: c + 1 for e, c in best_col.items()}
-
-    pos = {e: i for i, e in enumerate(order)}
-    # Conflict neighbors that precede each node in the order.
-    prior = [
-        [f for f in cg.adjacency[e] if pos[f] < pos[e]] for e in order
-    ]
-
-    assign: dict[int, int] = {}
-    state = {"best": best, "best_col": dict(best_col)}
-
-    def descend(idx: int, used: int) -> None:
-        if used >= state["best"]:
-            return
-        if idx == n:
-            state["best"] = used
-            state["best_col"] = dict(assign)
-            return
-        e = order[idx]
-        banned = {assign[f] for f in prior[idx]}
-        limit = min(used + 1, state["best"] - 1)
-        for c in range(limit):
-            if c in banned:
-                continue
-            assign[e] = c
-            descend(idx + 1, max(used, c + 1))
-            del assign[e]
-            if state["best"] <= lower:
+        def descend(idx: int, used: int) -> None:
+            nonlocal best, best_col
+            if idx == n:
+                best, best_col = used, assign[:]
                 return
+            conflicts, bit = adj[idx], bits[idx]
+            for c in range(used + 1):
+                now = used if c < used else c + 1
+                if now >= best:
+                    return
+                if classes[c] & conflicts:
+                    continue
+                classes[c] |= bit
+                assign[idx] = c
+                descend(idx + 1, now)
+                classes[c] ^= bit
+                if best <= lower:
+                    return
 
-    descend(0, 0)
-    return state["best"], {e: c + 1 for e, c in state["best_col"].items()}
+        descend(0, 0)
+    return best, {e: c + 1 for e, c in zip(order, best_col)}
 
 
 # -- coloring text format --------------------------------------------------

@@ -431,3 +431,71 @@ def reference_neighborhood_audit(g, ell, colors, uncolored):
         count = len(facial_neighborhood(g, ell, e) - dead)
         out[e] = (count, colors - count)
     return out
+
+
+def reference_chromatic_index(g, ell, upper_bound=None):
+    """Earlier exact solver: set adjacency, greedy-clique lower bound only,
+    and a second first fit capped at ``upper_bound``.  Same static order,
+    color order and canonical fresh-color rule as the library solver."""
+    adjacency = [set() for _ in range(g.m)]
+    for (a, b), (gap, _, _, _) in g.edge_gap_table().items():
+        if gap <= ell:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    n = g.m
+    if n == 0:
+        return 0, {}
+    order = sorted(range(n), key=lambda e: (-len(adjacency[e]), e))
+
+    def first_fit(max_colors=None):
+        coloring = {}
+        for e in order:
+            used = {coloring[f] for f in adjacency[e] if f in coloring}
+            c = 0
+            while c in used:
+                c += 1
+            if max_colors is not None and c >= max_colors:
+                return None
+            coloring[e] = c
+        return coloring
+
+    clique = []
+    for e in order:
+        if all(f in adjacency[e] for f in clique):
+            clique.append(e)
+    lower = max(1, len(clique))
+    best_col = first_fit()
+    if upper_bound is not None:
+        hinted = first_fit(upper_bound)
+        if hinted is not None and max(hinted.values()) < max(best_col.values()):
+            best_col = hinted
+    best = 1 + max(best_col.values())
+    if best == lower:
+        return best, {e: c + 1 for e, c in best_col.items()}
+
+    pos = {e: i for i, e in enumerate(order)}
+    prior = [[f for f in adjacency[e] if pos[f] < pos[e]] for e in order]
+    assign = {}
+    state = {"best": best, "best_col": dict(best_col)}
+
+    def descend(idx, used):
+        if used >= state["best"]:
+            return
+        if idx == n:
+            state["best"] = used
+            state["best_col"] = dict(assign)
+            return
+        e = order[idx]
+        banned = {assign[f] for f in prior[idx]}
+        limit = min(used + 1, state["best"] - 1)
+        for c in range(limit):
+            if c in banned:
+                continue
+            assign[e] = c
+            descend(idx + 1, max(used, c + 1))
+            del assign[e]
+            if state["best"] <= lower:
+                return
+
+    descend(0, 0)
+    return state["best"], {e: c + 1 for e, c in state["best_col"].items()}

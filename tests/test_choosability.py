@@ -118,6 +118,11 @@ class TestListColor:
             assert got[v] in {1, 2}
             assert got[v] != got[(v + 1) % 4]
 
+    def test_colors_tried_in_repr_order(self):
+        # "10" sorts before "9", so 10 is the first color tried.
+        assert list_color(path(2), [[9, 10], [7, 9, 10]]) == {0: 10, 1: 7}
+        assert list_color(path(2), [[9, 10], [10]]) == {1: 10, 0: 9}
+
     def test_respects_lists(self):
         got = list_color(path(3), [{5}, {5, 6}, {6, 7}])
         assert got == {0: 5, 1: 6, 2: 7}

@@ -1,9 +1,11 @@
 """Conflict graphs, verification, and the exact chromatic solver."""
 
 import math
+import random
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from facet.embedding import facial_distance, random_plane_graph
 from facet.facial_coloring import (
@@ -18,10 +20,23 @@ from facet.facial_coloring import (
     recolor_candidates,
     serialize_coloring,
     verify,
+    verify_vertex,
 )
+from facet.facial_coloring import _face_clique
+
+from helpers import brute_chromatic, reference_chromatic_index
 
 
-from helpers import brute_chromatic
+def _random_graphs_up_to_24_edges(count=300):
+    """The first ``count`` seeded random plane graphs with at most 24 edges."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        g = random_plane_graph(seed, max_ops=9)
+        if g.m <= 24:
+            out.append((seed, g))
+        seed += 1
+    return out
 
 
 class TestConflictGraph:
@@ -76,6 +91,27 @@ class TestVerify:
         g = catalog["cycle-7"]
         v = verify(g, 3, {e: e + 1 for e in range(7)})
         assert v.ok and v.violations == () and v.missing == ()
+
+    def test_violations_are_every_close_same_color_pair_in_pair_order(self, catalog):
+        rng = random.Random(5)
+        for name, g in catalog.items():
+            for ell in (1, 2, 3):
+                coloring = {e: rng.randint(1, 3) for e in range(g.m)}
+                got = [(w.e, w.f, w.gap) for w in verify(g, ell, coloring).violations]
+                want = [
+                    (a, b, facial_distance(g, a, b))
+                    for a in range(g.m)
+                    for b in range(a + 1, g.m)
+                    if facial_distance(g, a, b) <= ell and coloring[a] == coloring[b]
+                ]
+                assert got == want, (name, ell)
+                vcol = {v: rng.randint(1, 3) for v in range(g.n)}
+                pairs = [(w.e, w.f) for w in verify_vertex(g, ell, vcol).violations]
+                assert pairs == sorted(
+                    key
+                    for key, (gap, _, _, _) in g.vertex_gap_table().items()
+                    if gap <= ell and vcol[key[0]] == vcol[key[1]]
+                ), (name, ell)
 
     def test_bad_edge_id_rejected(self, catalog):
         with pytest.raises(ColoringError):
@@ -196,6 +232,45 @@ class TestChromaticIndex:
         with pytest.raises(SolverBudgetError):
             chromatic_index(catalog["cycle-7"], 3, max_nodes=5)
 
+    def test_matches_reference_solver_on_catalog(self, catalog):
+        for name, g in catalog.items():
+            for ell in (1, 2, 3):
+                got = chromatic_index(g, ell, upper_bound=3 * ell + 1)
+                assert got == reference_chromatic_index(g, ell, 3 * ell + 1), (name, ell)
+
+    def test_matches_reference_solver_on_random_graphs(self):
+        graphs = _random_graphs_up_to_24_edges()
+        assert len(graphs) == 300
+        for seed, g in graphs:
+            ell = 1 + seed % 3
+            got = chromatic_index(g, ell)
+            assert got == reference_chromatic_index(g, ell), (seed, ell)
+
+    def test_face_clique_is_a_clique_below_chi(self, catalog):
+        graphs = list(catalog.items()) + _random_graphs_up_to_24_edges(60)
+        for name, g in graphs:
+            for ell in (1, 2, 3):
+                clique = _face_clique(g, ell)
+                cg = conflict_graph(g, ell)
+                assert all(f in cg.adjacency[e] for e in clique for f in clique - {e})
+                assert len(clique) <= chromatic_index(g, ell)[0], (name, ell)
+
+    def test_face_clique_reads_whole_short_walks_and_windows_of_long_ones(self, catalog):
+        assert len(_face_clique(catalog["cycle-7"], 3)) == 7
+        assert len(_face_clique(catalog["cycle-8"], 3)) == 4
+        assert len(_face_clique(catalog["cycle-8"], 1)) == 2
+
+    @pytest.mark.parametrize("seed", [9, 16, 35])
+    def test_seeds_the_clique_bound_missed_solve_fast(self, seed):
+        # The greedy clique gives 4 on these graphs where chi is 7; only
+        # the face bound lets the search stop at its first 7-coloring.
+        g = random_plane_graph(seed, max_ops=18)
+        start = time.monotonic()
+        chi, witness = chromatic_index(g, 3)
+        elapsed = time.monotonic() - start
+        assert chi == 7 and verify(g, 3, witness).ok
+        assert elapsed < 2.0, (seed, elapsed)
+
 
 class TestColoringFiles:
     def test_roundtrip(self):
@@ -228,3 +303,14 @@ def test_random_graphs_greedy_vs_exact(seed, ell):
         chi, witness = chromatic_index(g, ell)
         assert verify(g, ell, witness).ok
         assert chi <= len(set(greedy.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), ell=st.integers(1, 3))
+def test_exact_matches_brute_force(seed, ell):
+    g = random_plane_graph(seed, max_ops=4)
+    assume(g.m <= 12)
+    chi, witness = chromatic_index(g, ell)
+    assert chi == brute_chromatic(conflict_graph(g, ell).adjacency)
+    assert verify(g, ell, witness).ok
+    assert len(set(witness.values())) == chi
