@@ -10,6 +10,7 @@ two agree.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -162,11 +163,14 @@ def degree_guarantee(g: SimpleGraph, sizes: Sequence[int]) -> bool:
     """Whether lists of these sizes are guaranteed colorable: every size
     at least its degree, the graph connected, and some size above its
     degree or the graph not a Gallai tree."""
-    pairs = list(zip(sizes, g.degrees, strict=True))
+    degrees = g.degrees
+    if len(sizes) != len(degrees):
+        raise ValueError(f"{len(sizes)} sizes for {len(degrees)} vertices")
+    # with every size >= its degree, some size > its degree iff sums differ
     return (
-        all(s >= d for s, d in pairs)
+        all(map(operator.ge, sizes, degrees))
         and g.is_connected()
-        and (any(s > d for s, d in pairs) or not is_gallai_tree(g))
+        and (sum(sizes) > sum(degrees) or not is_gallai_tree(g))
     )
 
 

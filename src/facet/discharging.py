@@ -147,8 +147,7 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
 
     for v in range(g.n):
         if g.degree(v) == 2:
-            heads = [g.dart_vertex(twin(d)) for d in g.rotation[v]]
-            if all(h != v and g.degree(h) == 2 for h in heads):
+            if all(h != v and g.degree(h) == 2 for h in g.neighbors(v)):
                 notes.append(
                     f"3-thread present: vertex {v} has two 2-valent neighbors; "
                     "thread classification is local"
@@ -315,11 +314,6 @@ def _no_short_separating_cycle(g: EmbeddedGraph) -> bool:
     return not any(_cycle_separating(g, c) for c in _short_cycles(g, 7))
 
 
-def _slots(g: EmbeddedGraph, u: int) -> list[int]:
-    """Neighbor on each edge end at ``u`` (repeats where parallel)."""
-    return [g.dart_vertex(twin(d)) for d in g.rotation[u]]
-
-
 def _thread_pairs_on_walk(g: EmbeddedGraph, verts: tuple[int, ...]) -> list[tuple[int, int]]:
     """Positions i with consecutive distinct 2-vertices at i, i+1."""
     k = len(verts)
@@ -445,7 +439,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
         if len(walk.vertices) != 6:
             continue
         for u in set(walk.vertices):
-            if deg(u) == 2 and not all(deg(w) >= 4 for w in _slots(g, u)):
+            if deg(u) == 2 and not all(deg(w) >= 4 for w in g.neighbors(u)):
                 p_six_face = False
     # 12: no 2-thread on a face of length at most 6
     p_no_small_thread = all(
@@ -465,7 +459,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
         faces = {g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1)}
         if not any(prof[f].length == 7 for f in faces):
             continue
-        outer = {w for w in _slots(g, u) + _slots(g, v) if w not in (u, v)}
+        outer = {w for w in g.neighbors(u) + g.neighbors(v) if w not in (u, v)}
         if not any(deg(w) >= 4 for w in outer):
             p_thread_nbr = False
     # 15: a thread touches at most one 7-face
@@ -487,7 +481,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
         for u in set(walk.vertices):
             if deg(u) != 2:
                 continue
-            a, b = _slots(g, u)
+            a, b = g.neighbors(u)
             da, db = deg(a), deg(b)
             ok = (da >= 4 and db >= 4) or (da == 2 and db >= 4) or (
                 db == 2 and da >= 4
@@ -504,7 +498,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
         if prof[walk.index].n2 < 2:
             continue
         for u in set(walk.vertices):
-            if deg(u) == 2 and not any(deg(w) >= 4 for w in _slots(g, u)):
+            if deg(u) == 2 and not any(deg(w) >= 4 for w in g.neighbors(u)):
                 p_seven_multi = False
     # 18: a 2-vertex shared by a 6-face and a 7-face forces the rest of
     # the 7-face to be 3+
@@ -531,7 +525,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
             and prof[f1].n2 >= 2
             and prof[f2].n2 >= 2
         ):
-            strong = {w for w in _slots(g, v) if deg(w) >= 4}
+            strong = {w for w in g.neighbors(v) if deg(w) >= 4}
             if len(strong) < 2:
                 p_seven_seven = False
     # 20: two 7-faces sharing a 2-vertex, one with 3+ 2-vertices: the

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from facet._cached import cached_attribute
@@ -89,14 +89,13 @@ class EmbeddedGraph:
 
     Fields: ``n`` vertices, ``endpoints[e] = (u, v)`` per edge (order
     fixes the dart labelling), ``rotation[v]`` the clockwise dart list
-    at ``v``.  ``warnings`` carries non-fatal diagnostics such as
-    disconnectedness and never participates in equality.
+    at ``v``.  :attr:`warnings` lists non-fatal diagnostics, today only
+    disconnectedness, computed from the graph itself.
     """
 
     n: int
     endpoints: tuple[tuple[int, int], ...]
     rotation: tuple[tuple[int, ...], ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     # -- construction -------------------------------------------------
 
@@ -105,7 +104,6 @@ class EmbeddedGraph:
         n: int,
         endpoints: Iterable[tuple[int, int]],
         rotation: Iterable[Iterable[int]],
-        warnings: Iterable[str] = (),
     ) -> "EmbeddedGraph":
         """Validate and freeze a rotation system.
 
@@ -116,7 +114,7 @@ class EmbeddedGraph:
         """
         eps = tuple((int(u), int(v)) for u, v in endpoints)
         rot = tuple(tuple(int(d) for d in r) for r in rotation)
-        g = EmbeddedGraph(int(n), eps, rot, tuple(warnings))
+        g = EmbeddedGraph(int(n), eps, rot)
         g._validate()
         return g
 
@@ -215,6 +213,12 @@ class EmbeddedGraph:
     @property
     def is_connected(self) -> bool:
         return self.component_count <= 1
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        if self.is_connected:
+            return ()
+        return (f"disconnected: {self.component_count} components",)
 
     # -- faces ----------------------------------------------------------
 
@@ -347,19 +351,16 @@ def facial_distance(g: EmbeddedGraph, e: int, f: int) -> float:
     return math.inf if hit is None else hit[0]
 
 
+def close_pairs(table: dict, ell: int) -> list:
+    """Items of a gap table at gap at most ``ell``: the pairs in conflict."""
+    return [item for item in table.items() if item[1][0] <= ell]
+
+
 def facial_neighborhood(g: EmbeddedGraph, ell: int, e: int) -> frozenset[int]:
     """Edges distinct from ``e`` at facial distance at most ``ell``."""
     _check_edge(g, e)
-    if ell < 1:
-        return frozenset()
-    out = set()
-    for (a, b), (gap, _, _, _) in g.edge_gap_table().items():
-        if gap <= ell:
-            if a == e:
-                out.add(b)
-            elif b == e:
-                out.add(a)
-    return frozenset(out)
+    pairs = [pair for pair, _ in close_pairs(g.edge_gap_table(), ell) if e in pair]
+    return frozenset(b if a == e else a for a, b in pairs)
 
 
 def _check_edge(g: EmbeddedGraph, e: int) -> None:
@@ -422,20 +423,12 @@ def parse_peg(text: str) -> EmbeddedGraph:
     if sorted(rots) != list(range(n)):
         raise PegParseError("rotation lines must cover every vertex exactly once")
 
-    warns = []
     try:
-        g = EmbeddedGraph.build(
+        return EmbeddedGraph.build(
             n, [edges[e] for e in range(m)], [rots[v] for v in range(n)]
         )
     except EmbeddingError as exc:
         raise PegParseError(str(exc)) from exc
-    if not g.is_connected:
-        warns.append(f"disconnected: {g.component_count} components")
-    if warns:
-        g = EmbeddedGraph.build(
-            n, [edges[e] for e in range(m)], [rots[v] for v in range(n)], warns
-        )
-    return g
 
 
 def serialize_peg(g: EmbeddedGraph) -> str:
@@ -471,7 +464,6 @@ def _compact(
     keep_edge: list[bool],
     new_endpoints: list[tuple[int, int]],
     rotations: dict[int, list[int]],
-    extra_warn: tuple[str, ...] = (),
 ) -> SurgeryResult:
     """Renumber surviving vertices/edges contiguously and rebuild."""
     vmap: list[Optional[int]] = [None] * g.n
@@ -499,11 +491,6 @@ def _compact(
     for old_v, rot in rotations.items():
         rot_out[vmap[old_v]] = [map_dart(d) for d in rot]
     built = EmbeddedGraph.build(nxt, endpoints, rot_out)
-    warns = list(extra_warn)
-    if not built.is_connected:
-        warns.append(f"disconnected: {built.component_count} components")
-    if warns:
-        built = EmbeddedGraph.build(nxt, endpoints, rot_out, tuple(warns))
     return SurgeryResult(built, tuple(emap), tuple(vmap))
 
 
@@ -538,7 +525,7 @@ def subdivide_edge(g: EmbeddedGraph, e: int) -> SurgeryResult:
         (2 * new_e + 1 if d == 2 * e + 1 else d) for d in rotations[v]
     ]
     rotations.append([2 * e + 1, 2 * new_e])
-    built = EmbeddedGraph.build(g.n + 1, endpoints, rotations, g.warnings)
+    built = EmbeddedGraph.build(g.n + 1, endpoints, rotations)
     return SurgeryResult(
         built,
         tuple(range(g.m)),
@@ -739,7 +726,7 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> SurgeryResult:
     """Remove a vertex with all incident edges; faces around it merge.
 
     Deleting a cut vertex leaves a disconnected graph, reported through
-    the result's warning list rather than an error.
+    the result graph's :attr:`~EmbeddedGraph.warnings` rather than an error.
     """
     if not (0 <= v < g.n):
         raise EmbeddingError(f"vertex id {v} out of range")

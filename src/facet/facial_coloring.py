@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
-from facet.embedding import EmbeddedGraph, facial_neighborhood
+from facet.embedding import EmbeddedGraph, close_pairs
 
 
 class ColoringError(ValueError):
@@ -71,15 +71,10 @@ class Verdict:
     missing: tuple[int, ...] = ()
 
 
-def _close_pairs(table: dict, ell: int) -> list:
-    """Items of a gap table at gap at most ``ell``: the pairs in conflict."""
-    return [item for item in table.items() if item[1][0] <= ell]
-
-
 def _edge_conflicts(g: EmbeddedGraph, ell: int) -> list:
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return _close_pairs(g.edge_gap_table(), ell)
+    return close_pairs(g.edge_gap_table(), ell)
 
 
 def conflict_graph(g: EmbeddedGraph, ell: int) -> ConflictGraph:
@@ -115,7 +110,7 @@ def _check_ids(coloring: dict[int, int], count: int, kind: str) -> None:
 
 
 def _verdict(
-    pairs: list, coloring: dict[int, int], count: int, require_total: bool
+    pairs: Iterable, coloring: dict[int, int], count: int, require_total: bool
 ) -> Verdict:
     """Judge a coloring of ids ``0..count-1`` against its close pairs."""
     bad = tuple(
@@ -154,7 +149,7 @@ def verify_vertex(
     """Vertex analogue: vertices at facial distance <= ell along a face
     walk must differ.  Violation fields name vertices instead of edges."""
     _check_ids(coloring, g.n, "vertex")
-    pairs = _close_pairs(g.vertex_gap_table(), ell)
+    pairs = close_pairs(g.vertex_gap_table(), ell)
     return _verdict(pairs, coloring, g.n, require_total)
 
 
@@ -176,11 +171,12 @@ def available_colors(
         palette = default_palette(ell)
     pool = frozenset(palette)
     cg = conflict_graph(g, ell)
-    for a, b in cg.pairs():
-        if a in partial and b in partial and partial[a] == partial[b]:
-            raise ColoringError(
-                f"partial coloring improper: edges {a} and {b} share color {partial[a]}"
-            )
+    clash = _verdict(cg.witness.items(), partial, g.m, False).violations
+    if clash:
+        v = clash[0]
+        raise ColoringError(
+            f"partial coloring improper: edges {v.e} and {v.f} share color {v.color}"
+        )
     out = {}
     for e in range(g.m):
         banned = {partial[f] for f in cg.adjacency[e] if f in partial}
@@ -229,9 +225,8 @@ def recolor_candidates(
         raise ColoringError(f"both endpoints of edge {uv} qualify; ambiguous")
     uu1, uu2 = candidates[0]
 
-    n1 = facial_neighborhood(g, ell, uu1)
-    n2 = facial_neighborhood(g, ell, uu2)
-    nuv = facial_neighborhood(g, ell, uv)
+    adjacency = conflict_graph(g, ell).adjacency
+    n1, n2, nuv = adjacency[uu1], adjacency[uu2], adjacency[uv]
 
     def avail(nbrs: frozenset[int]) -> set[int]:
         return set(palette) - {partial[f] for f in nbrs if f in partial}

@@ -16,7 +16,9 @@ zero or one, so the loss is counted in the key bits above the exponents
 (it depends only on exponents and step, so equal monomials still merge).
 The coefficient is the kernel with caps = target + 1, whose zero slack
 leaves only the target; the witness is its smallest key under the
-certificate's caps.
+certificate's caps.  :func:`check_certificate` evaluates both and is
+memoized, since certificates are frozen, so each bundled certificate is
+expanded once per process however many configurations name it.
 
 Monomials are nibble-packed: exponent of variable i (0-based) lives in
 bits 4i..4i+3 of an int key, so individual exponents must stay below 16.
@@ -25,6 +27,7 @@ That bound is far above anything the bundled certificates need.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -202,6 +205,7 @@ def coefficient(
     return graph_polynomial_coefficient(nvars, pairs, tuple(target))
 
 
+@functools.cache
 def check_certificate(cert: Certificate) -> tuple[int, Optional[tuple[int, ...]]]:
     """Evaluate a certificate: target coefficient plus a witness search.
 

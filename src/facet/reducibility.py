@@ -29,6 +29,7 @@ from facet.embedding import (
     EmbeddedGraph,
     EmbeddingError,
     SurgeryError,
+    close_pairs,
     contract_edge,
     contract_face,
     delete_edge,
@@ -42,8 +43,7 @@ from facet.embedding import (
 from facet.nullstellensatz import (
     CERTIFICATES,
     EXPECTED_COEFFICIENTS,
-    cn_witness,
-    graph_polynomial_coefficient,
+    check_certificate,
 )
 
 
@@ -119,8 +119,8 @@ def neighborhood_audit(
         if not 0 <= e < g.m:
             raise EmbeddingError(f"edge id {e} out of range")
     counts = dict.fromkeys(uncolored, 0)
-    for (a, b), (gap, _, _, _) in g.edge_gap_table().items():
-        if gap <= ell and (a in counts) != (b in counts):
+    for (a, b), _ in close_pairs(g.edge_gap_table(), ell):
+        if (a in counts) != (b in counts):
             counts[a if a in counts else b] += 1
     return {e: (counts[e], colors - counts[e]) for e in uncolored}
 
@@ -207,11 +207,11 @@ def check(config: Configuration) -> CheckReport:
     uncolored = config.uncolored
     var_of = {e: i + 1 for i, e in enumerate(config.variables)}
     transcribed = {tuple(sorted(p)) for p in config.conflicts}
+    close = {pair for pair, _ in close_pairs(g.edge_gap_table(), config.ell)}
     missing = []
     for a_i, a in enumerate(uncolored):
         for b in uncolored[a_i + 1:]:
-            d = facial_distance(g, a, b)
-            if d <= config.ell:
+            if (min(a, b), max(a, b)) in close:
                 pair = tuple(sorted((var_of[a], var_of[b])))
                 if pair not in transcribed:
                     missing.append((a, b, pair))
@@ -252,9 +252,7 @@ def check(config: Configuration) -> CheckReport:
                 and cert.caps == config.caps
             )
             log("certificate-transcription", agree, "pairs and caps agree")
-            coef = graph_polynomial_coefficient(
-                cert.nvars, cert.pairs, cert.target
-            )
+            coef, wit = check_certificate(cert)
             want = EXPECTED_COEFFICIENTS[cert.name]
             log(
                 "certificate-coefficient",
@@ -265,30 +263,32 @@ def check(config: Configuration) -> CheckReport:
                 cert.target[i] + 1 <= cert.caps[i] for i in range(cert.nvars)
             )
             log("certificate-room", room, "target exponents fit below caps")
-            wit = cn_witness(cert.nvars, cert.pairs, cert.caps)
             log(
                 "certificate-witness",
                 wit is not None,
                 f"witness monomial {wit}",
             )
 
-    for ob in config.obligations:
-        steps.extend(_check_obligation(config, ob))
+    # Obligations build graphs on the conflicts, so they need valid ones.
+    if not bad_pairs:
+        for ob in config.obligations:
+            steps.extend(_check_obligation(config, ob))
 
     return CheckReport(
         name=config.name, ok=all(s.ok for s in steps), steps=tuple(steps)
     )
 
 
-def _conflict_simple_graph(config: Configuration) -> tuple[SimpleGraph, list[int]]:
-    """Conflict graph over free variables as a SimpleGraph, with the
-    list of 1-based free variable indices in node order."""
-    free = [i + 1 for i in range(len(config.variables)) if i + 1 not in set(config.dummies)]
-    node_of = {v: k for k, v in enumerate(free)}
+def _conflict_subgraph(config: Configuration, nodes: list[int]) -> SimpleGraph:
+    """Transcribed conflicts among the 1-based variables ``nodes``, as a
+    SimpleGraph whose vertex k is ``nodes[k]``."""
+    index = {v: k for k, v in enumerate(nodes)}
     edges = [
-        (node_of[a], node_of[b]) for a, b in config.conflicts
+        (index[p], index[q])
+        for p, q in config.conflicts
+        if p in index and q in index
     ]
-    return SimpleGraph.from_edges(len(free), edges), free
+    return SimpleGraph.from_edges(len(nodes), edges)
 
 
 def _check_obligation(config: Configuration, ob: str) -> list[CheckStep]:
@@ -297,7 +297,8 @@ def _check_obligation(config: Configuration, ob: str) -> list[CheckStep]:
     def log(label: str, ok: bool, detail: str) -> None:
         steps.append(CheckStep(label, bool(ok), detail))
 
-    sg, free = _conflict_simple_graph(config)
+    free = [i + 1 for i in range(len(config.variables)) if i + 1 not in set(config.dummies)]
+    sg = _conflict_subgraph(config, free)
     caps = {v: config.caps[v - 1] for v in free}
 
     if ob == "forced-extension":
@@ -347,13 +348,7 @@ def _check_obligation(config: Configuration, ob: str) -> list[CheckStep]:
             # Case A: the pair reuses one common color; the residual
             # graph keeps at least cap-1 colors per edge.
             rest = [v for v in free if v not in (a, b)]
-            ridx = {v: k for k, v in enumerate(rest)}
-            redges = [
-                (ridx[p], ridx[q])
-                for p, q in config.conflicts
-                if p in ridx and q in ridx
-            ]
-            rg = SimpleGraph.from_edges(len(rest), redges)
+            rg = _conflict_subgraph(config, rest)
             sizes = [caps[v] - 1 for v in rest]
             log(
                 f"common-color-{a}-{b}",
@@ -432,10 +427,11 @@ def _despoked_prism(n: int, bare: tuple[int, ...]) -> tuple[EmbeddedGraph, list[
 
 def _ring_assignment(
     g: EmbeddedGraph, inner_ids: list[int], two_positions: frozenset[int]
-) -> list[int]:
+) -> tuple[int, list[int]]:
     """Locate the inner ring face and orient it so the vertex positions
-    of 2-vertices match ``two_positions``; returns the edge id at each
-    template position (edge p joins template vertices p and p+1)."""
+    of 2-vertices match ``two_positions``; returns the face index and
+    the edge id at each template position (edge p joins template
+    vertices p and p+1)."""
     k = len(inner_ids)
     ring = None
     for walk in g.faces():
@@ -453,17 +449,10 @@ def _ring_assignment(
             if frozenset(
                 p for p in range(k) if twos[(r + p) % k]
             ) == two_positions:
-                return [edges[(r + p) % k] for p in range(k)]
+                return ring.index, [edges[(r + p) % k] for p in range(k)]
     raise ConfigurationError(
         f"no orientation puts 2-vertices at {sorted(two_positions)}"
     )
-
-
-def _ring_face_index(g: EmbeddedGraph, inner_ids: list[int]) -> int:
-    for walk in g.faces():
-        if len(walk) == len(inner_ids) and set(walk.edges) == set(inner_ids):
-            return walk.index
-    raise ConfigurationError("inner ring face not found")
 
 
 def _identified_ring_config(
@@ -482,8 +471,7 @@ def _identified_ring_config(
     obligations: tuple[str, ...] = (),
 ) -> Configuration:
     host, inner = _despoked_prism(n, bare)
-    by_pos = _ring_assignment(host, inner, two_positions)
-    face = _ring_face_index(host, inner)
+    face, by_pos = _ring_assignment(host, inner, two_positions)
     nvars = len(caps)
     variables = [0] * nvars
     for var, pos in var_positions.items():
@@ -529,9 +517,7 @@ def catalog() -> list[Configuration]:
     )
 
     p4 = generate("prism", 4)
-    inner4 = list(range(4, 8))
-    face4 = _ring_face_index(p4, inner4)
-    ring4 = _ring_assignment(p4, inner4, frozenset())
+    face4, ring4 = _ring_assignment(p4, list(range(4, 8)), frozenset())
     out.append(
         Configuration(
             name="face-length-4",

@@ -1,7 +1,7 @@
 """Shared graph builders for the test suite."""
 
 from facet.choosability import ListColoringError, SearchBudgetError, blocks
-from facet.embedding import EmbeddedGraph, facial_neighborhood, twin
+from facet.embedding import EmbeddedGraph, facial_distance, facial_neighborhood, twin
 from facet.nullstellensatz import pack, unpack
 
 
@@ -431,6 +431,23 @@ def reference_neighborhood_audit(g, ell, colors, uncolored):
         count = len(facial_neighborhood(g, ell, e) - dead)
         out[e] = (count, colors - count)
     return out
+
+
+def reference_uncovered_pairs(config):
+    """Earlier ``conflicts-covered`` scan: ``facial_distance`` on every
+    pair of uncolored edges.  Lists each close pair whose variables are
+    not transcribed as ``(edge, edge, (var, var))``, in loop order."""
+    g, uncolored = config.host, config.uncolored
+    var_of = {e: i + 1 for i, e in enumerate(config.variables)}
+    transcribed = {tuple(sorted(p)) for p in config.conflicts}
+    missing = []
+    for i, a in enumerate(uncolored):
+        for b in uncolored[i + 1:]:
+            if facial_distance(g, a, b) <= config.ell:
+                pair = tuple(sorted((var_of[a], var_of[b])))
+                if pair not in transcribed:
+                    missing.append((a, b, pair))
+    return missing
 
 
 def reference_chromatic_index(g, ell, upper_bound=None):

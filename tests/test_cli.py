@@ -173,6 +173,23 @@ class TestReduce:
     def test_unknown_config_name(self, capsys):
         assert main(["reduce", "--config", "nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "name, pair",
+        [("three-thread", [1, 2]), ("face-length-4", [1, 1]), ("eight-face", [1, 99])],
+        ids=["forced-extension", "slack-list-extension", "pair-merge-or-disjoint"],
+    )
+    def test_bad_conflict_fails_before_obligations(self, name, pair, tmp_path, capsys):
+        config = next(c for c in catalog() if c.name == name)
+        doc = json.loads(configuration_to_json(config))
+        doc["conflicts"].append(pair)
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main(["reduce", "--config-file", str(f)]) == 1
+        assert lines(capsys) == [
+            f"FAIL {name}: conflict-indices (bad pairs [{tuple(pair)}])",
+            "all = fail",
+        ]
+
 
 class TestDischarge:
     def test_c7_text_frozen(self, c7, capsys):

@@ -11,6 +11,7 @@ from facet.embedding import (
     SurgeryError,
     contract_edge,
     contract_face,
+    delete_vertex,
     euler_characteristic,
     face_profiles,
     facial_distance,
@@ -23,6 +24,15 @@ from facet.embedding import (
     serialize_peg,
     standard_catalog,
     subdivide_edge,
+)
+
+
+TWO_TRIANGLES = (
+    "peg 1\nvertices 6\nedges 6\n"
+    "e 0 0 1\ne 1 1 2\ne 2 2 0\n"
+    "e 3 3 4\ne 4 4 5\ne 5 5 3\n"
+    "rot 0 0 5\nrot 1 1 2\nrot 2 3 4\n"
+    "rot 3 6 11\nrot 4 7 8\nrot 5 9 10\n"
 )
 
 
@@ -90,15 +100,8 @@ class TestDistance:
         assert all(facial_distance(g, e, e) == 0 for e in range(g.m))
 
     def test_disconnected_pair_infinite(self):
-        text = (
-            "peg 1\nvertices 6\nedges 6\n"
-            "e 0 0 1\ne 1 1 2\ne 2 2 0\n"
-            "e 3 3 4\ne 4 4 5\ne 5 5 3\n"
-            "rot 0 0 5\nrot 1 1 2\nrot 2 3 4\n"
-            "rot 3 6 11\nrot 4 7 8\nrot 5 9 10\n"
-        )
-        g = parse_peg(text)
-        assert g.warnings  # disconnectedness is surfaced, not fatal
+        g = parse_peg(TWO_TRIANGLES)
+        assert g.warnings == ("disconnected: 2 components",)  # not fatal
         assert not g.is_connected
         assert g.component_count == 2
         assert facial_distance(g, 0, 3) == math.inf
@@ -194,6 +197,37 @@ class TestSurgery:
         g = generate("cycle", 6)
         with pytest.raises(SurgeryError):
             identify_edges(g, 0, 1, 0)  # adjacent edges share a vertex
+
+
+class TestWarnings:
+    def test_connected_graph_has_none(self, catalog):
+        assert all(g.warnings == () for g in catalog.values())
+
+    def test_delete_cut_vertex(self):
+        path = EmbeddedGraph.build(3, [(0, 1), (1, 2)], [[0], [1, 2], [3]])
+        res = delete_vertex(path, 1)
+        assert res.graph.warnings == ("disconnected: 2 components",)
+
+    def test_subdivide_disconnected(self):
+        g = parse_peg(TWO_TRIANGLES)
+        assert subdivide_edge(g, 0).graph.warnings == ("disconnected: 2 components",)
+
+    def test_medial_of_disconnected(self):
+        m, _ = medial(parse_peg(TWO_TRIANGLES))
+        assert m.warnings == ("disconnected: 2 components",)
+
+    def test_parse_builds_once(self, monkeypatch):
+        calls = []
+        build = EmbeddedGraph.build
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(EmbeddedGraph, "build", staticmethod(counted))
+        g = parse_peg(TWO_TRIANGLES)
+        assert g.warnings == ("disconnected: 2 components",)
+        assert len(calls) == 1
 
 
 def test_medial_of_k4_is_octahedron():

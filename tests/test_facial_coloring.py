@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from facet.embedding import facial_distance, random_plane_graph
+from facet.embedding import facial_distance, facial_neighborhood, random_plane_graph
 from facet.facial_coloring import (
     ColoringError,
     SolverBudgetError,
@@ -139,8 +139,9 @@ class TestAvailableColors:
         assert av[5] == full - {1}
 
     def test_improper_partial_rejected(self, catalog):
-        with pytest.raises(ColoringError, match="improper"):
-            available_colors(catalog["cycle-8"], 3, {0: 1, 2: 1})
+        # the first clashing pair in pair order is named
+        with pytest.raises(ColoringError, match="improper: edges 0 and 2 share color 1$"):
+            available_colors(catalog["cycle-8"], 3, {0: 1, 2: 1, 4: 1})
 
     def test_custom_palette(self, catalog):
         av = available_colors(catalog["cycle-3"], 1, {0: 7}, palette=(7, 8, 9))
@@ -173,6 +174,40 @@ class TestRecolorCandidates:
     def test_uncolored_edge_rejected(self, catalog):
         with pytest.raises(ColoringError, match="must be colored"):
             recolor_candidates(catalog["k4"], {}, 0)
+
+    def test_matches_neighborhood_formula(self):
+        # A(uu1) & A(uu2) minus the colors near uv alone, each neighborhood
+        # from its own facial_neighborhood scan
+        rng = random.Random(0)
+        checked = 0
+        for seed in range(150):
+            g = random_plane_graph(seed)
+            ell = 1 + seed % 3
+            palette = default_palette(ell)
+            partial = {e: rng.choice(palette) for e in range(g.m) if rng.random() < 0.5}
+            for uv in partial:
+                try:
+                    got = recolor_candidates(g, partial, uv, ell)
+                except ColoringError:
+                    continue
+                companions = []
+                for w in set(g.endpoints[uv]):
+                    others = {d >> 1 for d in g.rotation[w]} - {uv}
+                    if g.degree(w) == 3 and len(others) == 2 and not others & set(partial):
+                        companions.append(sorted(others))
+                [(uu1, uu2)] = companions
+                near = [facial_neighborhood(g, ell, e) for e in (uu1, uu2, uv)]
+                colors = [{partial[f] for f in n if f in partial} for n in near]
+                outside = {partial[f] for f in near[2] - near[0] - near[1] if f in partial}
+                want = set(palette) - colors[0] - colors[1] - outside
+                assert got == want, (seed, uv)
+                checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_ell_below_one_rejected(self, catalog, ell):
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            recolor_candidates(catalog["k4"], {0: 5, 3: 1}, 0, ell=ell)
 
 
 class TestGreedy:

@@ -1,5 +1,6 @@
 """The reducible-configuration catalog and its replay checker."""
 
+import dataclasses
 import json
 import random
 
@@ -14,9 +15,11 @@ from facet.reducibility import (
     configuration_to_json,
     neighborhood_audit,
 )
-from facet.embedding import EmbeddingError, generate, random_plane_graph
+from facet import nullstellensatz
+from facet.embedding import EmbeddingError, facial_distance, generate, random_plane_graph
+from facet.nullstellensatz import check_certificate
 
-from helpers import reference_neighborhood_audit
+from helpers import reference_neighborhood_audit, reference_uncovered_pairs
 
 EXPECTED_NAMES = [
     "four-vertex",
@@ -27,6 +30,16 @@ EXPECTED_NAMES = [
     "ten-face-adjacent",
     "ten-face-dist3",
     "ten-face-dist4",
+]
+
+
+# Every transcribed conflict whose two edges really are facially close,
+# as (configuration name, pair): dropping any one must be caught.
+REAL_CONFLICTS = [
+    (c.name, pair)
+    for c in catalog()
+    for pair in c.conflicts
+    if facial_distance(c.host, *(c.variables[v - 1] for v in pair)) <= c.ell
 ]
 
 
@@ -56,6 +69,25 @@ def test_every_step_logged_ok(configs, name):
     assert "surgery" in labels
     assert "availability" in labels
     assert "conflicts-covered" in labels
+    assert reference_uncovered_pairs(configs[name]) == []
+
+
+def test_each_certificate_expanded_once_per_process(monkeypatch):
+    calls = []
+    kernel = nullstellensatz._capped_expansion
+
+    def counted(pairs, caps):
+        calls.append(pairs)
+        return kernel(pairs, caps)
+
+    monkeypatch.setattr(nullstellensatz, "_capped_expansion", counted)
+    check_certificate.cache_clear()
+    check_all()
+    check_all()
+    named = {c.certificate for c in catalog() if c.certificate is not None}
+    # one coefficient and one witness expansion per certificate
+    assert len(named) == 5
+    assert len(calls) == 2 * len(named)
 
 
 def test_certified_configs_replay_their_certificates(configs):
@@ -165,13 +197,22 @@ class TestMalformedConfigs:
         assert not report.ok
         assert any(s.label == "conflict-indices" and not s.ok for s in report.steps)
 
-    def test_dropped_conflict_caught_by_coverage(self, configs):
-        doc = json.loads(configuration_to_json(configs["four-vertex"]))
-        bad = self.mutate(configs, conflicts=doc["conflicts"][1:])
+    @pytest.mark.parametrize(
+        "name, dropped",
+        REAL_CONFLICTS,
+        ids=[f"{name}-{a}-{b}" for name, (a, b) in REAL_CONFLICTS],
+    )
+    def test_dropped_conflict_caught_by_coverage(self, configs, name, dropped):
+        config = configs[name]
+        kept = tuple(p for p in config.conflicts if sorted(p) != sorted(dropped))
+        bad = dataclasses.replace(config, conflicts=kept)
         report = check(bad)
         assert not report.ok
-        failing = {s.label for s in report.steps if not s.ok}
-        assert "conflicts-covered" in failing or "certificate-transcription" in failing
+        step = next(s for s in report.steps if s.label == "conflicts-covered")
+        missing = reference_uncovered_pairs(bad)
+        assert not step.ok
+        assert step.detail == f"uncovered pairs {missing}"
+        assert [pair for _, _, pair in missing] == [tuple(sorted(dropped))]
 
     def test_inflated_cap_caught_by_availability(self, configs):
         doc = json.loads(configuration_to_json(configs["four-vertex"]))
