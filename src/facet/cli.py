@@ -61,7 +61,10 @@ def _read(path: str) -> str:
 
 
 def _load_graph(path: str) -> EmbeddedGraph:
-    return parse_peg(_read(path))
+    g = parse_peg(_read(path))
+    for text in g.warnings:
+        print(f"warning: {text}", file=sys.stderr)
+    return g
 
 
 def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator
 
+from facet._cached import cached_attribute
 from facet.choosability import SimpleGraph, blocks
 from facet.embedding import (
     EmbeddedGraph,
@@ -54,13 +55,13 @@ class ChargeLedger:
     gaps: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
-    @property
+    @cached_attribute
     def total_initial(self) -> Fraction:
         return sum(self.vertex_initial, Fraction(0)) + sum(
             self.face_initial, Fraction(0)
         )
 
-    @property
+    @cached_attribute
     def total_final(self) -> Fraction:
         return sum(self.vertex_final, Fraction(0)) + sum(
             self.face_final, Fraction(0)
@@ -131,7 +132,7 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
     ):
         raise DischargingError("ledger does not match the graph")
 
-    prof = {p.face: p for p in face_profiles(g)}
+    prof = face_profiles(g)
     vch = list(ledger.vertex_final)
     fch = list(ledger.face_final)
     transfers: list[Transfer] = list(ledger.transfers)
@@ -247,34 +248,54 @@ def _short_cycles(g: EmbeddedGraph, max_len: int = 7) -> Iterator[list[int]]:
     Loops are 1-cycles and parallel pairs 2-cycles.  Each cycle is
     yielded once (deduplicated by edge set); the start vertex is its
     minimum.  Enumeration is lazy, so a caller that stops at the first
-    hit skips the rest of the search.
+    hit skips the rest of the search.  A step to ``w`` is cut when even
+    a shortest way back from ``w`` to the start would pass ``max_len``,
+    which drops only paths that cannot close in time.
     """
+    heads = g._heads
     seen: set[frozenset[int]] = set()
 
+    def back_dist(s: int) -> dict[int, int]:
+        # BFS over the vertices >= s.  A path at w has taken at least
+        # dist[w] steps, so past max_len // 2 no step can close in time.
+        dist, frontier = {s: 0}, [s]
+        for depth in range(1, max_len // 2 + 1):
+            nxt = []
+            for x in frontier:
+                for d in g.rotation[x]:
+                    w = heads[d]
+                    if w > s and w not in dist:
+                        dist[w] = depth
+                        nxt.append(w)
+            frontier = nxt
+        return dist
+
     def dfs(
-        s: int, v: int, path: list[int], visited: set[int], used: set[int]
+        s: int, v: int, path: list[int], dist: dict[int, int],
+        visited: set[int], used: set[int],
     ) -> Iterator[list[int]]:
         for d in g.rotation[v]:
             e = d >> 1
             if e in used:
                 continue
-            w = g.dart_vertex(twin(d))
+            w = heads[d]
             if w == s:
                 key = frozenset(used | {e})
                 if key not in seen:
                     seen.add(key)
                     yield path + [d]
                 continue
-            if w < s or w in visited or len(path) + 1 >= max_len:
+            back = dist.get(w)
+            if back is None or len(path) + 1 + back > max_len or w in visited:
                 continue
             visited.add(w)
             used.add(e)
-            yield from dfs(s, w, path + [d], visited, used)
+            yield from dfs(s, w, path + [d], dist, visited, used)
             visited.discard(w)
             used.discard(e)
 
     for s in range(g.n):
-        yield from dfs(s, s, [], {s}, set())
+        yield from dfs(s, s, [], back_dist(s), {s}, set())
 
 
 def _cycle_separating(g: EmbeddedGraph, cyc: list[int]) -> bool:
@@ -287,10 +308,11 @@ def _cycle_separating(g: EmbeddedGraph, cyc: list[int]) -> bool:
     touching the cycle are not anchored by the rotation system and are
     ignored.
     """
-    vset = {g.dart_vertex(d) for d in cyc}
+    heads = g._heads
+    vset = {heads[d] for d in cyc}
     sides_hit: set[int] = set()
     for i, d_out in enumerate(cyc):
-        v = g.dart_vertex(d_out)
+        v = heads[twin(d_out)]
         d_in = twin(cyc[i - 1])
         rot = g.rotation[v]
         a = rot.index(d_out)
@@ -301,7 +323,7 @@ def _cycle_separating(g: EmbeddedGraph, cyc: list[int]) -> bool:
             if d == d_in:
                 side = 1
             else:
-                head = g.dart_vertex(twin(d))
+                head = heads[d]
                 if head not in vset:
                     sides_hit.add(side)
                     if len(sides_hit) == 2:
@@ -380,7 +402,7 @@ class StructureReport:
 def structure_report(g: EmbeddedGraph) -> StructureReport:
     """Evaluate every structural predicate on the embedding."""
     walks = list(g.faces())
-    prof = {p.face: p for p in face_profiles(g)}
+    prof = face_profiles(g)
     deg = g.degree
     two_vertices = [v for v in range(g.n) if deg(v) == 2]
 
@@ -406,8 +428,8 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
     # 5
     p_no_sep = _no_short_separating_cycle(g)
     # 6, 7
-    p_faces_five = all(p.length >= 5 for p in prof.values())
-    p_no_eight = all(p.length != 8 for p in prof.values())
+    p_faces_five = all(p.length >= 5 for p in prof)
+    p_no_eight = all(p.length != 8 for p in prof)
     # 8: every 2-vertex has a 3+ neighbor
     p_no_three_thread = all(
         any(u != v and deg(u) >= 3 for u in g.neighbors(v))
@@ -553,7 +575,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
     )
     # 23: section bounds on 8+ faces holding 2-vertices
     p_sections = True
-    for p in prof.values():
+    for p in prof:
         k = p.length
         if k < 8 or p.n2 == 0:
             continue

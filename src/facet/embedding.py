@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Optional
 
 from facet._cached import cached_attribute
@@ -33,6 +34,10 @@ class PegParseError(EmbeddingError):
 
 class SurgeryError(EmbeddingError):
     """Surgery preconditions violated."""
+
+
+# (lo, hi) -> (gap, face, pos_lo, pos_hi); see EmbeddedGraph.edge_gap_table.
+GapTable = dict[tuple[int, int], tuple[int, int, int, int]]
 
 
 def twin(dart: int) -> int:
@@ -174,7 +179,12 @@ class EmbeddedGraph:
         return len(self.endpoints)
 
     def dart_vertex(self, dart: int) -> int:
-        return self.endpoints[edge_of(dart)][dart & 1]
+        return self._heads[twin(dart)]
+
+    @cached_attribute
+    def _heads(self) -> list[int]:
+        """``_heads[d]``: the vertex dart ``d`` points to, its twin's base."""
+        return [x for u, v in self.endpoints for x in (v, u)]
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
@@ -185,11 +195,13 @@ class EmbeddedGraph:
     def neighbors(self, v: int) -> list[int]:
         """Neighbors in rotation order (repeats for parallel edges; a loop
         contributes the vertex itself twice)."""
-        return [self.dart_vertex(twin(d)) for d in self.rotation[v]]
+        heads = self._heads
+        return [heads[d] for d in self.rotation[v]]
 
     @cached_attribute
     def _component_labels(self) -> list[int]:
         comp = [-1] * self.n
+        heads = self._heads
         nxt = 0
         for s in range(self.n):
             if comp[s] != -1:
@@ -199,7 +211,7 @@ class EmbeddedGraph:
             while stack:
                 x = stack.pop()
                 for d in self.rotation[x]:
-                    y = self.dart_vertex(twin(d))
+                    y = heads[d]
                     if comp[y] == -1:
                         comp[y] = nxt
                         stack.append(y)
@@ -251,6 +263,7 @@ class EmbeddedGraph:
     @cached_attribute
     def _faces(self) -> tuple[FaceWalk, ...]:
         ph = self.phi()
+        heads = self._heads
         seen = [False] * (2 * self.m)
         walks = []
         for start in range(2 * self.m):
@@ -266,8 +279,8 @@ class EmbeddedGraph:
                 FaceWalk(
                     index=len(walks),
                     darts=tuple(orbit),
-                    edges=tuple(edge_of(d) for d in orbit),
-                    vertices=tuple(self.dart_vertex(d) for d in orbit),
+                    edges=tuple(d >> 1 for d in orbit),
+                    vertices=tuple(heads[d ^ 1] for d in orbit),
                 )
             )
         return tuple(walks)
@@ -294,48 +307,78 @@ class EmbeddedGraph:
                 table[x].add(walk.index)
         return [frozenset(s) for s in table]
 
+    @cached_attribute
+    def _face_profiles(self) -> tuple[FaceProfile, ...]:
+        profiles = []
+        for walk in self.faces():
+            verts = walk.vertices
+            two = [len(self.rotation[x]) == 2 for x in verts]
+            n2 = len({x for x, t in zip(verts, two) if t})
+            n2t = len({x for x, t in zip(verts, two) if t and in_two_thread(self, x)})
+            # Maximal cyclic runs of 2-vertices: read from a non-2-vertex on.
+            cut = two.index(False) if False in two else 0
+            runs = [len(list(r)) for t, r in groupby(two[cut:] + two[:cut]) if t]
+            profiles.append(
+                FaceProfile(walk.index, len(walk), n2, n2t, runs.count(1), runs.count(2))
+            )
+        return tuple(profiles)
+
     # -- facial distance -------------------------------------------------
 
-    def edge_gap_table(self) -> dict[tuple[int, int], tuple[int, int, int, int]]:
+    def edge_gap_table(self, ell: Optional[int] = None) -> GapTable:
         """Minimal cyclic gaps between edge occurrences on shared face walks.
 
         Maps ``(e, f)`` with ``e < f`` to ``(gap, face, pos_e, pos_f)``
         for the face realising the minimum.  Pairs never sharing a face
-        are absent.
+        are absent.  With ``ell`` the table keeps only the pairs at gap
+        at most ``ell``, with the same witnesses, and costs O(k * ell)
+        per face of length k instead of O(k^2).  Each table is computed
+        once per graph and bound.
         """
-        return self._edge_gaps
+        return self._gap_table("edges", ell)
 
-    def vertex_gap_table(self) -> dict[tuple[int, int], tuple[int, int, int, int]]:
+    def vertex_gap_table(self, ell: Optional[int] = None) -> GapTable:
         """Same as :meth:`edge_gap_table` but between vertex occurrences."""
-        return self._vertex_gaps
+        return self._gap_table("vertices", ell)
 
     @cached_attribute
-    def _edge_gaps(self) -> dict:
-        return self._gap_table(key="edges")
+    def _gap_tables(self) -> dict[tuple[str, Optional[int]], GapTable]:
+        return {}
 
-    @cached_attribute
-    def _vertex_gaps(self) -> dict:
-        return self._gap_table(key="vertices")
-
-    def _gap_table(self, key: str) -> dict:
-        best: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    def _gap_table(self, key: str, ell: Optional[int]) -> GapTable:
+        tables = self._gap_tables
+        if (key, ell) in tables:
+            return tables[key, ell]
+        full = tables.get((key, None))
+        if full is not None:  # the unbounded table is known: filter it
+            tables[key, ell] = dict(close_pairs(full, ell))
+            return tables[key, ell]
+        # Steps j - i > 0 at cyclic gap <= r, ascending: the unbounded walk
+        # (r = k // 2) takes every step, so a bound keeps the visiting order
+        # and with it the first witness of each minimum.
+        best: GapTable = {}
+        steps_by_length: dict[int, list[tuple[int, int]]] = {}
         for walk in self.faces():
             seq = walk.edges if key == "edges" else walk.vertices
             k = len(seq)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    a, b = seq[i], seq[j]
-                    if a == b:
+            steps = steps_by_length.get(k)
+            if steps is None:
+                r = k // 2 if ell is None else min(ell, k // 2)
+                steps = [*range(1, r + 1), *range(max(k - r, r + 1), k)]
+                steps = steps_by_length[k] = [(t, min(t, k - t)) for t in steps]
+            for i, x in enumerate(seq):
+                for t, gap in steps:
+                    j = i + t
+                    if j >= k:
+                        break
+                    y = seq[j]
+                    if x == y:
                         continue
-                    if a > b:
-                        a, b = b, a
-                        pi, pj = j, i
-                    else:
-                        pi, pj = i, j
-                    gap = min(j - i, k - (j - i))
-                    cur = best.get((a, b))
+                    pair = (x, y) if x < y else (y, x)
+                    cur = best.get(pair)
                     if cur is None or gap < cur[0]:
-                        best[(a, b)] = (gap, walk.index, pi, pj)
+                        best[pair] = (gap, walk.index) + ((i, j) if x < y else (j, i))
+        tables[key, ell] = best
         return best
 
 
@@ -359,7 +402,7 @@ def close_pairs(table: dict, ell: int) -> list:
 def facial_neighborhood(g: EmbeddedGraph, ell: int, e: int) -> frozenset[int]:
     """Edges distinct from ``e`` at facial distance at most ``ell``."""
     _check_edge(g, e)
-    pairs = [pair for pair, _ in close_pairs(g.edge_gap_table(), ell) if e in pair]
+    pairs = [pair for pair, _ in close_pairs(g.edge_gap_table(ell), ell) if e in pair]
     return frozenset(b if a == e else a for a, b in pairs)
 
 
@@ -990,40 +1033,9 @@ def in_two_thread(g: EmbeddedGraph, v: int) -> bool:
 
 
 def face_profiles(g: EmbeddedGraph) -> tuple[FaceProfile, ...]:
-    """Length, 2-vertex, and section counts per face."""
-    profiles = []
-    for walk in g.faces():
-        verts = walk.vertices
-        two = [g.degree(x) == 2 for x in verts]
-        n2 = len({x for x, t in zip(verts, two) if t})
-        n2t = len({x for x, t in zip(verts, two) if t and in_two_thread(g, x)})
-        s1 = s2 = 0
-        k = len(verts)
-        if all(two) and k:
-            if k == 1:
-                s1 = 1
-            elif k == 2:
-                s2 = 1
-        else:
-            i = 0
-            while i < k:
-                if two[i] and not two[(i - 1) % k]:
-                    run = 0
-                    while run < k and two[(i + run) % k]:
-                        run += 1
-                    if run == 1:
-                        s1 += 1
-                    elif run == 2:
-                        s2 += 1
-                    i += run
-                else:
-                    i += 1
-        profiles.append(
-            FaceProfile(
-                face=walk.index, length=len(walk), n2=n2, n2t=n2t, s1=s1, s2=s2
-            )
-        )
-    return tuple(profiles)
+    """Length, 2-vertex, and section counts per face, indexed by face;
+    computed once per graph."""
+    return g._face_profiles
 
 
 def euler_characteristic(g: EmbeddedGraph) -> int:

@@ -74,7 +74,7 @@ class Verdict:
 def _edge_conflicts(g: EmbeddedGraph, ell: int) -> list:
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return close_pairs(g.edge_gap_table(), ell)
+    return close_pairs(g.edge_gap_table(ell), ell)
 
 
 def conflict_graph(g: EmbeddedGraph, ell: int) -> ConflictGraph:
@@ -115,8 +115,10 @@ def _verdict(
     """Judge a coloring of ids ``0..count-1`` against its close pairs."""
     bad = tuple(
         Violation(a, b, coloring[a], face, gap, pi, pj)
-        for (a, b), (gap, face, pi, pj) in sorted(pairs)
-        if a in coloring and b in coloring and coloring[a] == coloring[b]
+        for (a, b), (gap, face, pi, pj) in sorted(
+            (pair, wit) for pair, wit in pairs
+            if pair[0] in coloring and coloring[pair[0]] == coloring.get(pair[1])
+        )
     )
     missing: tuple[int, ...] = ()
     if require_total:
@@ -149,7 +151,7 @@ def verify_vertex(
     """Vertex analogue: vertices at facial distance <= ell along a face
     walk must differ.  Violation fields name vertices instead of edges."""
     _check_ids(coloring, g.n, "vertex")
-    pairs = close_pairs(g.vertex_gap_table(), ell)
+    pairs = close_pairs(g.vertex_gap_table(ell), ell)
     return _verdict(pairs, coloring, g.n, require_total)
 
 

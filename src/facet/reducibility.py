@@ -25,18 +25,16 @@ from facet.choosability import (
     degree_guarantee,
     subset_hall_lower_bounds,
 )
+from facet import embedding
 from facet.embedding import (
     EmbeddedGraph,
     EmbeddingError,
     SurgeryError,
     close_pairs,
     contract_edge,
-    contract_face,
     delete_edge,
-    delete_vertex,
     facial_distance,
     generate,
-    identify_edges,
     parse_peg,
     serialize_peg,
 )
@@ -119,27 +117,33 @@ def neighborhood_audit(
         if not 0 <= e < g.m:
             raise EmbeddingError(f"edge id {e} out of range")
     counts = dict.fromkeys(uncolored, 0)
-    for (a, b), _ in close_pairs(g.edge_gap_table(), ell):
+    for (a, b), _ in close_pairs(g.edge_gap_table(ell), ell):
         if (a in counts) != (b in counts):
             counts[a if a in counts else b] += 1
     return {e: (counts[e], colors - counts[e]) for e in uncolored}
 
 
+# Surgery steps by name, each run as the facet.embedding function of that
+# name, with the number of integer ids it takes.
+_SURGERY_ARITY = dict(
+    delete_vertex=1, delete_edge=1, contract_edge=1, contract_face=1, identify_edges=3
+)
+
+
+def _surgery_step(step) -> tuple:
+    """A checked surgery step: a known name, then exactly its integer ids."""
+    kind, *ids = step if isinstance(step, (list, tuple)) and step else [None]
+    if _SURGERY_ARITY.get(kind) != len(ids) or not all(type(x) is int for x in ids):
+        raise ConfigurationError(
+            f"surgery step {step!r} is not a known step name and its integer ids"
+        )
+    return (kind, *ids)
+
+
 def _run_surgery(g: EmbeddedGraph, steps: tuple[tuple, ...]) -> EmbeddedGraph:
     for step in steps:
-        kind, args = step[0], step[1:]
-        if kind == "delete_vertex":
-            g = delete_vertex(g, *args).graph
-        elif kind == "delete_edge":
-            g = delete_edge(g, *args).graph
-        elif kind == "contract_edge":
-            g = contract_edge(g, *args).graph
-        elif kind == "contract_face":
-            g = contract_face(g, *args).graph
-        elif kind == "identify_edges":
-            g = identify_edges(g, *args).graph
-        else:
-            raise ConfigurationError(f"unknown surgery step {kind!r}")
+        kind, *ids = _surgery_step(step)
+        g = getattr(embedding, kind)(g, *ids).graph
     return g
 
 
@@ -190,9 +194,10 @@ def check(config: Configuration) -> CheckReport:
     except (SurgeryError, ConfigurationError) as exc:
         log("surgery", False, str(exc))
 
-    # Identified edges must not already be facially close.
+    # Identified edges must not already be facially close; a malformed
+    # step has failed the surgery already.
     for step in config.surgery:
-        if step[0] != "identify_edges":
+        if len(step) != 4 or step[0] != "identify_edges":
             continue
         e, f = step[1], step[2]
         d = facial_distance(g, e, f)
@@ -207,7 +212,7 @@ def check(config: Configuration) -> CheckReport:
     uncolored = config.uncolored
     var_of = {e: i + 1 for i, e in enumerate(config.variables)}
     transcribed = {tuple(sorted(p)) for p in config.conflicts}
-    close = {pair for pair, _ in close_pairs(g.edge_gap_table(), config.ell)}
+    close = {pair for pair, _ in close_pairs(g.edge_gap_table(config.ell), config.ell)}
     missing = []
     for a_i, a in enumerate(uncolored):
         for b in uncolored[a_i + 1:]:
@@ -680,15 +685,17 @@ def configuration_from_json(text: str) -> Configuration:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"bad JSON: {exc}") from exc
     try:
+        if not isinstance(doc["name"], str):
+            raise ConfigurationError(f"name must be a string, got {doc['name']!r}")
+        if int(doc["ell"]) < 1:
+            raise ConfigurationError(f"ell must be at least 1, got {doc['ell']!r}")
         return Configuration(
-            name=str(doc["name"]),
+            name=doc["name"],
             description=str(doc.get("description", "")),
             host=parse_peg(doc["host"]),
             ell=int(doc["ell"]),
             colors=int(doc["colors"]),
-            surgery=tuple(
-                (str(s[0]), *map(int, s[1:])) for s in doc["surgery"]
-            ),
+            surgery=tuple(_surgery_step(s) for s in doc["surgery"]),
             variables=tuple(int(x) for x in doc["variables"]),
             dummies=tuple(int(x) for x in doc.get("dummies", [])),
             conflicts=tuple(
@@ -702,3 +709,4 @@ def configuration_from_json(text: str) -> Configuration:
         if isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(f"bad configuration document: {exc}") from exc
+

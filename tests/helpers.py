@@ -516,3 +516,44 @@ def reference_chromatic_index(g, ell, upper_bound=None):
 
     descend(0, 0)
     return state["best"], {e: c + 1 for e, c in state["best_col"].items()}
+
+
+def reference_run_counts(two: list[bool]) -> tuple[int, int]:
+    """Earlier section count of a face walk: maximal cyclic runs of
+    2-vertices of length exactly 1 and 2, found by a scan for run starts."""
+    s1 = s2 = 0
+    k = len(two)
+    if all(two) and k:
+        return (1, 0) if k == 1 else (0, 1) if k == 2 else (0, 0)
+    i = 0
+    while i < k:
+        if two[i] and not two[(i - 1) % k]:
+            run = 0
+            while run < k and two[(i + run) % k]:
+                run += 1
+            s1 += run == 1
+            s2 += run == 2
+            i += run
+        else:
+            i += 1
+    return s1, s2
+
+
+def reference_gap_table(g: EmbeddedGraph, key: str) -> dict:
+    """Earlier unbounded gap table: every pair of positions on every face
+    walk, keeping the first occurrence of each pair's minimal gap."""
+    best: dict = {}
+    for walk in g.faces():
+        seq = walk.edges if key == "edges" else walk.vertices
+        k = len(seq)
+        for i in range(k):
+            for j in range(i + 1, k):
+                a, b = seq[i], seq[j]
+                if a == b:
+                    continue
+                pi, pj = (i, j) if a < b else (j, i)
+                gap = min(j - i, k - (j - i))
+                cur = best.get((min(a, b), max(a, b)))
+                if cur is None or gap < cur[0]:
+                    best[(min(a, b), max(a, b))] = (gap, walk.index, pi, pj)
+    return best

@@ -9,9 +9,14 @@ import pytest
 
 import facet
 from facet.cli import main
-from facet.embedding import parse_peg
+from facet.embedding import generate, parse_peg, serialize_peg
 from facet.facial_coloring import parse_coloring
-from facet.reducibility import catalog, configuration_to_json
+from facet.reducibility import (
+    ConfigurationError,
+    catalog,
+    configuration_from_json,
+    configuration_to_json,
+)
 
 DISCONNECTED_PEG = (
     "peg 1\nvertices 6\nedges 6\n"
@@ -61,6 +66,26 @@ class TestVerify:
         assert sorted(doc) == ["chi", "missing", "ok", "violations"]
         assert doc["chi"] is None and doc["ok"] is False
         assert [v["e"] for v in doc["violations"]] == [0, 1, 2]
+
+    def test_planted_clashes_listed_in_pair_order_with_full_witnesses(
+        self, tmp_path, capsys
+    ):
+        g = generate("prism", 20)
+        graph = tmp_path / "prism20.peg"
+        graph.write_text(serialize_peg(g))
+        coloring = {e: e + 1 for e in range(g.m)}
+        for a, b in ((0, 1), (5, 7), (20, 22), (42, 21), (19, 59)):
+            coloring[b] = coloring[a]
+        col = tmp_path / "bad.col"
+        col.write_text("".join(f"c {e} {c}\n" for e, c in coloring.items()))
+        assert main(["verify", "--graph", str(graph), "--coloring", str(col)]) == 1
+        want = [
+            f"violation e={a} f={b} color={coloring[a]} face={face} gap={gap}"
+            for (a, b), (gap, face, _, _) in sorted(g.edge_gap_table().items())
+            if gap <= 3 and coloring[a] == coloring[b]
+        ]
+        assert len(want) == 5
+        assert lines(capsys) == want + ["verdict = reject"]
 
     def test_missing_edges_reject(self, c7, capsys):
         assert main(["verify", "--graph", str(c7), "--coloring", "/dev/null"]) == 1
@@ -170,6 +195,28 @@ class TestReduce:
         assert out[0].startswith("FAIL three-thread:")
         assert out[-1] == "all = fail"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("surgery", [[]]),
+            ("surgery", [["contract_edge"]]),
+            ("ell", 0),
+            ("name", ["x"]),
+        ],
+        ids=["empty-step", "step-without-ids", "ell-zero", "name-not-string"],
+    )
+    def test_malformed_config_file_is_input_error(self, key, value, tmp_path, capsys):
+        config = next(c for c in catalog() if c.name == "three-thread")
+        doc = json.loads(configuration_to_json(config))
+        doc[key] = value
+        with pytest.raises(ConfigurationError):
+            configuration_from_json(json.dumps(doc))
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main(["reduce", "--config-file", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_unknown_config_name(self, capsys):
         assert main(["reduce", "--config", "nope"]) == 2
 
@@ -218,6 +265,23 @@ class TestDischarge:
         t = doc["transfers"][0]
         assert sorted(t) == ["den", "dst", "num", "rule", "src"]
         assert doc["structure"]["all_pass"] is False
+
+
+class TestGraphWarnings:
+    def test_disconnected_graph_warns_on_stderr(self, tmp_path, capsys):
+        f = tmp_path / "two-triangles.peg"
+        f.write_text(DISCONNECTED_PEG)
+        assert main(["chi", "--graph", str(f)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "chi = 3\n"
+        assert captured.err == "warning: disconnected: 2 components\n"
+
+    def test_catalog_graphs_write_nothing_to_stderr(self, catalog, tmp_path, capsys):
+        for name, g in catalog.items():
+            f = tmp_path / f"{name}.peg"
+            f.write_text(serialize_peg(g))
+            assert main(["chi", "--graph", str(f)]) == 0, name
+            assert capsys.readouterr().err == "", name
 
 
 class TestMedial:

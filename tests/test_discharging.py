@@ -256,10 +256,12 @@ class TestSeparatingCycles:
     @staticmethod
     def cycle_hosts():
         yield bipyramid5()
-        for n in range(3, 8):
+        for n in range(3, 41):
             yield generate("prism", n)
         for seed in range(40):
             yield random_plane_graph(seed, max_ops=3 + seed % 8)
+        for seed in (5, 12, 34):  # m = 91, 95, 104
+            yield random_plane_graph(seed, max_ops=70)
 
     def test_lazy_enumeration_matches_full_list(self):
         for g in self.cycle_hosts():
@@ -344,6 +346,12 @@ class TestAudit:
         g = generate("k4")
         with pytest.raises(DischargingError, match="ledger"):
             apply_rules(g, initial_charges(generate("cycle", 5)))
+
+    def test_ledger_totals_computed_once_per_ledger(self):
+        led = audit(generate("prism", 7)).ledger
+        initial, final = led.total_initial, led.total_final
+        assert (initial, final) == (-12, -12)
+        assert led.total_initial is initial and led.total_final is final
 
     @pytest.mark.parametrize(
         "name",

@@ -25,6 +25,9 @@ from facet.embedding import (
     standard_catalog,
     subdivide_edge,
 )
+from facet.reducibility import catalog as reduction_catalog
+
+from helpers import pendant_path_host, reference_gap_table, reference_run_counts
 
 
 TWO_TRIANGLES = (
@@ -261,6 +264,58 @@ def test_face_profile_run_counts():
         assert p.n2 >= p.n2t
         # s1/s2 only count runs of length exactly 1 and 2
         assert p.s1 + 2 * p.s2 <= max(p.n2, 0) + 2
+
+
+def gap_hosts():
+    """Random graphs, prisms whose rings are far longer than 2*ell+1, the
+    standard catalog (cycles 3..14 put a face at every length around
+    2*ell+1, where the two ranges of the bounded walk meet), the
+    reduction hosts, and walks that repeat an edge: a bridge path, a
+    lone loop and a loop beside a pendant edge."""
+    for seed in range(150):
+        yield random_plane_graph(seed)
+    for n in range(3, 51):
+        yield generate("prism", n)
+    for _, g in standard_catalog():
+        yield g
+    for config in reduction_catalog():
+        yield config.host
+    yield pendant_path_host()
+    yield generate("cycle", 1)
+    yield EmbeddedGraph.build(2, [(0, 1), (1, 1)], [[0], [1, 2, 3]])
+
+
+def test_full_gap_tables_match_reference():
+    for g in gap_hosts():
+        assert g.edge_gap_table() == reference_gap_table(g, "edges")
+        assert g.vertex_gap_table() == reference_gap_table(g, "vertices")
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_bounded_gap_tables_are_filtered_full_tables(ell):
+    for g in gap_hosts():
+        # ``g`` walks each bounded table first; ``again`` derives it from
+        # the full table computed before it.
+        again = EmbeddedGraph(g.n, g.endpoints, g.rotation)
+        for key in ("edge_gap_table", "vertex_gap_table"):
+            walked = getattr(g, key)(ell)
+            full = getattr(again, key)()
+            want = {p: wit for p, wit in full.items() if wit[0] <= ell}
+            assert walked == want
+            assert getattr(again, key)(ell) == want
+            assert getattr(g, key)(ell) is walked and getattr(again, key)() is full
+
+
+def test_face_profiles_cached_and_runs_match_reference():
+    hosts = [g for _, g in standard_catalog()] + [pendant_path_host()]
+    hosts += [generate("cycle", 1), generate("cycle", 2)]
+    hosts += [random_plane_graph(seed) for seed in range(60)]
+    for g in hosts:
+        assert face_profiles(g) is face_profiles(g)
+        for walk, p in zip(g.faces(), face_profiles(g)):
+            two = [g.degree(x) == 2 for x in walk.vertices]
+            assert (p.face, p.length) == (walk.index, len(walk))
+            assert (p.s1, p.s2) == reference_run_counts(two)
 
 
 @settings(max_examples=60)

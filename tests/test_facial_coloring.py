@@ -7,10 +7,16 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from facet.embedding import facial_distance, facial_neighborhood, random_plane_graph
+from facet.embedding import (
+    facial_distance,
+    facial_neighborhood,
+    generate,
+    random_plane_graph,
+)
 from facet.facial_coloring import (
     ColoringError,
     SolverBudgetError,
+    Violation,
     available_colors,
     chromatic_index,
     conflict_graph,
@@ -112,6 +118,25 @@ class TestVerify:
                     for key, (gap, _, _, _) in g.vertex_gap_table().items()
                     if gap <= ell and vcol[key[0]] == vcol[key[1]]
                 ), (name, ell)
+
+    def test_planted_clashes_keep_pair_order_and_witnesses(self):
+        # Long faces, where the bounded walk skips most positions: every
+        # violation keeps the full gap table's witness, in pair order.
+        rng = random.Random(11)
+        hosts = [generate("prism", n) for n in (9, 17, 30)]
+        hosts += [random_plane_graph(seed, max_ops=70) for seed in (5, 34)]
+        for g in hosts:
+            full = sorted(g.edge_gap_table().items())
+            coloring = {e: e + 1 for e in range(g.m)}
+            for (a, b), _ in rng.sample([it for it in full if it[1][0] <= 3], 6):
+                coloring[b] = coloring[a]
+            want = tuple(
+                Violation(a, b, coloring[a], face, gap, pa, pb)
+                for (a, b), (gap, face, pa, pb) in full
+                if gap <= 3 and coloring[a] == coloring[b]
+            )
+            assert len(want) >= 2
+            assert verify(g, 3, coloring).violations == want
 
     def test_bad_edge_id_rejected(self, catalog):
         with pytest.raises(ColoringError):

@@ -52,6 +52,16 @@ def test_catalog_names(configs):
     assert list(configs) == EXPECTED_NAMES
 
 
+@pytest.mark.parametrize(
+    "step", [(), ("contract_edge",), ("contract_edge", 1, 2), ("fold_face", 0)]
+)
+def test_malformed_surgery_step_fails_the_surgery_step(configs, step):
+    config = dataclasses.replace(configs["three-thread"], surgery=(step,))
+    report = check(config)
+    assert not report.ok
+    assert report.failures()[0].label == "surgery"
+
+
 def test_all_configurations_check_out():
     reports = check_all()
     assert [r.name for r in reports] == EXPECTED_NAMES
