@@ -36,7 +36,8 @@ class SurgeryError(EmbeddingError):
     """Surgery preconditions violated."""
 
 
-# (lo, hi) -> (gap, face, pos_lo, pos_hi); see EmbeddedGraph.edge_gap_table.
+# (lo, hi) -> (gap, face, pos_lo, pos_hi) for the pairs at gap <= ell; see
+# EmbeddedGraph.edge_gap_table.
 GapTable = dict[tuple[int, int], tuple[int, int, int, int]]
 
 
@@ -325,37 +326,33 @@ class EmbeddedGraph:
 
     # -- facial distance -------------------------------------------------
 
-    def edge_gap_table(self, ell: Optional[int] = None) -> GapTable:
-        """Minimal cyclic gaps between edge occurrences on shared face walks.
+    def edge_gap_table(self, ell: int) -> GapTable:
+        """Edge pairs within ``ell`` of each other on a shared face walk.
 
-        Maps ``(e, f)`` with ``e < f`` to ``(gap, face, pos_e, pos_f)``
-        for the face realising the minimum.  Pairs never sharing a face
-        are absent.  With ``ell`` the table keeps only the pairs at gap
-        at most ``ell``, with the same witnesses, and costs O(k * ell)
-        per face of length k instead of O(k^2).  Each table is computed
-        once per graph and bound.
+        Maps ``(e, f)`` with ``e < f`` at minimal cyclic gap at most
+        ``ell`` to ``(gap, face, pos_e, pos_f)`` for the first face walk
+        realising it.  Pairs farther apart, or never sharing a face, are
+        absent.  A face of length k costs O(k * ell), and each table is
+        computed once per graph and bound.
         """
         return self._gap_table("edges", ell)
 
-    def vertex_gap_table(self, ell: Optional[int] = None) -> GapTable:
+    def vertex_gap_table(self, ell: int) -> GapTable:
         """Same as :meth:`edge_gap_table` but between vertex occurrences."""
         return self._gap_table("vertices", ell)
 
     @cached_attribute
-    def _gap_tables(self) -> dict[tuple[str, Optional[int]], GapTable]:
+    def _gap_tables(self) -> dict[tuple[str, int], GapTable]:
         return {}
 
-    def _gap_table(self, key: str, ell: Optional[int]) -> GapTable:
+    def _gap_table(self, key: str, ell: int) -> GapTable:
+        if ell < 1:
+            raise ValueError("ell must be >= 1")
         tables = self._gap_tables
         if (key, ell) in tables:
             return tables[key, ell]
-        full = tables.get((key, None))
-        if full is not None:  # the unbounded table is known: filter it
-            tables[key, ell] = dict(close_pairs(full, ell))
-            return tables[key, ell]
-        # Steps j - i > 0 at cyclic gap <= r, ascending: the unbounded walk
-        # (r = k // 2) takes every step, so a bound keeps the visiting order
-        # and with it the first witness of each minimum.
+        # Steps j - i > 0 at cyclic gap <= r, ascending: each pair keeps
+        # the first position pair, in walk order, at its least gap.
         best: GapTable = {}
         steps_by_length: dict[int, list[tuple[int, int]]] = {}
         for walk in self.faces():
@@ -363,7 +360,7 @@ class EmbeddedGraph:
             k = len(seq)
             steps = steps_by_length.get(k)
             if steps is None:
-                r = k // 2 if ell is None else min(ell, k // 2)
+                r = min(ell, k // 2)
                 steps = [*range(1, r + 1), *range(max(k - r, r + 1), k)]
                 steps = steps_by_length[k] = [(t, min(t, k - t)) for t in steps]
             for i, x in enumerate(seq):
@@ -384,26 +381,29 @@ class EmbeddedGraph:
 
 def facial_distance(g: EmbeddedGraph, e: int, f: int) -> float:
     """Minimum cyclic gap between occurrences of ``e`` and ``f`` over all
-    face walks; 0 iff ``e == f``; ``math.inf`` when no walk carries both."""
+    face walks; 0 iff ``e == f``; ``math.inf`` when no walk carries both.
+    Only the walks through ``e`` are scanned: O(k) for faces of length k."""
     _check_edge(g, e)
     _check_edge(g, f)
     if e == f:
         return 0
-    key = (e, f) if e < f else (f, e)
-    hit = g.edge_gap_table().get(key)
-    return math.inf if hit is None else hit[0]
-
-
-def close_pairs(table: dict, ell: int) -> list:
-    """Items of a gap table at gap at most ``ell``: the pairs in conflict."""
-    return [item for item in table.items() if item[1][0] <= ell]
+    best = math.inf
+    for index in {g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1)}:
+        seq = g.faces()[index].edges
+        at_e = [i for i, x in enumerate(seq) if x == e]
+        for j, x in enumerate(seq):
+            if x == f:
+                for i in at_e:
+                    best = min(best, abs(i - j), len(seq) - abs(i - j))
+    return best
 
 
 def facial_neighborhood(g: EmbeddedGraph, ell: int, e: int) -> frozenset[int]:
     """Edges distinct from ``e`` at facial distance at most ``ell``."""
     _check_edge(g, e)
-    pairs = [pair for pair, _ in close_pairs(g.edge_gap_table(ell), ell) if e in pair]
-    return frozenset(b if a == e else a for a, b in pairs)
+    return frozenset(
+        b if a == e else a for a, b in g.edge_gap_table(ell) if e in (a, b)
+    )
 
 
 def _check_edge(g: EmbeddedGraph, e: int) -> None:

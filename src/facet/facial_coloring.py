@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from facet.embedding import EmbeddedGraph, close_pairs
+from facet.embedding import EmbeddedGraph
 
 
 class ColoringError(ValueError):
@@ -71,15 +71,9 @@ class Verdict:
     missing: tuple[int, ...] = ()
 
 
-def _edge_conflicts(g: EmbeddedGraph, ell: int) -> list:
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    return close_pairs(g.edge_gap_table(ell), ell)
-
-
 def conflict_graph(g: EmbeddedGraph, ell: int) -> ConflictGraph:
     """Build the ell-facial conflict graph of a plane pseudograph."""
-    witness = dict(_edge_conflicts(g, ell))
+    witness = dict(g.edge_gap_table(ell))
     adj: list[set[int]] = [set() for _ in range(g.m)]
     for a, b in witness:
         adj[a].add(b)
@@ -95,7 +89,7 @@ def conflict_graph(g: EmbeddedGraph, ell: int) -> ConflictGraph:
 def _conflict_masks(g: EmbeddedGraph, ell: int) -> list[int]:
     """Per edge, the bit mask of the edges it conflicts with."""
     masks = [0] * g.m
-    for (a, b), _ in _edge_conflicts(g, ell):
+    for a, b in g.edge_gap_table(ell):
         masks[a] |= 1 << b
         masks[b] |= 1 << a
     return masks
@@ -139,7 +133,7 @@ def verify(
     colored support alone.
     """
     _check_ids(coloring, g.m, "edge")
-    return _verdict(_edge_conflicts(g, ell), coloring, g.m, require_total)
+    return _verdict(g.edge_gap_table(ell).items(), coloring, g.m, require_total)
 
 
 def verify_vertex(
@@ -151,8 +145,7 @@ def verify_vertex(
     """Vertex analogue: vertices at facial distance <= ell along a face
     walk must differ.  Violation fields name vertices instead of edges."""
     _check_ids(coloring, g.n, "vertex")
-    pairs = close_pairs(g.vertex_gap_table(ell), ell)
-    return _verdict(pairs, coloring, g.n, require_total)
+    return _verdict(g.vertex_gap_table(ell).items(), coloring, g.n, require_total)
 
 
 def available_colors(

@@ -29,8 +29,6 @@ from facet import embedding
 from facet.embedding import (
     EmbeddedGraph,
     EmbeddingError,
-    SurgeryError,
-    close_pairs,
     contract_edge,
     delete_edge,
     facial_distance,
@@ -117,7 +115,7 @@ def neighborhood_audit(
         if not 0 <= e < g.m:
             raise EmbeddingError(f"edge id {e} out of range")
     counts = dict.fromkeys(uncolored, 0)
-    for (a, b), _ in close_pairs(g.edge_gap_table(ell), ell):
+    for a, b in g.edge_gap_table(ell):
         if (a in counts) != (b in counts):
             counts[a if a in counts else b] += 1
     return {e: (counts[e], colors - counts[e]) for e in uncolored}
@@ -191,15 +189,20 @@ def check(config: Configuration) -> CheckReport:
             shrunk,
             f"host ({g.n}v,{g.m}e) -> reduced ({reduced.n}v,{reduced.m}e)",
         )
-    except (SurgeryError, ConfigurationError) as exc:
+    except (EmbeddingError, ConfigurationError) as exc:
         log("surgery", False, str(exc))
 
     # Identified edges must not already be facially close; a malformed
-    # step has failed the surgery already.
+    # step, or one naming an edge outside the host, has failed the
+    # surgery already.
     for step in config.surgery:
-        if len(step) != 4 or step[0] != "identify_edges":
+        if not isinstance(step, (list, tuple)) or len(step) != 4:
             continue
-        e, f = step[1], step[2]
+        kind, e, f, _ = step
+        if kind != "identify_edges" or not all(
+            type(x) is int and 0 <= x < g.m for x in (e, f)
+        ):
+            continue
         d = facial_distance(g, e, f)
         ok = d > config.ell
         log(
@@ -212,7 +215,7 @@ def check(config: Configuration) -> CheckReport:
     uncolored = config.uncolored
     var_of = {e: i + 1 for i, e in enumerate(config.variables)}
     transcribed = {tuple(sorted(p)) for p in config.conflicts}
-    close = {pair for pair, _ in close_pairs(g.edge_gap_table(config.ell), config.ell)}
+    close = g.edge_gap_table(config.ell)
     missing = []
     for a_i, a in enumerate(uncolored):
         for b in uncolored[a_i + 1:]:

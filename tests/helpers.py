@@ -455,7 +455,7 @@ def reference_chromatic_index(g, ell, upper_bound=None):
     and a second first fit capped at ``upper_bound``.  Same static order,
     color order and canonical fresh-color rule as the library solver."""
     adjacency = [set() for _ in range(g.m)]
-    for (a, b), (gap, _, _, _) in g.edge_gap_table().items():
+    for (a, b), (gap, _, _, _) in reference_gap_table(g, "edges").items():
         if gap <= ell:
             adjacency[a].add(b)
             adjacency[b].add(a)
@@ -540,8 +540,9 @@ def reference_run_counts(two: list[bool]) -> tuple[int, int]:
 
 
 def reference_gap_table(g: EmbeddedGraph, key: str) -> dict:
-    """Earlier unbounded gap table: every pair of positions on every face
-    walk, keeping the first occurrence of each pair's minimal gap."""
+    """O(k^2) gap-table oracle, unbounded: every pair of positions on
+    every face walk, keeping the first occurrence of each pair's minimal
+    gap.  The library's bounded tables are its pairs at gap <= ell."""
     best: dict = {}
     for walk in g.faces():
         seq = walk.edges if key == "edges" else walk.vertices

@@ -18,6 +18,8 @@ from facet.reducibility import (
     configuration_to_json,
 )
 
+from helpers import reference_gap_table
+
 DISCONNECTED_PEG = (
     "peg 1\nvertices 6\nedges 6\n"
     "e 0 0 1\ne 1 1 2\ne 2 2 0\ne 3 3 4\ne 4 4 5\ne 5 5 3\n"
@@ -81,7 +83,7 @@ class TestVerify:
         assert main(["verify", "--graph", str(graph), "--coloring", str(col)]) == 1
         want = [
             f"violation e={a} f={b} color={coloring[a]} face={face} gap={gap}"
-            for (a, b), (gap, face, _, _) in sorted(g.edge_gap_table().items())
+            for (a, b), (gap, face, _, _) in sorted(reference_gap_table(g, "edges").items())
             if gap <= 3 and coloring[a] == coloring[b]
         ]
         assert len(want) == 5
@@ -216,6 +218,22 @@ class TestReduce:
         assert main(["reduce", "--config-file", str(f)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "name, step, detail",
+        [
+            ("three-thread", ["delete_vertex", 99], "vertex id 99 out of range"),
+            ("eight-face", ["identify_edges", 8, 999, 9], "edge id 999 out of range"),
+        ],
+    )
+    def test_surgery_id_out_of_range_fails(self, name, step, detail, tmp_path, capsys):
+        config = next(c for c in catalog() if c.name == name)
+        doc = json.loads(configuration_to_json(config))
+        doc["surgery"] = [step]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main(["reduce", "--config-file", str(f)]) == 1
+        assert lines(capsys) == [f"FAIL {name}: surgery ({detail})", "all = fail"]
 
     def test_unknown_config_name(self, capsys):
         assert main(["reduce", "--config", "nope"]) == 2

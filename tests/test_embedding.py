@@ -84,8 +84,8 @@ class TestFaces:
         g, fresh = generate("prism", 4), generate("prism", 4)
         before = repr(g)
         assert g.faces() is g.faces()
-        assert g.edge_gap_table() is g.edge_gap_table()
-        g.vertex_gap_table(), g.face_of_dart(0), g.faces_at_vertex(0)
+        assert g.edge_gap_table(3) is g.edge_gap_table(3)
+        g.vertex_gap_table(3), g.face_of_dart(0), g.faces_at_vertex(0)
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == before
 
 
@@ -285,25 +285,42 @@ def gap_hosts():
     yield EmbeddedGraph.build(2, [(0, 1), (1, 1)], [[0], [1, 2, 3]])
 
 
-def test_full_gap_tables_match_reference():
+def test_gap_tables_and_distance_match_reference():
     for g in gap_hosts():
-        assert g.edge_gap_table() == reference_gap_table(g, "edges")
-        assert g.vertex_gap_table() == reference_gap_table(g, "vertices")
+        half = max(len(walk) for walk in g.faces()) // 2
+        ref = {key: reference_gap_table(g, key) for key in ("edges", "vertices")}
+        for key, table in (("edges", g.edge_gap_table), ("vertices", g.vertex_gap_table)):
+            # ell at or above every half face length keeps the whole table
+            for ell in (1, 2, 3, 4, max(half, 1)):
+                want = {p: wit for p, wit in ref[key].items() if wit[0] <= ell}
+                assert table(ell) == want
+        full = ref["edges"]
+        for e in range(g.m):
+            for f in range(g.m):
+                hit = full.get((min(e, f), max(e, f)))
+                want = 0 if e == f else math.inf if hit is None else hit[0]
+                assert facial_distance(g, e, f) == want
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3, 4])
-def test_bounded_gap_tables_are_filtered_full_tables(ell):
-    for g in gap_hosts():
-        # ``g`` walks each bounded table first; ``again`` derives it from
-        # the full table computed before it.
-        again = EmbeddedGraph(g.n, g.endpoints, g.rotation)
-        for key in ("edge_gap_table", "vertex_gap_table"):
-            walked = getattr(g, key)(ell)
-            full = getattr(again, key)()
-            want = {p: wit for p, wit in full.items() if wit[0] <= ell}
-            assert walked == want
-            assert getattr(again, key)(ell) == want
-            assert getattr(g, key)(ell) is walked and getattr(again, key)() is full
+@pytest.mark.parametrize("key", ["edge_gap_table", "vertex_gap_table"])
+@pytest.mark.parametrize("ell", [0, -1])
+def test_gap_table_ell_below_one_rejected(key, ell):
+    with pytest.raises(ValueError, match="ell must be >= 1"):
+        getattr(generate("prism", 4), key)(ell)
+
+
+def test_neighborhood_ell_zero_rejected():
+    with pytest.raises(ValueError, match="ell must be >= 1"):
+        facial_neighborhood(generate("prism", 4), 0, 0)
+
+
+def test_distance_builds_no_gap_table():
+    g = random_plane_graph(3, max_ops=40)
+    for e in range(g.m):
+        for f in range(g.m):
+            facial_distance(g, e, f)
+    g.edge_gap_table(2), g.vertex_gap_table(3)
+    assert sorted(g._gap_tables) == [("edges", 2), ("vertices", 3)]
 
 
 def test_face_profiles_cached_and_runs_match_reference():

@@ -30,7 +30,7 @@ from facet.facial_coloring import (
 )
 from facet.facial_coloring import _face_clique
 
-from helpers import brute_chromatic, reference_chromatic_index
+from helpers import brute_chromatic, reference_chromatic_index, reference_gap_table
 
 
 def _random_graphs_up_to_24_edges(count=300):
@@ -93,6 +93,11 @@ class TestVerify:
         assert v.violations == ()
         assert verify(g, 3, {0: 1, 3: 2}, require_total=False).ok
 
+    def test_vertex_ell_zero_rejected(self, catalog):
+        # ell = 0 would leave no close pair, so any coloring would pass
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            verify_vertex(catalog["cycle-5"], 0, dict.fromkeys(range(5), 1))
+
     def test_proper_total_coloring_accepted(self, catalog):
         g = catalog["cycle-7"]
         v = verify(g, 3, {e: e + 1 for e in range(7)})
@@ -115,7 +120,7 @@ class TestVerify:
                 pairs = [(w.e, w.f) for w in verify_vertex(g, ell, vcol).violations]
                 assert pairs == sorted(
                     key
-                    for key, (gap, _, _, _) in g.vertex_gap_table().items()
+                    for key, (gap, _, _, _) in reference_gap_table(g, "vertices").items()
                     if gap <= ell and vcol[key[0]] == vcol[key[1]]
                 ), (name, ell)
 
@@ -126,7 +131,7 @@ class TestVerify:
         hosts = [generate("prism", n) for n in (9, 17, 30)]
         hosts += [random_plane_graph(seed, max_ops=70) for seed in (5, 34)]
         for g in hosts:
-            full = sorted(g.edge_gap_table().items())
+            full = sorted(reference_gap_table(g, "edges").items())
             coloring = {e: e + 1 for e in range(g.m)}
             for (a, b), _ in rng.sample([it for it in full if it[1][0] <= 3], 6):
                 coloring[b] = coloring[a]

@@ -16,7 +16,13 @@ from facet.reducibility import (
     neighborhood_audit,
 )
 from facet import nullstellensatz
-from facet.embedding import EmbeddingError, facial_distance, generate, random_plane_graph
+from facet.embedding import (
+    EmbeddedGraph,
+    EmbeddingError,
+    facial_distance,
+    generate,
+    random_plane_graph,
+)
 from facet.nullstellensatz import check_certificate
 
 from helpers import reference_neighborhood_audit, reference_uncovered_pairs
@@ -53,13 +59,46 @@ def test_catalog_names(configs):
 
 
 @pytest.mark.parametrize(
-    "step", [(), ("contract_edge",), ("contract_edge", 1, 2), ("fold_face", 0)]
+    "step", [(), ("contract_edge",), ("contract_edge", 1, 2), ("fold_face", 0), None, 5]
 )
 def test_malformed_surgery_step_fails_the_surgery_step(configs, step):
     config = dataclasses.replace(configs["three-thread"], surgery=(step,))
     report = check(config)
     assert not report.ok
     assert report.failures()[0].label == "surgery"
+
+
+@pytest.mark.parametrize(
+    "name, step, detail",
+    [
+        ("three-thread", ("delete_vertex", 99), "vertex id 99 out of range"),
+        ("eight-face", ("identify_edges", 999, 12, 9), "edge id 999 out of range"),
+        ("eight-face", ("identify_edges", 8, 999, 9), "edge id 999 out of range"),
+    ],
+)
+def test_surgery_id_out_of_range_fails_the_surgery_step(configs, name, step, detail):
+    report = check(dataclasses.replace(configs[name], surgery=(step,)))
+    assert not report.ok
+    assert [(s.label, s.detail) for s in report.failures()] == [("surgery", detail)]
+    # the failed surgery step names the bad id; no distance is asked of it
+    assert "identify-distance" not in [s.label for s in report.steps]
+
+
+def test_ell_zero_config_rejected(configs):
+    # ell = 0 would leave no close pair, so every step would pass
+    with pytest.raises(ValueError, match="ell must be >= 1"):
+        check(dataclasses.replace(configs["eight-face"], ell=0))
+
+
+@pytest.mark.parametrize(
+    "name", [c.name for c in catalog() if any(s[0] == "identify_edges" for s in c.surgery)]
+)
+def test_identify_check_caches_only_bounded_gap_tables(name):
+    config = next(c for c in catalog() if c.name == name)
+    g = config.host
+    host = EmbeddedGraph(g.n, g.endpoints, g.rotation)
+    assert check(dataclasses.replace(config, host=host)).ok
+    assert sorted(host._gap_tables) == [("edges", config.ell)]
 
 
 def test_all_configurations_check_out():
@@ -117,7 +156,7 @@ def test_three_thread_middle_edge_neighborhood(configs):
     assert audit == {1: (9, 1)}
 
 
-@pytest.mark.parametrize("ell", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("ell", [1, 2, 3, 5])
 def test_audit_matches_per_edge_scan(configs, ell):
     rng = random.Random(ell)
     hosts = [(c.host, c.uncolored) for c in configs.values()]
@@ -128,6 +167,12 @@ def test_audit_matches_per_edge_scan(configs, ell):
         assert neighborhood_audit(g, ell, 10, uncolored) == (
             reference_neighborhood_audit(g, ell, 10, uncolored)
         )
+
+
+def test_audit_rejects_ell_zero(configs):
+    c = configs["three-thread"]
+    with pytest.raises(ValueError, match="ell must be >= 1"):
+        neighborhood_audit(c.host, 0, c.colors, c.uncolored)
 
 
 def test_audit_rejects_edge_out_of_range(configs):
