@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
 from facet.discharging import AuditReport, DischargingError, audit, structure_report
@@ -67,9 +68,55 @@ def _load_graph(path: str) -> EmbeddedGraph:
     return g
 
 
+def _json_text(doc: object) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    With ``indent`` set, ``json`` falls back to its generator-based
+    pure-Python encoder; this writes the same bytes with one recursive
+    call per container, appending to a list joined once.
+    """
+    parts: list[str] = []
+    _write_json(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(x: object, pad: str, put) -> None:
+    """Strings, ints and bools are written here; other scalars (``None``,
+    floats with ``NaN`` and ``Infinity``) go through ``json.dumps``
+    itself.  A key that is not a ``str`` raises ``TypeError``, as the
+    escaper does.  Module-level, so that no closure cycle keeps a
+    finished document's pieces alive until the next collection."""
+    if isinstance(x, str):
+        put(_escape(x))
+    elif type(x) is int:
+        put(int.__repr__(x))
+    elif type(x) is bool:
+        put("true" if x else "false")
+    elif isinstance(x, (list, tuple)):
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in x:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(pad + "]" if x else "[]")
+    elif isinstance(x, dict):
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            put(sep)
+            put(_escape(key))
+            put(": ")
+            _write_json(x[key], inner, put)
+            sep = "," + inner
+        put(pad + "}" if x else "{}")
+    else:
+        put(json.dumps(x))
+
+
 def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     else:
         for line in text_lines:
             print(line)

@@ -7,12 +7,16 @@ every transfer, every input pattern the rules do not cover, and a
 23-predicate structural report, so a single audit call shows whether a
 concrete graph could survive as a minimal counterexample.
 
-All arithmetic uses :class:`fractions.Fraction`; nothing here touches
-floating point.
+Arithmetic is exact and never touches floating point: while the rules
+run, charges are integers in units of 1/L, with L the least common
+multiple of 30 and every denominator in the incoming ledger; the ledger
+itself holds :class:`fractions.Fraction` values.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator
@@ -57,26 +61,28 @@ class ChargeLedger:
 
     @cached_attribute
     def total_initial(self) -> Fraction:
-        return sum(self.vertex_initial, Fraction(0)) + sum(
-            self.face_initial, Fraction(0)
-        )
+        return _exact_sum(self.vertex_initial + self.face_initial)
 
     @cached_attribute
     def total_final(self) -> Fraction:
-        return sum(self.vertex_final, Fraction(0)) + sum(
-            self.face_final, Fraction(0)
-        )
+        return _exact_sum(self.vertex_final + self.face_final)
 
     def negatives(self) -> tuple[tuple[Element, Fraction], ...]:
         """Elements whose final charge is below zero."""
         out: list[tuple[Element, Fraction]] = []
         for v, ch in enumerate(self.vertex_final):
-            if ch < 0:
+            if ch.numerator < 0:
                 out.append((("v", v), ch))
         for f, ch in enumerate(self.face_final):
-            if ch < 0:
+            if ch.numerator < 0:
                 out.append((("f", f), ch))
         return tuple(out)
+
+
+def _exact_sum(charges: tuple[Fraction, ...]) -> Fraction:
+    """Sum over the common denominator, in integers."""
+    den = math.lcm(*{ch.denominator for ch in charges})
+    return Fraction(sum(ch.numerator * (den // ch.denominator) for ch in charges), den)
 
 
 def initial_charges(g: EmbeddedGraph) -> ChargeLedger:
@@ -84,15 +90,19 @@ def initial_charges(g: EmbeddedGraph) -> ChargeLedger:
 
     Refuses disconnected input: Euler's formula would shift the total by
     6 per extra component and every downstream claim is stated for
-    connected graphs.
+    connected graphs.  Refuses edgeless input too: its one face has no
+    walk, so it would never be charged.
     """
     if not g.is_connected:
         raise DischargingError(
             "discharging needs a connected graph; this one has "
             f"{g.component_count} components"
         )
-    vch = tuple(Fraction(2 * g.degree(v) - 6) for v in range(g.n))
-    fch = tuple(Fraction(len(w.darts) - 6) for w in g.faces())
+    if g.m == 0:
+        raise DischargingError("discharging needs at least one edge; this graph has none")
+    frac = functools.cache(Fraction)  # one Fraction per distinct charge
+    vch = tuple(frac(2 * d - 6) for d in g.degrees)
+    fch = tuple(frac(len(w.darts) - 6) for w in g.faces())
     return ChargeLedger(
         vertex_initial=vch,
         face_initial=fch,
@@ -105,6 +115,15 @@ def _faces_at_two_vertex(g: EmbeddedGraph, u: int) -> tuple[int, int]:
     """Face indices on the two sides of a 2-vertex, in dart order."""
     d1, d2 = g.rotation[u]
     return g.face_of_dart(d1), g.face_of_dart(d2)
+
+
+# Rule amounts as (units of 1/30, the Fraction logged in a Transfer).
+_R1 = (6, Fraction(1, 5))
+_R2_FULL = (20, Fraction(2, 3))
+_R2_HALF = (10, Fraction(1, 3))
+_R3 = (30, Fraction(1))
+_R4 = (25, Fraction(5, 6))
+_R5 = (35, Fraction(7, 6))
 
 
 def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
@@ -133,22 +152,27 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
         raise DischargingError("ledger does not match the graph")
 
     prof = face_profiles(g)
-    vch = list(ledger.vertex_final)
-    fch = list(ledger.face_final)
+    deg = g.degrees
+    # Charges in integer units of 1/unit while the rules run.
+    unit = math.lcm(30, *{ch.denominator for ch in ledger.vertex_final + ledger.face_final})
+    scale = unit // 30
+    vch = [ch.numerator * (unit // ch.denominator) for ch in ledger.vertex_final]
+    fch = [ch.numerator * (unit // ch.denominator) for ch in ledger.face_final]
     transfers: list[Transfer] = list(ledger.transfers)
     gaps: list[str] = list(ledger.gaps)
     notes: list[str] = list(ledger.notes)
 
-    def send(rule: str, src: Element, dst: Element, amount: Fraction) -> None:
+    def send(rule: str, src: Element, dst: Element, amount: tuple[int, Fraction]) -> None:
+        units = amount[0] * scale
         kind, i = src
-        (vch if kind == "v" else fch)[i] -= amount
+        (vch if kind == "v" else fch)[i] -= units
         kind, i = dst
-        (vch if kind == "v" else fch)[i] += amount
-        transfers.append(Transfer(rule, src, dst, amount))
+        (vch if kind == "v" else fch)[i] += units
+        transfers.append(Transfer(rule, src, dst, amount[1]))
 
     for v in range(g.n):
-        if g.degree(v) == 2:
-            if all(h != v and g.degree(h) == 2 for h in g.neighbors(v)):
+        if deg[v] == 2:
+            if all(h != v and deg[h] == 2 for h in g.neighbors(v)):
                 notes.append(
                     f"3-thread present: vertex {v} has two 2-valent neighbors; "
                     "thread classification is local"
@@ -156,18 +180,18 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
 
     # R1
     for v in range(g.n):
-        if g.degree(v) < 4:
+        if deg[v] < 4:
             continue
         for f in sorted(g.faces_at_vertex(v)):
             if prof[f].length == 5:
-                send("R1", ("v", v), ("f", f), Fraction(1, 5))
+                send("R1", ("v", v), ("f", f), _R1)
 
     # R2
     for v in range(g.n):
-        if g.degree(v) < 4:
+        if deg[v] < 4:
             continue
         for u in sorted(set(g.neighbors(v))):
-            if u == v or g.degree(u) != 2:
+            if u == v or deg[u] != 2:
                 continue
             f1, f2 = _faces_at_two_vertex(g, u)
             if f1 == f2:
@@ -182,14 +206,14 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
             l1, l2 = prof[a1].length, prof[a2].length
             n1, n2 = prof[a1].n2, prof[a2].n2
             if l1 == 6:
-                send("R2", ("v", v), ("f", a1), Fraction(2, 3))
+                send("R2", ("v", v), ("f", a1), _R2_FULL)
             elif l1 == l2 == 7 and n1 == n2 == 2:
-                send("R2", ("v", v), ("f", a1), Fraction(1, 3))
-                send("R2", ("v", v), ("f", a2), Fraction(1, 3))
+                send("R2", ("v", v), ("f", a1), _R2_HALF)
+                send("R2", ("v", v), ("f", a2), _R2_HALF)
             elif l1 == l2 == 7 and n1 >= 2 and n2 == 1:
-                send("R2", ("v", v), ("f", a1), Fraction(2, 3))
+                send("R2", ("v", v), ("f", a1), _R2_FULL)
             elif l1 == 7 and l2 >= 8:
-                send("R2", ("v", v), ("f", a1), Fraction(2, 3))
+                send("R2", ("v", v), ("f", a1), _R2_FULL)
             else:
                 gaps.append(
                     f"R2 gap: vertex {v}, 2-vertex {u}, faces ({a1}, {a2}) "
@@ -202,20 +226,21 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
         f = walk.index
         length = prof[f].length
         for u in sorted(set(walk.vertices)):
-            if g.degree(u) != 2:
+            if deg[u] != 2:
                 continue
             if not in_two_thread(g, u):
-                send("R3", ("f", f), ("v", u), Fraction(1))
+                send("R3", ("f", f), ("v", u), _R3)
             elif length == 7:
-                send("R4", ("f", f), ("v", u), Fraction(5, 6))
+                send("R4", ("f", f), ("v", u), _R4)
             elif length >= 8:
-                send("R5", ("f", f), ("v", u), Fraction(7, 6))
+                send("R5", ("f", f), ("v", u), _R5)
 
+    frac = functools.cache(lambda units: Fraction(units, unit))
     return ChargeLedger(
         vertex_initial=ledger.vertex_initial,
         face_initial=ledger.face_initial,
-        vertex_final=tuple(vch),
-        face_final=tuple(fch),
+        vertex_final=tuple(map(frac, vch)),
+        face_final=tuple(map(frac, fch)),
         transfers=tuple(transfers),
         gaps=tuple(gaps),
         notes=tuple(notes),
@@ -339,20 +364,12 @@ def _no_short_separating_cycle(g: EmbeddedGraph) -> bool:
 def _thread_pairs_on_walk(g: EmbeddedGraph, verts: tuple[int, ...]) -> list[tuple[int, int]]:
     """Positions i with consecutive distinct 2-vertices at i, i+1."""
     k = len(verts)
+    deg = g.degrees
     out = []
     for i in range(k):
         a, b = verts[i], verts[(i + 1) % k]
-        if a != b and g.degree(a) == 2 and g.degree(b) == 2:
+        if a != b and deg[a] == 2 and deg[b] == 2:
             out.append((i, (i + 1) % k))
-    return out
-
-
-def _thread_edges(g: EmbeddedGraph) -> list[int]:
-    out = []
-    for e in range(g.m):
-        u, v = g.endpoints[e]
-        if u != v and g.degree(u) == 2 and g.degree(v) == 2:
-            out.append(e)
     return out
 
 
@@ -403,8 +420,8 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
     """Evaluate every structural predicate on the embedding."""
     walks = list(g.faces())
     prof = face_profiles(g)
-    deg = g.degree
-    two_vertices = [v for v in range(g.n) if deg(v) == 2]
+    deg = g.degrees
+    two_vertices = [v for v in range(g.n) if deg[v] == 2]
 
     def cyc_dist(i: int, j: int, k: int) -> int:
         d = abs(i - j) % k
@@ -415,13 +432,13 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
     # 2
     p_loopless = all(u != v for u, v in g.endpoints)
     # 3
-    p_min_degree = all(deg(v) >= 2 for v in range(g.n))
+    p_min_degree = all(deg[v] >= 2 for v in range(g.n))
     # 4: a 4-vertex has at most three 2-valent neighbors
     p_four_vertex = True
     for v in range(g.n):
-        if deg(v) != 4:
+        if deg[v] != 4:
             continue
-        two_nbrs = {u for u in g.neighbors(v) if u != v and deg(u) == 2}
+        two_nbrs = {u for u in g.neighbors(v) if u != v and deg[u] == 2}
         if len(two_nbrs) > 3:
             p_four_vertex = False
             break
@@ -432,7 +449,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
     p_no_eight = all(p.length != 8 for p in prof)
     # 8: every 2-vertex has a 3+ neighbor
     p_no_three_thread = all(
-        any(u != v and deg(u) >= 3 for u in g.neighbors(v))
+        any(u != v and deg[u] >= 3 for u in g.neighbors(v))
         for v in two_vertices
     )
     # 9: on an 8+ face, within facial distance 3 of a thread vertex only
@@ -445,13 +462,13 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
         for i, j in _thread_pairs_on_walk(g, walk.vertices):
             u, v = walk.vertices[i], walk.vertices[j]
             for t, w in enumerate(walk.vertices):
-                if w in (u, v) or deg(w) != 2:
+                if w in (u, v) or deg[w] != 2:
                     continue
                 if min(cyc_dist(t, i, k), cyc_dist(t, j, k)) <= 3:
                     p_thread_far = False
     # 10
     p_five_faces = all(
-        all(deg(w) >= 4 for w in walk.vertices)
+        all(deg[w] >= 4 for w in walk.vertices)
         for walk in walks
         if len(walk.vertices) == 5
     )
@@ -461,7 +478,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
         if len(walk.vertices) != 6:
             continue
         for u in set(walk.vertices):
-            if deg(u) == 2 and not all(deg(w) >= 4 for w in g.neighbors(u)):
+            if deg[u] == 2 and not all(deg[w] >= 4 for w in g.neighbors(u)):
                 p_six_face = False
     # 12: no 2-thread on a face of length at most 6
     p_no_small_thread = all(
@@ -474,94 +491,63 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
         any(prof[f].length >= 7 for f in g.faces_at_vertex(v))
         for v in two_vertices
     )
-    # 14: a thread on a 7-face has a 4+ neighbor
-    p_thread_nbr = True
-    for e in _thread_edges(g):
-        u, v = g.endpoints[e]
-        faces = {g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1)}
-        if not any(prof[f].length == 7 for f in faces):
+    # 14: a thread on a 7-face has a 4+ neighbor; 15: a thread touches
+    # at most one 7-face
+    p_thread_nbr = p_thread_one_seven = True
+    for e, (u, v) in enumerate(g.endpoints):
+        if u == v or deg[u] != 2 or deg[v] != 2:
             continue
-        outer = {w for w in g.neighbors(u) + g.neighbors(v) if w not in (u, v)}
-        if not any(deg(w) >= 4 for w in outer):
-            p_thread_nbr = False
-    # 15: a thread touches at most one 7-face
-    p_thread_one_seven = True
-    for e in _thread_edges(g):
         faces = {g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1)}
-        if sum(1 for f in faces if prof[f].length == 7) > 1:
+        sevens = sum(1 for f in faces if prof[f].length == 7)
+        if sevens > 1:
             p_thread_one_seven = False
-    # 16: 7-face with a thread and a third 2-vertex constrains every
-    # 2-vertex's pair of neighbors
-    p_seven_pattern = True
+        outer = {w for w in g.neighbors(u) + g.neighbors(v) if w not in (u, v)}
+        if sevens and not any(deg[w] >= 4 for w in outer):
+            p_thread_nbr = False
+    # 16: a 7-face with a thread and a third 2-vertex constrains every
+    # 2-vertex's pair of neighbors; 17: on a 7-face with 2+ 2-vertices
+    # and no thread, each has a 4+ neighbor
+    p_seven_pattern = p_seven_multi = True
     for walk in walks:
         if len(walk.vertices) != 7:
             continue
-        if not _thread_pairs_on_walk(g, walk.vertices):
-            continue
-        if prof[walk.index].n2 < 3:
+        thread = bool(_thread_pairs_on_walk(g, walk.vertices))
+        if prof[walk.index].n2 < (3 if thread else 2):
             continue
         for u in set(walk.vertices):
-            if deg(u) != 2:
+            if deg[u] != 2:
                 continue
             a, b = g.neighbors(u)
-            da, db = deg(a), deg(b)
-            ok = (da >= 4 and db >= 4) or (da == 2 and db >= 4) or (
-                db == 2 and da >= 4
-            )
-            if not ok:
+            da, db = deg[a], deg[b]
+            if not thread:
+                if da < 4 and db < 4:
+                    p_seven_multi = False
+            elif not (
+                (da >= 4 and db >= 4) or (da == 2 and db >= 4) or (db == 2 and da >= 4)
+            ):
                 p_seven_pattern = False
-    # 17: 7-face with 2+ 2-vertices and no thread: each has a 4+ neighbor
-    p_seven_multi = True
-    for walk in walks:
-        if len(walk.vertices) != 7:
-            continue
-        if _thread_pairs_on_walk(g, walk.vertices):
-            continue
-        if prof[walk.index].n2 < 2:
-            continue
-        for u in set(walk.vertices):
-            if deg(u) == 2 and not any(deg(w) >= 4 for w in g.neighbors(u)):
-                p_seven_multi = False
-    # 18: a 2-vertex shared by a 6-face and a 7-face forces the rest of
-    # the 7-face to be 3+
-    p_six_seven = True
+    # At a 2-vertex v between two distinct faces:
+    # 18: a 6-face and a 7-face force the rest of the 7-face to be 3+;
+    # 19: two 7-faces with 2+ 2-vertices each force two distinct 4+
+    # neighbors on v; 20: two 7-faces, one with 3+ 2-vertices: v is the
+    # other's only 2-vertex
+    p_six_seven = p_seven_seven = p_isolation = True
     for v in two_vertices:
         f1, f2 = _faces_at_two_vertex(g, v)
         if f1 == f2:
             continue
         for a, b in ((f1, f2), (f2, f1)):
             if prof[a].length == 6 and prof[b].length == 7:
-                walk = walks[b]
-                if any(w != v and deg(w) < 3 for w in walk.vertices):
+                if any(w != v and deg[w] < 3 for w in walks[b].vertices):
                     p_six_seven = False
-    # 19: two 7-faces with 2+ 2-vertices each sharing a 2-vertex force
-    # two distinct 4+ neighbors on it
-    p_seven_seven = True
-    for v in two_vertices:
-        f1, f2 = _faces_at_two_vertex(g, v)
-        if f1 == f2:
+        p1, p2 = prof[f1], prof[f2]
+        if p1.length != 7 or p2.length != 7:
             continue
-        if (
-            prof[f1].length == 7
-            and prof[f2].length == 7
-            and prof[f1].n2 >= 2
-            and prof[f2].n2 >= 2
-        ):
-            strong = {w for w in g.neighbors(v) if deg(w) >= 4}
-            if len(strong) < 2:
+        if p1.n2 >= 2 and p2.n2 >= 2:
+            if len({w for w in g.neighbors(v) if deg[w] >= 4}) < 2:
                 p_seven_seven = False
-    # 20: two 7-faces sharing a 2-vertex, one with 3+ 2-vertices: the
-    # shared vertex is the other's only 2-vertex
-    p_isolation = True
-    for v in two_vertices:
-        f1, f2 = _faces_at_two_vertex(g, v)
-        if f1 == f2:
-            continue
-        if prof[f1].length != 7 or prof[f2].length != 7:
-            continue
-        for a, b in ((f1, f2), (f2, f1)):
-            if prof[a].n2 >= 3 and prof[b].n2 != 1:
-                p_isolation = False
+        if (p1.n2 >= 3 and p2.n2 != 1) or (p2.n2 >= 3 and p1.n2 != 1):
+            p_isolation = False
     # 21, 22
     p_nine = all(
         prof[walk.index].n2 == 0

@@ -190,6 +190,11 @@ class EmbeddedGraph:
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
+    @cached_attribute
+    def degrees(self) -> list[int]:
+        """``degrees[v]`` is :meth:`degree` of ``v``, for hot loops."""
+        return [len(r) for r in self.rotation]
+
     def edge_vertices(self, e: int) -> tuple[int, int]:
         return self.endpoints[e]
 
@@ -311,9 +316,10 @@ class EmbeddedGraph:
     @cached_attribute
     def _face_profiles(self) -> tuple[FaceProfile, ...]:
         profiles = []
+        deg = self.degrees
         for walk in self.faces():
             verts = walk.vertices
-            two = [len(self.rotation[x]) == 2 for x in verts]
+            two = [deg[x] == 2 for x in verts]
             n2 = len({x for x, t in zip(verts, two) if t})
             n2t = len({x for x, t in zip(verts, two) if t and in_two_thread(self, x)})
             # Maximal cyclic runs of 2-vertices: read from a non-2-vertex on.
@@ -1027,9 +1033,10 @@ def _split_face(
 
 def in_two_thread(g: EmbeddedGraph, v: int) -> bool:
     """A 2-vertex belongs to a 2-thread iff some neighbor is 2-valent."""
-    if g.degree(v) != 2:
+    deg = g.degrees
+    if deg[v] != 2:
         return False
-    return any(g.degree(u) == 2 and u != v for u in g.neighbors(v))
+    return any(deg[u] == 2 and u != v for u in g.neighbors(v))
 
 
 def face_profiles(g: EmbeddedGraph) -> tuple[FaceProfile, ...]:

@@ -1,7 +1,17 @@
 """Shared graph builders for the test suite."""
 
+from fractions import Fraction
+
 from facet.choosability import ListColoringError, SearchBudgetError, blocks
-from facet.embedding import EmbeddedGraph, facial_distance, facial_neighborhood, twin
+from facet.discharging import ChargeLedger, DischargingError, Transfer
+from facet.embedding import (
+    EmbeddedGraph,
+    face_profiles,
+    facial_distance,
+    facial_neighborhood,
+    in_two_thread,
+    twin,
+)
 from facet.nullstellensatz import pack, unpack
 
 
@@ -558,3 +568,176 @@ def reference_gap_table(g: EmbeddedGraph, key: str) -> dict:
                 if cur is None or gap < cur[0]:
                     best[(min(a, b), max(a, b))] = (gap, walk.index, pi, pj)
     return best
+
+
+def reference_apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
+    """Rules R1-R5 in ``Fraction`` arithmetic, one addition per transfer
+    end: the oracle for ``discharging.apply_rules``, whose rules run in
+    integer units."""
+    if len(ledger.vertex_initial) != g.n or len(ledger.face_initial) != len(
+        g.faces()
+    ):
+        raise DischargingError("ledger does not match the graph")
+    prof = face_profiles(g)
+    vch = list(ledger.vertex_final)
+    fch = list(ledger.face_final)
+    transfers = list(ledger.transfers)
+    gaps = list(ledger.gaps)
+    notes = list(ledger.notes)
+
+    def send(rule, src, dst, amount):
+        kind, i = src
+        (vch if kind == "v" else fch)[i] -= amount
+        kind, i = dst
+        (vch if kind == "v" else fch)[i] += amount
+        transfers.append(Transfer(rule, src, dst, amount))
+
+    for v in range(g.n):
+        if g.degree(v) == 2:
+            if all(h != v and g.degree(h) == 2 for h in g.neighbors(v)):
+                notes.append(
+                    f"3-thread present: vertex {v} has two 2-valent neighbors; "
+                    "thread classification is local"
+                )
+    for v in range(g.n):
+        if g.degree(v) < 4:
+            continue
+        for f in sorted(g.faces_at_vertex(v)):
+            if prof[f].length == 5:
+                send("R1", ("v", v), ("f", f), Fraction(1, 5))
+    for v in range(g.n):
+        if g.degree(v) < 4:
+            continue
+        for u in sorted(set(g.neighbors(v))):
+            if u == v or g.degree(u) != 2:
+                continue
+            f1, f2 = (g.face_of_dart(d) for d in g.rotation[u])
+            if f1 == f2:
+                gaps.append(
+                    f"R2 gap: 2-vertex {u} (next to {v}) is incident with "
+                    f"face {f1} on both sides"
+                )
+                continue
+            a1, a2 = sorted(
+                (f1, f2), key=lambda f: (prof[f].length, -prof[f].n2, f)
+            )
+            l1, l2 = prof[a1].length, prof[a2].length
+            n1, n2 = prof[a1].n2, prof[a2].n2
+            if l1 == 6:
+                send("R2", ("v", v), ("f", a1), Fraction(2, 3))
+            elif l1 == l2 == 7 and n1 == n2 == 2:
+                send("R2", ("v", v), ("f", a1), Fraction(1, 3))
+                send("R2", ("v", v), ("f", a2), Fraction(1, 3))
+            elif l1 == l2 == 7 and n1 >= 2 and n2 == 1:
+                send("R2", ("v", v), ("f", a1), Fraction(2, 3))
+            elif l1 == 7 and l2 >= 8:
+                send("R2", ("v", v), ("f", a1), Fraction(2, 3))
+            else:
+                gaps.append(
+                    f"R2 gap: vertex {v}, 2-vertex {u}, faces ({a1}, {a2}) "
+                    f"with lengths ({l1}, {l2}) and 2-vertex counts "
+                    f"({n1}, {n2}): no case applies"
+                )
+    for walk in g.faces():
+        f = walk.index
+        length = prof[f].length
+        for u in sorted(set(walk.vertices)):
+            if g.degree(u) != 2:
+                continue
+            if not in_two_thread(g, u):
+                send("R3", ("f", f), ("v", u), Fraction(1))
+            elif length == 7:
+                send("R4", ("f", f), ("v", u), Fraction(5, 6))
+            elif length >= 8:
+                send("R5", ("f", f), ("v", u), Fraction(7, 6))
+    return ChargeLedger(
+        vertex_initial=ledger.vertex_initial,
+        face_initial=ledger.face_initial,
+        vertex_final=tuple(vch),
+        face_final=tuple(fch),
+        transfers=tuple(transfers),
+        gaps=tuple(gaps),
+        notes=tuple(notes),
+    )
+
+
+def reference_pair_predicates(g: EmbeddedGraph) -> dict[str, bool]:
+    """Structure predicates 14-20, one scan each, from the definitions:
+    the oracle for the shared scans in ``discharging.structure_report``."""
+    prof = face_profiles(g)
+    walks = g.faces()
+    deg = g.degree
+    two_vertices = [v for v in range(g.n) if deg(v) == 2]
+    threads = [
+        e for e, (u, v) in enumerate(g.endpoints)
+        if u != v and deg(u) == 2 and deg(v) == 2
+    ]
+
+    def sides(e):
+        return {g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1)}
+
+    def has_thread(walk):
+        k = len(walk.vertices)
+        return any(
+            a != b and deg(a) == 2 and deg(b) == 2
+            for a, b in ((walk.vertices[i], walk.vertices[(i + 1) % k]) for i in range(k))
+        )
+
+    def two_vertices_on(walk):
+        return [u for u in set(walk.vertices) if deg(u) == 2]
+
+    def face_pair(v):
+        return tuple(g.face_of_dart(d) for d in g.rotation[v])
+
+    out = {}
+    out["seven_face_thread_4plus_neighbor"] = all(
+        any(
+            deg(w) >= 4
+            for w in g.neighbors(u) + g.neighbors(v)
+            if w not in (u, v)
+        )
+        for e in threads
+        for u, v in [g.endpoints[e]]
+        if any(prof[f].length == 7 for f in sides(e))
+    )
+    out["thread_at_most_one_seven_face"] = all(
+        sum(prof[f].length == 7 for f in sides(e)) <= 1 for e in threads
+    )
+    sevens = [w for w in walks if len(w.vertices) == 7]
+    def pattern_ok(u):
+        lo, hi = sorted(deg(x) for x in g.neighbors(u))
+        return hi >= 4 and (lo == 2 or lo >= 4)
+
+    out["seven_face_thread_extra_2vertex_pattern"] = all(
+        pattern_ok(u)
+        for w in sevens
+        if has_thread(w) and prof[w.index].n2 >= 3
+        for u in two_vertices_on(w)
+    )
+    out["seven_face_multi_2vertices_4plus"] = all(
+        any(deg(x) >= 4 for x in g.neighbors(u))
+        for w in sevens
+        if not has_thread(w) and prof[w.index].n2 >= 2
+        for u in two_vertices_on(w)
+    )
+    split = [(v, *face_pair(v)) for v in two_vertices if len(set(face_pair(v))) == 2]
+    out["six_seven_shared_2vertex"] = all(
+        all(deg(w) >= 3 for w in walks[b].vertices if w != v)
+        for v, f1, f2 in split
+        for a, b in ((f1, f2), (f2, f1))
+        if prof[a].length == 6 and prof[b].length == 7
+    )
+    both_seven = [
+        (v, prof[f1], prof[f2]) for v, f1, f2 in split
+        if prof[f1].length == prof[f2].length == 7
+    ]
+    out["seven_seven_shared_2vertex_4plus"] = all(
+        len({w for w in g.neighbors(v) if deg(w) >= 4}) >= 2
+        for v, p, q in both_seven
+        if p.n2 >= 2 and q.n2 >= 2
+    )
+    out["seven_face_three_2verts_isolation"] = all(
+        not (p.n2 >= 3 and q.n2 != 1) and not (q.n2 >= 3 and p.n2 != 1)
+        for v, p, q in both_seven
+    )
+    return out

@@ -1,16 +1,20 @@
 """End-to-end runs of the facet command line."""
 
+import gc
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import facet
+from facet import cli
 from facet.cli import main
 from facet.embedding import generate, parse_peg, serialize_peg
 from facet.facial_coloring import parse_coloring
+from facet.nullstellensatz import CERTIFICATES
 from facet.reducibility import (
     ConfigurationError,
     catalog,
@@ -284,6 +288,15 @@ class TestDischarge:
         assert sorted(t) == ["den", "dst", "num", "rule", "src"]
         assert doc["structure"]["all_pass"] is False
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_edgeless_graph_is_input_error(self, n, tmp_path, capsys):
+        f = tmp_path / "edgeless.peg"
+        f.write_text(f"peg 1\nvertices {n}\nedges 0\n" + "rot 0\n" * n)
+        assert main(["discharge", "--graph", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            "error: discharging needs at least one edge; this graph has none\n"
+        )
+
 
 class TestGraphWarnings:
     def test_disconnected_graph_warns_on_stderr(self, tmp_path, capsys):
@@ -443,3 +456,98 @@ class TestHarness:
             results.append((code, captured.err))
         assert [code for code, _ in results] == [2, 0, 0]
         assert results[0][1].startswith("usage: facet chi")
+
+
+_SCALARS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "\"", "\\", "\u2028", "\x00\x1f\x7f", "caf\u00e9 \U0001f600"]),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """``cli._json_text`` writes exactly ``json.dumps(doc, indent=2,
+    sort_keys=True)``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}],
+            [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324],
+            {"\u2028\"\\\x01": [10**40, -(10**40), True, False, None]},
+        ],
+    )
+    def test_edge_values(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [{1: 0}, {None: 0}, {"a": [{(1, 2): 0}]}])
+    def test_non_str_key_raises(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+    def test_leaves_no_reference_cycle(self):
+        # A cycle would keep each finished document's pieces alive until
+        # the next collection and raise the peak memory of a long run.
+        doc = {"a": [{"b": i, "c": [None, 1.5, True]} for i in range(50)]}
+        gc.collect()
+        gc.disable()
+        try:
+            cli._json_text(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_unserializable_value_raises(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text({"a": {1, 2}})
+
+    def test_emitted_documents_match_json_dumps(self, c7, catalog, tmp_path, monkeypatch, capsys):
+        docs = []
+        writer = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda doc: docs.append(doc) or writer(doc))
+        runs = [["reduce", "--json"]]
+        runs += [["reduce", "--config", c.name, "--json"] for c in facet.reducibility.catalog()]
+        runs += [["cn", "--lemma", name, "--json"] for name in CERTIFICATES]
+        for name, g in [("c7", parse_peg(c7.read_text())), *catalog.items()]:
+            peg = tmp_path / f"{name}.peg"
+            peg.write_text(serialize_peg(g))
+            col = tmp_path / f"{name}.col"
+            col.write_text("".join(f"c {e} {e % 4 + 1}\n" for e in range(g.m)))
+            graph = ["--graph", str(peg), "--json"]
+            runs += [
+                ["discharge", *graph],
+                ["structure", *graph],
+                ["verify", *graph, "--coloring", str(col)],
+                ["distance", *graph, "0", str(max(g.m - 1, 0))],
+            ]
+            if g.m <= 20:
+                runs.append(["chi", *graph])
+        subcommands = set()
+        for argv in runs:
+            docs.clear()
+            main(argv)
+            out = capsys.readouterr().out
+            if docs:
+                subcommands.add(argv[0])
+                assert out == json.dumps(docs[0], indent=2, sort_keys=True) + "\n", argv
+        assert subcommands == {
+            "verify", "chi", "cn", "reduce", "discharge", "structure", "distance"
+        }

@@ -1,12 +1,15 @@
 """Charge bookkeeping, the discharging rules, and structure predicates."""
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from facet.discharging import (
+    ChargeLedger,
     DischargingError,
     StructureReport,
     apply_rules,
@@ -28,6 +31,7 @@ from facet.embedding import (
     random_plane_graph,
     subdivide_edge,
 )
+from facet.reducibility import catalog as reduction_catalog
 
 from helpers import (
     antiprism5,
@@ -35,6 +39,8 @@ from helpers import (
     brute_two_connected,
     list_short_cycles,
     pendant_path_host,
+    reference_apply_rules,
+    reference_pair_predicates,
     two_ring_host,
 )
 
@@ -64,6 +70,16 @@ class TestInitialCharges:
         g = parse_peg("peg 1\nvertices 2\nedges 0\nrot 0\nrot 1\n")
         with pytest.raises(DischargingError, match="connected"):
             initial_charges(g)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_edgeless_refused(self, n):
+        # The one face of an edgeless graph has no walk to charge.
+        rot = "".join(f"rot {v}\n" for v in range(n))
+        g = parse_peg(f"peg 1\nvertices {n}\nedges 0\n{rot}")
+        with pytest.raises(DischargingError, match="at least one edge"):
+            initial_charges(g)
+        with pytest.raises(DischargingError, match="at least one edge"):
+            audit(g)
 
 
 class TestRuleFiring:
@@ -333,6 +349,80 @@ class TestTwoConnected:
         assert verdicts == {True, False}
 
 
+def test_pair_predicates_match_one_scan_each():
+    # Predicates 14-20 share three scans in structure_report; each one
+    # must still read as its own definition.  Subdivided prisms and
+    # random graphs give 2-vertices and threads on 6- and 7-faces.
+    rng = random.Random(5)
+    hosts = [random_plane_graph(s, max_ops=3 + s % 12) for s in range(300)]
+    for i in range(500):
+        g = generate("prism", 3 + i % 6) if i % 3 else random_plane_graph(i, max_ops=6)
+        for _ in range(rng.randrange(1, 10)):
+            g = subdivide_edge(g, rng.randrange(g.m)).graph
+        hosts.append(g)
+    # Two 7-faces at a 2-vertex, only one of them with a second 2-vertex.
+    g = generate("prism", 6)
+    for e in (0, 6, 6):
+        g = subdivide_edge(g, e).graph
+    hosts.append(g)
+    seen = set()
+    for g in hosts:
+        want = reference_pair_predicates(g)
+        got = structure_report(g).as_dict()
+        assert {k: got[k] for k in want} == want
+        seen.update(want.items())
+    assert len(seen) == 2 * len(want)
+
+
+def _assert_matches_fraction_oracle(g, ledger):
+    got, want = apply_rules(g, ledger), reference_apply_rules(g, ledger)
+    assert got == want
+    charges = got.vertex_final + got.face_final
+    assert all(type(ch) is F for ch in charges)
+    assert [type(t.amount) for t in got.transfers] == [F] * len(want.transfers)
+    assert [tuple(map(type, (t.rule, t.src, t.dst))) for t in got.transfers] == [
+        (str, tuple, tuple)
+    ] * len(want.transfers)
+    for led in (got, ledger):
+        assert led.total_initial == sum(led.vertex_initial + led.face_initial, F(0))
+        assert led.total_final == sum(led.vertex_final + led.face_final, F(0))
+        assert type(led.total_initial) is type(led.total_final) is F
+    assert got.negatives() == want.negatives()
+    return got
+
+
+class TestIntegerUnits:
+    """``apply_rules`` runs in integer units of 1/L; its ledger must equal
+    the Fraction-by-Fraction oracle's, field types included."""
+
+    def test_matches_fraction_oracle(self, catalog):
+        hosts = [random_plane_graph(s) for s in range(150)]
+        hosts += [generate("prism", n) for n in range(3, 51)]
+        hosts += [c.host for c in reduction_catalog()] + list(catalog.values())
+        fired = set()
+        for g in hosts:
+            if g.m == 0 or not g.is_connected:
+                continue
+            led = _assert_matches_fraction_oracle(g, initial_charges(g))
+            fired.update(t.rule for t in led.transfers)
+        assert fired == {"R1", "R2", "R3", "R4", "R5"}
+
+    def test_foreign_denominators(self, catalog):
+        # Denominators 7 and 11 make L = 2310, not 30; a second pass
+        # starts from a ledger that already holds transfers.
+        for name, g in [*catalog.items(), ("antiprism", antiprism5())]:
+            led = initial_charges(g)
+            odd = dataclasses.replace(
+                led,
+                vertex_final=tuple(ch + F(1, 7) for ch in led.vertex_final),
+                face_final=tuple(ch - F(3, 11) for ch in led.face_final),
+            )
+            once = _assert_matches_fraction_oracle(g, odd)
+            twice = _assert_matches_fraction_oracle(g, once)
+            shift = F(g.n, 7) - F(3 * len(g.faces()), 11)
+            assert once.total_final == twice.total_final == -12 + shift, name
+
+
 class TestAudit:
     def test_verdict_constants(self):
         rep = audit(generate("cycle", 12))
@@ -346,6 +436,11 @@ class TestAudit:
         g = generate("k4")
         with pytest.raises(DischargingError, match="ledger"):
             apply_rules(g, initial_charges(generate("cycle", 5)))
+
+    def test_negatives_skip_zero_charges(self):
+        zero, third = F(0), F(-1, 3)
+        led = ChargeLedger((zero,) * 3, (zero,) * 2, (zero, third, F(1)), (F(-2), zero))
+        assert led.negatives() == ((("v", 1), third), (("f", 0), F(-2)))
 
     def test_ledger_totals_computed_once_per_ledger(self):
         led = audit(generate("prism", 7)).ledger
