@@ -1,4 +1,4 @@
-"""List-coloring tools: Gallai trees, degree-feasible choosability, SDRs.
+"""List-coloring tools: Gallai trees, degree-feasible choosability, Hall bounds.
 
 The degree-feasibility guarantee: a connected graph with lists of size
 at least the degree at every vertex is list-colorable unless every list
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Collection, Hashable, Iterable, Optional, Sequence
 
 from facet._cached import cached_attribute
 
@@ -72,6 +72,13 @@ class SimpleGraph:
                     seen.add(y)
                     stack.append(y)
         return len(seen) == self.n
+
+    @cached_attribute
+    def _search_plan(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """``list_color``'s graph-only facts: the vertices by degree
+        descending (ties by id), and each vertex's neighbors as a tuple."""
+        order = sorted(range(self.n), key=lambda v: -self.degrees[v])
+        return tuple(order), tuple(tuple(a) for a in self.adjacency)
 
     @cached_attribute
     def _gallai_tree(self) -> bool:
@@ -176,15 +183,17 @@ def degree_guarantee(g: SimpleGraph, sizes: Sequence[int]) -> bool:
 
 def list_color(
     g: SimpleGraph,
-    lists: Sequence[Iterable[Hashable]],
+    lists: Sequence[Collection[Hashable]],
     max_nodes: int = 25,
 ) -> Optional[dict[int, Hashable]]:
     """Exact list-coloring search; a proper assignment or ``None``.
 
-    Backtracking with forward checking.  Vertices are attacked smallest
-    remaining list first (degree descending, id as the tiebreaks), and
-    each tries its live colors in ``repr`` order, read off the union of
-    the lists sorted once.
+    Backtracking with forward checking on bit masks: color ``i`` is bit
+    ``i`` of the union of the lists sorted once by ``repr``, and each
+    vertex's live colors are one int.  Vertices are attacked fewest live
+    colors first (degree descending, id as the tiebreaks), and each
+    tries its live colors in ``repr`` order.  The returned dict lists
+    the vertices in the order they were colored.
     """
     if len(lists) != g.n:
         raise ListColoringError("one list per vertex required")
@@ -192,48 +201,58 @@ def list_color(
         raise SearchBudgetError(
             f"graph has {g.n} vertices, search budget is {max_nodes}"
         )
-    domains: list[set[Hashable]] = [set(l) for l in lists]
-    colors = sorted(set().union(*domains), key=repr)
-    assign: dict[int, Hashable] = {}
-    order = sorted(range(g.n), key=lambda v: -g.degrees[v])  # stable: ties by id
-
-    def pick() -> Optional[int]:
-        best = size = None
-        for v in order:
-            if v not in assign and (best is None or len(domains[v]) < size):
-                best, size = v, len(domains[v])
-        return best
-
-    def go() -> bool:
-        v = pick()
-        if v is None:
-            return True
-        live = domains[v]  # same at every pass: pruning skips assigned v
-        for c in colors:
-            if c not in live:
-                continue
-            pruned: list[int] = []
-            ok = True
-            for u in g.adjacency[v]:
-                if u in assign:
-                    continue
-                if c in domains[u]:
-                    domains[u].discard(c)
-                    pruned.append(u)
-                    if not domains[u]:
-                        ok = False
-            if ok:
-                assign[v] = c
-                if go():
-                    return True
-                del assign[v]
+    colors = sorted(set().union(*lists), key=repr)
+    bit = {c: 1 << i for i, c in enumerate(colors)}
+    domains = []
+    for l in lists:
+        d = 0
+        for c in l:
+            d |= bit[c]
+        if not d:
+            return None
+        domains.append(d)
+    order, nbrs = g._search_plan
+    # one frame (vertex, live colors, untried colors, pruned neighbors,
+    # bit) per colored vertex; a colored vertex's domain is 0, so pruning
+    # and picking skip it
+    stack = []
+    most = len(colors) + 1  # above any domain's size
+    while True:
+        # fewest live colors, first in order; no free domain is empty here
+        v, size = -1, most
+        for u in order:
+            s = domains[u].bit_count()
+            if 0 < s < size:
+                v, size = u, s
+                if s == 1:
+                    break
+        if v < 0:
+            return {u: colors[b.bit_length() - 1] for u, _, _, _, b in stack}
+        live = untried = domains[v]
+        while True:
+            if untried:
+                b = untried & -untried
+                untried ^= b
+                domains[v] = 0
+                pruned = []
+                for u in nbrs[v]:
+                    d = domains[u]
+                    if d & b:
+                        if d == b:  # u would have no color left
+                            break
+                        domains[u] = d ^ b
+                        pruned.append(u)
+                else:
+                    stack.append((v, live, untried, pruned, b))
+                    break
+            elif stack:  # v is out of colors: back to the last colored
+                v, live, untried, pruned, b = stack.pop()
+            else:
+                return None
+            # take back color b of v
+            domains[v] = live
             for u in pruned:
-                domains[u].add(c)
-        return False
-
-    if any(not d for d in domains):
-        return None
-    return dict(assign) if go() else None
+                domains[u] |= b
 
 
 def degree_feasible_colorable(
@@ -249,76 +268,14 @@ def degree_feasible_colorable(
     if not g.is_connected():
         raise ListColoringError("guarantee needs a connected graph")
     sets = [set(l) for l in lists]
-    sizes = [len(d) for d in sets]
+    sizes = list(map(len, sets))
     if len(sizes) != g.n:
         raise ListColoringError("one list per vertex required")
-    for v, (size, d) in enumerate(zip(sizes, g.degrees)):
-        if size < d:
-            raise ListColoringError(
-                f"list at vertex {v} smaller than its degree"
-            )
+    if not all(map(operator.ge, sizes, g.degrees)):
+        v = next(v for v, d in enumerate(g.degrees) if sizes[v] < d)
+        raise ListColoringError(f"list at vertex {v} smaller than its degree")
     coloring = list_color(g, sets)
     return degree_guarantee(g, sizes), coloring is not None, coloring
-
-
-# -- systems of distinct representatives ----------------------------------
-
-
-def sdr(
-    sets: Sequence[Iterable[Hashable]],
-    clique: bool = True,
-) -> tuple[Optional[dict[int, Hashable]], Optional[frozenset[int]]]:
-    """System of distinct representatives via augmenting paths.
-
-    Returns ``(picks, None)`` on success.  On failure returns
-    ``(None, S)`` where ``S`` is a Hall violator: indices whose combined
-    elements number fewer than ``|S|``.
-
-    ``clique`` records the caller's claim that the indexed items
-    conflict pairwise, which is what makes an SDR the same thing as a
-    proper coloring.  When the conflicts are not a clique an SDR is the
-    wrong question, so ``clique=False`` is refused; run ``list_color``
-    on the actual conflict graph instead.
-    """
-    if not clique:
-        raise ListColoringError(
-            "sdr assumes pairwise-conflicting items; use list_color for "
-            "general conflict graphs"
-        )
-    pools = [frozenset(s) for s in sets]
-    match: dict[Hashable, int] = {}
-
-    def augment(i: int, seen: set[Hashable]) -> bool:
-        for x in sorted(pools[i], key=repr):
-            if x in seen:
-                continue
-            seen.add(x)
-            if x not in match or augment(match[x], seen):
-                match[x] = i
-                return True
-        return False
-
-    for i in range(len(pools)):
-        if not augment(i, set()):
-            # Alternating-path reachability from the failed index gives
-            # the violator: every reachable element is matched, and the
-            # reachable index set outnumbers its neighborhood.
-            reach_idx = {i}
-            reach_elt: set[Hashable] = set()
-            frontier = [i]
-            while frontier:
-                j = frontier.pop()
-                for x in pools[j]:
-                    if x in reach_elt:
-                        continue
-                    reach_elt.add(x)
-                    owner = match.get(x)
-                    if owner is not None and owner not in reach_idx:
-                        reach_idx.add(owner)
-                        frontier.append(owner)
-            return None, frozenset(reach_idx)
-    picks = {i: x for x, i in match.items()}
-    return picks, None
 
 
 def subset_hall_lower_bounds(

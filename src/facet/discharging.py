@@ -26,7 +26,6 @@ from facet.choosability import SimpleGraph, blocks
 from facet.embedding import (
     EmbeddedGraph,
     face_profiles,
-    in_two_thread,
     twin,
 )
 
@@ -152,7 +151,7 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
         raise DischargingError("ledger does not match the graph")
 
     prof = face_profiles(g)
-    deg = g.degrees
+    deg, thread = g.degrees, g.two_thread
     # Charges in integer units of 1/unit while the rules run.
     unit = math.lcm(30, *{ch.denominator for ch in ledger.vertex_final + ledger.face_final})
     scale = unit // 30
@@ -228,7 +227,7 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
         for u in sorted(set(walk.vertices)):
             if deg[u] != 2:
                 continue
-            if not in_two_thread(g, u):
+            if not thread[u]:
                 send("R3", ("f", f), ("v", u), _R3)
             elif length == 7:
                 send("R4", ("f", f), ("v", u), _R4)

@@ -195,6 +195,16 @@ class EmbeddedGraph:
         """``degrees[v]`` is :meth:`degree` of ``v``, for hot loops."""
         return [len(r) for r in self.rotation]
 
+    @cached_attribute
+    def two_thread(self) -> tuple[bool, ...]:
+        """``two_thread[v]``: ``v`` is a 2-vertex with a 2-valent neighbor
+        other than itself, i.e. it lies on a 2-thread."""
+        deg, heads = self.degrees, self._heads
+        return tuple(
+            deg[v] == 2 and any(deg[heads[d]] == 2 and heads[d] != v for d in rot)
+            for v, rot in enumerate(self.rotation)
+        )
+
     def edge_vertices(self, e: int) -> tuple[int, int]:
         return self.endpoints[e]
 
@@ -316,12 +326,12 @@ class EmbeddedGraph:
     @cached_attribute
     def _face_profiles(self) -> tuple[FaceProfile, ...]:
         profiles = []
-        deg = self.degrees
+        deg, thread = self.degrees, self.two_thread
         for walk in self.faces():
             verts = walk.vertices
             two = [deg[x] == 2 for x in verts]
             n2 = len({x for x, t in zip(verts, two) if t})
-            n2t = len({x for x, t in zip(verts, two) if t and in_two_thread(self, x)})
+            n2t = len({x for x in verts if thread[x]})
             # Maximal cyclic runs of 2-vertices: read from a non-2-vertex on.
             cut = two.index(False) if False in two else 0
             runs = [len(list(r)) for t, r in groupby(two[cut:] + two[:cut]) if t]
@@ -1033,10 +1043,7 @@ def _split_face(
 
 def in_two_thread(g: EmbeddedGraph, v: int) -> bool:
     """A 2-vertex belongs to a 2-thread iff some neighbor is 2-valent."""
-    deg = g.degrees
-    if deg[v] != 2:
-        return False
-    return any(deg[u] == 2 and u != v for u in g.neighbors(v))
+    return g.two_thread[v]
 
 
 def face_profiles(g: EmbeddedGraph) -> tuple[FaceProfile, ...]:

@@ -9,7 +9,6 @@ from facet.embedding import (
     face_profiles,
     facial_distance,
     facial_neighborhood,
-    in_two_thread,
     twin,
 )
 from facet.nullstellensatz import pack, unpack
@@ -549,6 +548,14 @@ def reference_run_counts(two: list[bool]) -> tuple[int, int]:
     return s1, s2
 
 
+def reference_in_two_thread(g: EmbeddedGraph, v: int) -> bool:
+    """Earlier per-call 2-thread test: a 2-vertex with a 2-valent neighbor
+    other than itself, read off ``g.neighbors``."""
+    return g.degree(v) == 2 and any(
+        g.degree(u) == 2 and u != v for u in g.neighbors(v)
+    )
+
+
 def reference_gap_table(g: EmbeddedGraph, key: str) -> dict:
     """O(k^2) gap-table oracle, unbounded: every pair of positions on
     every face walk, keeping the first occurrence of each pair's minimal
@@ -644,7 +651,7 @@ def reference_apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedge
         for u in sorted(set(walk.vertices)):
             if g.degree(u) != 2:
                 continue
-            if not in_two_thread(g, u):
+            if not reference_in_two_thread(g, u):
                 send("R3", ("f", f), ("v", u), Fraction(1))
             elif length == 7:
                 send("R4", ("f", f), ("v", u), Fraction(5, 6))

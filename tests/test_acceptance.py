@@ -119,6 +119,18 @@ def _atlas_graphs():
 def test_criterion_6_choosability_guarantee_vs_search():
     palette = range(1, 7)
     checks = 0
+
+    def check(gi, g, lists):
+        guaranteed, colorable, coloring = degree_feasible_colorable(g, lists)
+        assert colorable == (coloring is not None), (gi, lists)
+        if guaranteed:
+            assert colorable, (gi, lists)
+        if colorable:
+            for u, v in g.edges():
+                assert coloring[u] != coloring[v]
+            for v in range(g.n):
+                assert coloring[v] in lists[v], (gi, lists)
+
     for gi, g in _atlas_graphs():
         degrees = [g.degree(v) for v in range(g.n)]
         if g.n <= 4:
@@ -126,27 +138,12 @@ def test_criterion_6_choosability_guarantee_vs_search():
                 list(itertools.combinations(palette, d)) for d in degrees
             ]
             for lists in itertools.product(*pools):
-                guaranteed, colorable, coloring = degree_feasible_colorable(
-                    g, lists
-                )
-                if guaranteed:
-                    assert colorable, (gi, lists)
-                if colorable:
-                    for u, v in g.edges():
-                        assert coloring[u] != coloring[v]
+                check(gi, g, lists)
                 checks += 1
         else:
             rng = random.Random(gi)
             for _ in range(1000):
-                lists = [rng.sample(palette, d) for d in degrees]
-                guaranteed, colorable, coloring = degree_feasible_colorable(
-                    g, lists
-                )
-                if guaranteed:
-                    assert colorable, (gi, lists)
-                if colorable:
-                    for u, v in g.edges():
-                        assert coloring[u] != coloring[v]
+                check(gi, g, [rng.sample(palette, d) for d in degrees])
                 checks += 1
     assert checks > 300_000
     # the two named boundary cases

@@ -1,4 +1,4 @@
-"""List coloring, Gallai trees, SDRs, and Hall-style size bounds."""
+"""List coloring, Gallai trees, and Hall-style size bounds."""
 
 import itertools
 import random
@@ -17,7 +17,6 @@ from facet.choosability import (
     degree_guarantee,
     is_gallai_tree,
     list_color,
-    sdr,
     subset_hall_lower_bounds,
 )
 
@@ -226,6 +225,9 @@ class TestGraphFactCache:
         g, fresh = bowtie(), bowtie()
         before = repr(g)
         assert g.is_connected() and is_gallai_tree(g) and g.degrees
+        list_color(g, [{1, 2, 3}] * g.n)
+        assert g._search_plan is g._search_plan
+        assert g._search_plan == ((2, 0, 1, 3, 4), tuple(map(tuple, g.adjacency)))
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == before
 
 
@@ -266,29 +268,53 @@ def test_matches_uncached_reference_on_atlas(seed):
             assert list_color(g, lists) == reference_list_color(g, lists)
 
 
-class TestSdr:
-    def test_success(self):
-        picks, violator = sdr([{1, 2}, {2, 3}, {3, 1}])
-        assert violator is None
-        assert len(set(picks.values())) == 3
-        for i, x in picks.items():
-            assert x in [{1, 2}, {2, 3}, {3, 1}][i]
+def _same_search(g, lists):
+    """``list_color`` and the reference search agree on the outcome and
+    on the order the vertices were colored in."""
+    got, want = list_color(g, lists), reference_list_color(g, lists)
+    assert got == want, (g, lists)
+    if got is not None:
+        assert list(got.items()) == list(want.items()), (g, lists)
+    return got
 
-    def test_hall_violator(self):
-        picks, violator = sdr([{1}, {1}])
-        assert picks is None
-        assert violator == {0, 1}
 
-    def test_violator_is_a_real_violator(self):
-        sets = [{1, 2}, {1}, {2}, {1, 2, 3}]
-        picks, violator = sdr(sets)
-        assert picks is None
-        union = set().union(*(sets[i] for i in violator))
-        assert len(union) < len(violator)
+class TestSearchOrder:
+    @pytest.mark.parametrize(
+        "palette",
+        [[9, 10, 100, 11, 2], [3, "3", (3,), "a", (1, 2), 10, -1]],
+        ids=["repr-not-value", "mixed-types"],
+    )
+    def test_repr_ordered_palettes(self, palette):
+        rng = random.Random(3)
+        for g in (path(3), complete(3), cycle(4), cycle(5), bowtie(), complete(4)):
+            for _ in range(60):
+                lists = [rng.sample(palette, rng.randint(1, 3)) for _ in range(g.n)]
+                _same_search(g, lists)
 
-    def test_non_clique_refused(self):
-        with pytest.raises(ListColoringError, match="list_color"):
-            sdr([{1}, {2}], clique=False)
+    def test_tight_lists_on_cliques_and_odd_cycles(self):
+        # Degree-sized lists: both outcomes occur, and a refusal means
+        # every branch was tried and taken back.
+        rng = random.Random(4)
+        outcomes = set()
+        graphs = [complete(n) for n in range(3, 9)] + [cycle(n) for n in (3, 5, 7)]
+        for g in graphs:
+            palette = range(g.degree(0) + 2)
+            for _ in range(40):
+                lists = [rng.sample(palette, g.degree(v)) for v in range(g.n)]
+                outcomes.add(_same_search(g, lists) is None)
+        assert outcomes == {True, False}
+
+    def test_seeded_sweep(self):
+        rng = random.Random(5)
+        for n in (6, 7, 8):
+            for _ in range(40):
+                g = random_connected(rng, n)
+                for _ in range(10):
+                    lists = [
+                        rng.sample(range(1, 9), max(1, g.degree(v) + rng.choice((-1, 0, 1))))
+                        for v in range(n)
+                    ]
+                    _same_search(g, lists)
 
 
 class TestHallBounds:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from facet.embedding import (
     facial_neighborhood,
     generate,
     identify_edges,
+    in_two_thread,
     medial,
     parse_peg,
     random_plane_graph,
@@ -27,7 +29,12 @@ from facet.embedding import (
 )
 from facet.reducibility import catalog as reduction_catalog
 
-from helpers import pendant_path_host, reference_gap_table, reference_run_counts
+from helpers import (
+    pendant_path_host,
+    reference_gap_table,
+    reference_in_two_thread,
+    reference_run_counts,
+)
 
 
 TWO_TRIANGLES = (
@@ -86,6 +93,7 @@ class TestFaces:
         assert g.faces() is g.faces()
         assert g.edge_gap_table(3) is g.edge_gap_table(3)
         g.vertex_gap_table(3), g.face_of_dart(0), g.faces_at_vertex(0)
+        assert g.two_thread is g.two_thread
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == before
 
 
@@ -333,6 +341,29 @@ def test_face_profiles_cached_and_runs_match_reference():
             two = [g.degree(x) == 2 for x in walk.vertices]
             assert (p.face, p.length) == (walk.index, len(walk))
             assert (p.s1, p.s2) == reference_run_counts(two)
+
+
+def test_two_thread_flags_match_reference():
+    # Subdivided prisms put 2-vertices alone and in threads of 2 and 3;
+    # cycle 1 is a loop (its one neighbor is itself), cycle 2 a digon.
+    rng = random.Random(11)
+    hosts = [g for _, g in standard_catalog()] + [pendant_path_host()]
+    hosts += [generate("cycle", k) for k in (1, 2, 3)]
+    hosts += [random_plane_graph(seed) for seed in range(60)]
+    for i in range(60):
+        g = generate("prism", 3 + i % 5)
+        for _ in range(rng.randrange(1, 8)):
+            g = subdivide_edge(g, rng.randrange(g.m)).graph
+        hosts.append(g)
+    seen = set()
+    for g in hosts:
+        want = tuple(reference_in_two_thread(g, v) for v in range(g.n))
+        assert g.two_thread == want
+        assert [in_two_thread(g, v) for v in range(g.n)] == list(want)
+        for walk, p in zip(g.faces(), face_profiles(g)):
+            assert p.n2t == len({x for x in walk.vertices if want[x]})
+        seen.update(want)
+    assert seen == {True, False}
 
 
 @settings(max_examples=60)
