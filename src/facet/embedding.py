@@ -477,9 +477,10 @@ def parse_peg(text: str) -> EmbeddedGraph:
             raise PegParseError(f"malformed line {ln!r}") from exc
     if n is None or m is None:
         raise PegParseError("missing 'vertices' or 'edges' declaration")
-    if sorted(edges) != list(range(m)):
+    # counts first, so a huge declared count fails before any range is built
+    if len(edges) != m or sorted(edges) != list(range(m)):
         raise PegParseError("edge ids must cover 0..m-1 exactly")
-    if sorted(rots) != list(range(n)):
+    if len(rots) != n or sorted(rots) != list(range(n)):
         raise PegParseError("rotation lines must cover every vertex exactly once")
 
     try:
@@ -961,24 +962,6 @@ def generate(family: str, *params: int) -> EmbeddedGraph:
     raise ValueError(f"unknown family {family!r}")
 
 
-def standard_catalog() -> list[tuple[str, EmbeddedGraph]]:
-    """The fixed test-graph catalog: cycles 3..14, K4, prisms 3..5,
-    thetas with path lengths up to 4, subdivided K4 depths 1..3."""
-    out: list[tuple[str, EmbeddedGraph]] = []
-    for n in range(3, 15):
-        out.append((f"cycle-{n}", _cycle(n)))
-    out.append(("k4", _k4()))
-    for n in range(3, 6):
-        out.append((f"prism-{n}", _prism(n)))
-    for a in range(1, 5):
-        for b in range(a, 5):
-            for c in range(b, 5):
-                out.append((f"theta-{a}-{b}-{c}", _theta(a, b, c)))
-    for ell in range(1, 4):
-        out.append((f"subdivided-k4-{ell}", _subdivided_k4(ell)))
-    return out
-
-
 def random_plane_graph(seed: int, max_ops: int = 9) -> EmbeddedGraph:
     """Seeded random 2-connected plane pseudograph.
 
@@ -1051,14 +1034,3 @@ def face_profiles(g: EmbeddedGraph) -> tuple[FaceProfile, ...]:
     computed once per graph."""
     return g._face_profiles
 
-
-def euler_characteristic(g: EmbeddedGraph) -> int:
-    """V - E + F with F counted as face-walk orbits plus one empty face
-    per dartless component (2 for any connected plane graph, 2c for c
-    components since each sits on its own sphere)."""
-    comp = g._component_labels
-    facec = [0] * g.component_count
-    for walk in g.faces():
-        facec[comp[walk.vertices[0]]] += 1
-    f = sum(fc if fc else 1 for fc in facec)
-    return g.n - g.m + f

@@ -43,9 +43,6 @@ class ConflictGraph:
     adjacency: tuple[frozenset[int], ...]
     witness: dict[tuple[int, int], tuple[int, int, int, int]] = field(compare=False)
 
-    def degree(self, e: int) -> int:
-        return len(self.adjacency[e])
-
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.witness)
 
@@ -148,97 +145,12 @@ def verify_vertex(
     return _verdict(g.vertex_gap_table(ell).items(), coloring, g.n, require_total)
 
 
-def available_colors(
-    g: EmbeddedGraph,
-    ell: int,
-    partial: dict[int, int],
-    palette: Optional[tuple[int, ...]] = None,
-) -> dict[int, frozenset[int]]:
-    """Per-edge available sets under a proper partial coloring.
-
-    ``A(e)`` is the palette minus the colors of colored edges at facial
-    distance at most ell from ``e``.  For a colored edge the set answers
-    the hypothetical recoloring question, so its own current color is
-    not excluded.  Improper input is rejected.
-    """
-    _check_ids(partial, g.m, "edge")
-    if palette is None:
-        palette = default_palette(ell)
-    pool = frozenset(palette)
-    cg = conflict_graph(g, ell)
-    clash = _verdict(cg.witness.items(), partial, g.m, False).violations
-    if clash:
-        v = clash[0]
-        raise ColoringError(
-            f"partial coloring improper: edges {v.e} and {v.f} share color {v.color}"
-        )
-    out = {}
-    for e in range(g.m):
-        banned = {partial[f] for f in cg.adjacency[e] if f in partial}
-        out[e] = pool - banned
-    return out
-
-
-def recolor_candidates(
-    g: EmbeddedGraph,
-    partial: dict[int, int],
-    uv: int,
-    ell: int = 3,
-    palette: Optional[tuple[int, ...]] = None,
-) -> frozenset[int]:
-    """Colors that can safely replace the color of ``uv``.
-
-    ``uv`` must be colored and have an endpoint ``u`` of degree 3 whose
-    other two edges ``uu1``, ``uu2`` are uncolored; the result is the
-    subset of ``A(uu1) & A(uu2)`` that avoids every colored edge facially
-    close to ``uv`` but to neither ``uu1`` nor ``uu2``.  Any returned
-    color keeps the partial coloring proper when written onto ``uv``.
-    """
-    if not 0 <= uv < g.m:
-        raise ColoringError(f"edge id {uv} out of range")
-    if uv not in partial:
-        raise ColoringError(f"edge {uv} must be colored")
-    if palette is None:
-        palette = default_palette(ell)
-
-    candidates = []
-    for w in dict.fromkeys(g.edge_vertices(uv)):
-        if g.degree(w) != 3:
-            continue
-        incident = [d >> 1 for d in g.rotation[w]]
-        incident.remove(uv)
-        if len(incident) != 2 or incident[0] == incident[1]:
-            continue
-        e1, e2 = sorted(incident)
-        if e1 not in partial and e2 not in partial:
-            candidates.append((e1, e2))
-    if not candidates:
-        raise ColoringError(
-            f"edge {uv} has no 3-valent endpoint with two uncolored companion edges"
-        )
-    if len(candidates) > 1:
-        raise ColoringError(f"both endpoints of edge {uv} qualify; ambiguous")
-    uu1, uu2 = candidates[0]
-
-    adjacency = conflict_graph(g, ell).adjacency
-    n1, n2, nuv = adjacency[uu1], adjacency[uu2], adjacency[uv]
-
-    def avail(nbrs: frozenset[int]) -> set[int]:
-        return set(palette) - {partial[f] for f in nbrs if f in partial}
-
-    inter = avail(n1) & avail(n2)
-    outside = {partial[f] for f in nuv - n1 - n2 if f in partial}
-    return frozenset(inter - outside)
-
-
 def _degree_order(masks: list[int]) -> list[int]:
     """Conflict degree descending, id as the tiebreak."""
     return sorted(range(len(masks)), key=lambda e: (-masks[e].bit_count(), e))
 
 
-def _first_fit(
-    masks: list[int], order: list[int], max_colors: Optional[int] = None
-) -> dict[int, int]:
+def _first_fit(masks: list[int], order: list[int]) -> dict[int, int]:
     """First-fit over 0-based colors under a node order."""
     classes: list[int] = []  # classes[c]: bit mask of the edges colored c
     coloring: dict[int, int] = {}
@@ -246,38 +158,11 @@ def _first_fit(
         c = 0
         while c < len(classes) and classes[c] & masks[e]:
             c += 1
-        if max_colors is not None and c >= max_colors:
-            raise ColoringError(
-                f"greedy needs more than {max_colors} colors at edge {e}"
-            )
         if c == len(classes):
             classes.append(0)
         classes[c] |= 1 << e
         coloring[e] = c
     return coloring
-
-
-def greedy_color(
-    g: EmbeddedGraph,
-    ell: int,
-    policy: str = "degree",
-    max_colors: Optional[int] = None,
-) -> dict[int, int]:
-    """First-fit ell-facial coloring; colors start at 1.
-
-    ``policy``: "degree" orders by conflict degree descending (id as the
-    tiebreak), "id" by edge id.  Raises :class:`ColoringError` when
-    ``max_colors`` is given and first-fit needs more.
-    """
-    masks = _conflict_masks(g, ell)
-    if policy == "degree":
-        order = _degree_order(masks)
-    elif policy == "id":
-        order = list(range(g.m))
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-    raw = _first_fit(masks, order, max_colors)
-    return {e: c + 1 for e, c in raw.items()}
 
 
 def _greedy_clique(masks: list[int], order: list[int]) -> int:

@@ -28,11 +28,8 @@ That bound is far above anything the bundled certificates need.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-_LOG = logging.getLogger(__name__)
 
 _NIBBLE = 0xF
 
@@ -149,23 +146,6 @@ def graph_polynomial_coefficient(
     return _capped_expansion(pairs, tuple(t + 1 for t in target)).get(key, 0)
 
 
-def expand_polynomial(
-    nvars: int,
-    pairs: Iterable[tuple[int, int]],
-    caps: Optional[tuple[int, ...]] = None,
-) -> dict[int, int]:
-    """Sparse expansion of ``prod (X_i - X_j)``, packed key -> coefficient.
-
-    With ``caps`` given, only monomials whose exponent of variable i
-    stays below ``caps[i-1]`` are kept.  Without, every monomial is
-    kept; a variable in more than 15 factors raises
-    :class:`ExponentOverflow`."""
-    pairs = tuple(pairs)
-    if caps is None:
-        caps = (len(pairs) + 1,) * nvars
-    return _capped_expansion(pairs, tuple(caps))
-
-
 def cn_witness(
     nvars: int,
     pairs: Iterable[tuple[int, int]],
@@ -188,20 +168,13 @@ def coefficient(
 
     The variable count is the length of ``target``.  A target whose
     degree differs from the number of factors makes the coefficient
-    trivially zero; that case returns 0 after logging a degree-mismatch
-    note instead of raising.
+    trivially zero; that case returns 0 instead of raising.
     """
     pairs = tuple(pairs)
     nvars = len(target)
     for i, j in pairs:
         if not (1 <= i < j <= nvars):
             raise ValueError(f"pair ({i}, {j}) out of range for {nvars} variables")
-    if sum(target) != len(pairs):
-        _LOG.info(
-            "degree mismatch: target degree %d, %d factors; coefficient is 0",
-            sum(target), len(pairs),
-        )
-        return 0
     return graph_polynomial_coefficient(nvars, pairs, tuple(target))
 
 

@@ -692,6 +692,13 @@ def configuration_from_json(text: str) -> Configuration:
             raise ConfigurationError(f"name must be a string, got {doc['name']!r}")
         if int(doc["ell"]) < 1:
             raise ConfigurationError(f"ell must be at least 1, got {doc['ell']!r}")
+        if not isinstance(doc["host"], str):
+            raise ConfigurationError(f"host must be a string, got {doc['host']!r}")
+        certificate = doc.get("certificate")
+        if certificate is not None and not isinstance(certificate, str):
+            raise ConfigurationError(
+                f"certificate must be null or a string, got {certificate!r}"
+            )
         return Configuration(
             name=doc["name"],
             description=str(doc.get("description", "")),
@@ -705,10 +712,10 @@ def configuration_from_json(text: str) -> Configuration:
                 (int(a), int(b)) for a, b in doc["conflicts"]
             ),
             caps=tuple(int(x) for x in doc["caps"]),
-            certificate=doc.get("certificate"),
+            certificate=certificate,
             obligations=tuple(str(x) for x in doc.get("obligations", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(f"bad configuration document: {exc}") from exc

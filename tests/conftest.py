@@ -1,6 +1,6 @@
 import pytest
 
-from facet.embedding import standard_catalog
+from helpers import standard_catalog
 
 
 @pytest.fixture(scope="session")

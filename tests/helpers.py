@@ -9,6 +9,7 @@ from facet.embedding import (
     face_profiles,
     facial_distance,
     facial_neighborhood,
+    generate,
     twin,
 )
 from facet.nullstellensatz import pack, unpack
@@ -143,6 +144,22 @@ def pendant_path_host() -> EmbeddedGraph:
         [11],
     ]
     return EmbeddedGraph.build(6, endpoints, rot)
+
+
+def standard_catalog() -> list[tuple[str, EmbeddedGraph]]:
+    """The fixed test-graph catalog: cycles 3..14, K4, prisms 3..5,
+    thetas with path lengths up to 4, subdivided K4 depths 1..3."""
+    out = [(f"cycle-{n}", generate("cycle", n)) for n in range(3, 15)]
+    out.append(("k4", generate("k4")))
+    out += [(f"prism-{n}", generate("prism", n)) for n in range(3, 6)]
+    out += [
+        (f"theta-{a}-{b}-{c}", generate("theta", a, b, c))
+        for a in range(1, 5)
+        for b in range(a, 5)
+        for c in range(b, 5)
+    ]
+    out += [(f"subdivided-k4-{d}", generate("subdivided_k4", d)) for d in range(1, 4)]
+    return out
 
 
 def brute_chromatic(adjacency) -> int:

@@ -2,8 +2,8 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail
 line per criterion.  Each test is self-contained and states its own
-tolerance.  Criterion 6 is the slow one: about 17 s (median of three
-runs, 2-vCPU shared VM, Python 3.11); criterion 3 takes about 1 s.
+tolerance.  Criterion 6 is the slow one: about 13 s (median of three
+runs, 2-vCPU shared VM, Python 3.11); criterion 3 takes about 0.5 s.
 """
 
 import itertools

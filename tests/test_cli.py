@@ -208,8 +208,19 @@ class TestReduce:
             ("surgery", [["contract_edge"]]),
             ("ell", 0),
             ("name", ["x"]),
+            ("certificate", []),
+            ("host", 5),
+            ("ell", float("inf")),
         ],
-        ids=["empty-step", "step-without-ids", "ell-zero", "name-not-string"],
+        ids=[
+            "empty-step",
+            "step-without-ids",
+            "ell-zero",
+            "name-not-string",
+            "certificate-not-string",
+            "host-not-string",
+            "ell-infinite",
+        ],
     )
     def test_malformed_config_file_is_input_error(self, key, value, tmp_path, capsys):
         config = next(c for c in catalog() if c.name == "three-thread")
@@ -429,6 +440,22 @@ class TestHarness:
         f = tmp_path / "junk.peg"
         f.write_text("not a graph\n")
         assert main(["chi", "--graph", str(f)]) == 2
+
+    @pytest.mark.parametrize(
+        "body, detail",
+        [
+            ("vertices 99999999999\nedges 0\n", "rotation lines must cover"),
+            ("vertices 1\nedges 99999999999\nrot 0\n", "edge ids must cover"),
+        ],
+        ids=["vertices", "edges"],
+    )
+    def test_huge_declared_count_is_input_error(self, body, detail, tmp_path, capsys):
+        # the counts are compared before any range of that size is built
+        f = tmp_path / "huge.peg"
+        f.write_text("peg 1\n" + body)
+        assert main(["chi", "--graph", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {detail}")
 
     def test_repeated_calls_match_fresh_processes(self, c7, capsys, monkeypatch):
         src = str(Path(facet.__file__).resolve().parents[1])

@@ -1,6 +1,5 @@
 """Conflict graphs, verification, and the exact chromatic solver."""
 
-import math
 import random
 import time
 
@@ -9,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from facet.embedding import (
     facial_distance,
-    facial_neighborhood,
     generate,
     random_plane_graph,
 )
@@ -17,13 +15,9 @@ from facet.facial_coloring import (
     ColoringError,
     SolverBudgetError,
     Violation,
-    available_colors,
     chromatic_index,
     conflict_graph,
-    default_palette,
-    greedy_color,
     parse_coloring,
-    recolor_candidates,
     serialize_coloring,
     verify,
     verify_vertex,
@@ -156,108 +150,6 @@ class TestVerify:
             verify(catalog["cycle-3"], 3, {0: "red"})
 
 
-class TestAvailableColors:
-    def test_c8_partial_frozen_sets(self, catalog):
-        g = catalog["cycle-8"]
-        av = available_colors(g, 3, {0: 1, 1: 2})
-        full = set(default_palette(3))
-        # a colored edge keeps its own color available for recoloring
-        assert av[0] == full - {2}
-        assert av[1] == full - {1}
-        assert av[2] == full - {1, 2}
-        assert av[4] == full - {2}
-        assert av[5] == full - {1}
-
-    def test_improper_partial_rejected(self, catalog):
-        # the first clashing pair in pair order is named
-        with pytest.raises(ColoringError, match="improper: edges 0 and 2 share color 1$"):
-            available_colors(catalog["cycle-8"], 3, {0: 1, 2: 1, 4: 1})
-
-    def test_custom_palette(self, catalog):
-        av = available_colors(catalog["cycle-3"], 1, {0: 7}, palette=(7, 8, 9))
-        assert av[1] == {8, 9}
-        assert av[0] == {7, 8, 9}
-
-
-class TestRecolorCandidates:
-    def test_k4_frozen_set(self, catalog):
-        g = catalog["k4"]
-        got = recolor_candidates(g, {0: 5, 3: 1}, 0)
-        assert got == frozenset({2, 3, 4, 6, 7, 8, 9, 10})
-
-    def test_candidates_keep_coloring_proper(self, catalog):
-        g = catalog["k4"]
-        partial = {0: 5, 3: 1}
-        for c in recolor_candidates(g, partial, 0):
-            patched = dict(partial)
-            patched[0] = c
-            assert verify(g, 3, patched, require_total=False).ok
-
-    def test_both_endpoints_qualify_is_ambiguous(self, catalog):
-        with pytest.raises(ColoringError, match="ambiguous"):
-            recolor_candidates(catalog["k4"], {0: 5}, 0)
-
-    def test_no_qualifying_endpoint(self, catalog):
-        with pytest.raises(ColoringError, match="3-valent"):
-            recolor_candidates(catalog["cycle-7"], {0: 1}, 0)
-
-    def test_uncolored_edge_rejected(self, catalog):
-        with pytest.raises(ColoringError, match="must be colored"):
-            recolor_candidates(catalog["k4"], {}, 0)
-
-    def test_matches_neighborhood_formula(self):
-        # A(uu1) & A(uu2) minus the colors near uv alone, each neighborhood
-        # from its own facial_neighborhood scan
-        rng = random.Random(0)
-        checked = 0
-        for seed in range(150):
-            g = random_plane_graph(seed)
-            ell = 1 + seed % 3
-            palette = default_palette(ell)
-            partial = {e: rng.choice(palette) for e in range(g.m) if rng.random() < 0.5}
-            for uv in partial:
-                try:
-                    got = recolor_candidates(g, partial, uv, ell)
-                except ColoringError:
-                    continue
-                companions = []
-                for w in set(g.endpoints[uv]):
-                    others = {d >> 1 for d in g.rotation[w]} - {uv}
-                    if g.degree(w) == 3 and len(others) == 2 and not others & set(partial):
-                        companions.append(sorted(others))
-                [(uu1, uu2)] = companions
-                near = [facial_neighborhood(g, ell, e) for e in (uu1, uu2, uv)]
-                colors = [{partial[f] for f in n if f in partial} for n in near]
-                outside = {partial[f] for f in near[2] - near[0] - near[1] if f in partial}
-                want = set(palette) - colors[0] - colors[1] - outside
-                assert got == want, (seed, uv)
-                checked += 1
-        assert checked > 50
-
-    @pytest.mark.parametrize("ell", [0, -1])
-    def test_ell_below_one_rejected(self, catalog, ell):
-        with pytest.raises(ValueError, match="ell must be >= 1"):
-            recolor_candidates(catalog["k4"], {0: 5, 3: 1}, 0, ell=ell)
-
-
-class TestGreedy:
-    @pytest.mark.parametrize("name", ["cycle-7", "k4", "theta-2-3-4", "prism-4"])
-    @pytest.mark.parametrize("policy", ["degree", "id"])
-    def test_greedy_is_proper(self, catalog, name, policy):
-        g = catalog[name]
-        coloring = greedy_color(g, 3, policy=policy)
-        assert verify(g, 3, coloring).ok
-        assert min(coloring.values()) >= 1
-
-    def test_unknown_policy(self, catalog):
-        with pytest.raises(ValueError, match="policy"):
-            greedy_color(catalog["cycle-3"], 1, policy="rainbow")
-
-    def test_max_colors_cap(self, catalog):
-        with pytest.raises(ColoringError, match="more than"):
-            greedy_color(catalog["cycle-7"], 3, max_colors=3)
-
-
 class TestChromaticIndex:
     def test_c7_needs_seven(self, catalog):
         chi, witness = chromatic_index(catalog["cycle-7"], 3)
@@ -337,6 +229,28 @@ class TestChromaticIndex:
         assert elapsed < 2.0, (seed, elapsed)
 
 
+class TestBoundIsTight:
+    """theta(ell, ell, ell+1), two vertices joined by paths of ell, ell
+    and ell+1 edges, needs all 3*ell+1 colors."""
+
+    def test_theta_conflict_graph_is_complete(self):
+        for ell in range(1, 13):
+            g = generate("theta", ell, ell, ell + 1)
+            m = 3 * ell + 1
+            assert g.m == m
+            assert len(g.edge_gap_table(ell)) == m * (m - 1) // 2, ell
+            chi, witness = chromatic_index(g, ell)
+            assert chi == m and verify(g, ell, witness).ok, ell
+
+    def test_only_these_catalog_thetas_reach_the_bound(self, catalog):
+        for ell in (1, 2, 3):
+            reach = [
+                name for name, g in catalog.items()
+                if chromatic_index(g, ell)[0] >= 3 * ell + 1
+            ]
+            assert reach == [f"theta-{ell}-{ell}-{ell + 1}"], ell
+
+
 class TestColoringFiles:
     def test_roundtrip(self):
         coloring = {4: 2, 0: 9, 2: 1}
@@ -356,18 +270,6 @@ class TestColoringFiles:
     def test_parse_duplicate_edge(self):
         with pytest.raises(ColoringError, match="twice"):
             parse_coloring("c 0 1\nc 0 2\n")
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), ell=st.integers(1, 3))
-def test_random_graphs_greedy_vs_exact(seed, ell):
-    g = random_plane_graph(seed, max_ops=5)
-    greedy = greedy_color(g, ell)
-    assert verify(g, ell, greedy).ok
-    if g.m <= 12:
-        chi, witness = chromatic_index(g, ell)
-        assert verify(g, ell, witness).ok
-        assert chi <= len(set(greedy.values()))
 
 
 @settings(max_examples=60, deadline=None)
