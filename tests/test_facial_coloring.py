@@ -22,7 +22,13 @@ from facet.facial_coloring import (
     verify,
     verify_vertex,
 )
-from facet.facial_coloring import _face_clique
+from facet.facial_coloring import (
+    _conflict_masks,
+    _degree_order,
+    _face_clique,
+    _first_fit,
+    _greedy_clique,
+)
 
 from helpers import brute_chromatic, reference_chromatic_index, reference_gap_table
 
@@ -229,6 +235,47 @@ class TestChromaticIndex:
         assert elapsed < 2.0, (seed, elapsed)
 
 
+class TestSearchSeeds:
+    """The node order, first-fit incumbent and greedy clique that
+    :func:`chromatic_index` starts its search from."""
+
+    @pytest.mark.parametrize("name", ["cycle-7", "k4", "theta-2-3-4", "prism-4"])
+    @pytest.mark.parametrize("policy", ["degree", "id"])
+    def test_first_fit_is_proper(self, catalog, name, policy):
+        g = catalog[name]
+        masks = _conflict_masks(g, 3)
+        order = _degree_order(masks) if policy == "degree" else list(range(g.m))
+        coloring = _first_fit(masks, order)
+        assert sorted(coloring) == list(range(g.m))
+        assert min(coloring.values()) == 0
+        assert verify(g, 3, {e: c + 1 for e, c in coloring.items()}).ok
+
+    def test_first_fit_follows_the_order(self, catalog):
+        # every pair of cycle-7's edges conflicts at ell = 3
+        masks = _conflict_masks(catalog["cycle-7"], 3)
+        order = [6, 2, 0, 5, 1, 4, 3]
+        assert _first_fit(masks, order) == {e: i for i, e in enumerate(order)}
+
+    def test_degree_order_is_degree_descending_then_id(self, catalog):
+        for name, g in catalog.items():
+            masks = _conflict_masks(g, 2)
+            order = _degree_order(masks)
+            assert sorted(order) == list(range(g.m)), name
+            keys = [(-masks[e].bit_count(), e) for e in order]
+            assert keys == sorted(keys), name
+
+    @pytest.mark.parametrize("name", ["cycle-7", "k4", "theta-2-3-4", "prism-4"])
+    def test_greedy_clique_is_a_clique_below_chi(self, catalog, name):
+        g = catalog[name]
+        for ell in (1, 2, 3):
+            masks = _conflict_masks(g, ell)
+            clique = _greedy_clique(masks, _degree_order(masks))
+            members = [e for e in range(g.m) if clique >> e & 1]
+            assert members, (name, ell)
+            assert all(masks[e] >> f & 1 for e in members for f in members if e != f)
+            assert len(members) <= chromatic_index(g, ell)[0], (name, ell)
+
+
 class TestBoundIsTight:
     """theta(ell, ell, ell+1), two vertices joined by paths of ell, ell
     and ell+1 edges, needs all 3*ell+1 colors."""
@@ -270,6 +317,19 @@ class TestColoringFiles:
     def test_parse_duplicate_edge(self):
         with pytest.raises(ColoringError, match="twice"):
             parse_coloring("c 0 1\nc 0 2\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), ell=st.integers(1, 3))
+def test_random_graphs_first_fit_vs_exact(seed, ell):
+    g = random_plane_graph(seed, max_ops=5)
+    masks = _conflict_masks(g, ell)
+    first = _first_fit(masks, _degree_order(masks))
+    assert verify(g, ell, {e: c + 1 for e, c in first.items()}).ok
+    if g.m <= 12:
+        chi, witness = chromatic_index(g, ell)
+        assert verify(g, ell, witness).ok
+        assert chi <= len(set(first.values()))
 
 
 @settings(max_examples=60, deadline=None)
