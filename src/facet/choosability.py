@@ -56,11 +56,8 @@ class SimpleGraph:
             (u, v) for u in range(self.n) for v in self.adjacency[u] if u < v
         ]
 
-    def is_connected(self) -> bool:
-        return self._connected
-
     @cached_attribute
-    def _connected(self) -> bool:
+    def is_connected(self) -> bool:
         if self.n == 0:
             return True
         seen = {0}
@@ -82,7 +79,7 @@ class SimpleGraph:
 
     @cached_attribute
     def _gallai_tree(self) -> bool:
-        for blk in blocks(self).blocks:
+        for blk in blocks(self):
             k = len(blk)
             inner = [len(self.adjacency[v] & blk) for v in blk]
             if not all(d == k - 1 for d in inner) and not (
@@ -92,19 +89,10 @@ class SimpleGraph:
         return True
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks (as vertex sets) plus the cut vertices joining them."""
-
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-
-
-def blocks(g: SimpleGraph) -> BlockDecomposition:
-    """Block decomposition: biconnected components, bridges as 2-sets,
-    isolated vertices as singletons; cut vertices are those on two or
-    more blocks.  Iterative lowpoint computation with an explicit edge
-    stack.
+def blocks(g: SimpleGraph) -> tuple[frozenset[int], ...]:
+    """Block decomposition, as vertex sets: biconnected components,
+    bridges as 2-sets, isolated vertices as singletons.  Iterative
+    lowpoint computation with an explicit edge stack.
     """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -148,12 +136,7 @@ def blocks(g: SimpleGraph) -> BlockDecomposition:
             elif disc[w] < disc[v]:
                 estack.append((v, w))
                 low[v] = min(low[v], disc[w])
-    seen: set[int] = set()
-    cuts: set[int] = set()
-    for blk in out:
-        cuts.update(blk & seen)
-        seen.update(blk)
-    return BlockDecomposition(blocks=tuple(out), cut_vertices=frozenset(cuts))
+    return tuple(out)
 
 
 def is_gallai_tree(g: SimpleGraph) -> bool:
@@ -161,7 +144,7 @@ def is_gallai_tree(g: SimpleGraph) -> bool:
 
     Defined for connected graphs only; disconnected input is rejected.
     """
-    if not g.is_connected():
+    if not g.is_connected:
         raise ListColoringError("Gallai-tree test needs a connected graph")
     return g._gallai_tree
 
@@ -176,7 +159,7 @@ def degree_guarantee(g: SimpleGraph, sizes: Sequence[int]) -> bool:
     # with every size >= its degree, some size > its degree iff sums differ
     return (
         all(map(operator.ge, sizes, degrees))
-        and g.is_connected()
+        and g.is_connected
         and (sum(sizes) > sum(degrees) or not is_gallai_tree(g))
     )
 
@@ -265,7 +248,7 @@ def degree_feasible_colorable(
     is True when some list exceeds its degree or the graph is not a
     Gallai tree; in that case the search must succeed.
     """
-    if not g.is_connected():
+    if not g.is_connected:
         raise ListColoringError("guarantee needs a connected graph")
     sets = [set(l) for l in lists]
     sizes = list(map(len, sets))
@@ -275,7 +258,9 @@ def degree_feasible_colorable(
         v = next(v for v, d in enumerate(g.degrees) if sizes[v] < d)
         raise ListColoringError(f"list at vertex {v} smaller than its degree")
     coloring = list_color(g, sets)
-    return degree_guarantee(g, sizes), coloring is not None, coloring
+    # the checks above are degree_guarantee's first two conditions
+    guaranteed = sum(sizes) > sum(g.degrees) or not is_gallai_tree(g)
+    return guaranteed, coloring is not None, coloring
 
 
 def subset_hall_lower_bounds(

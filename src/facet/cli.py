@@ -16,10 +16,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
-from facet.discharging import AuditReport, DischargingError, audit, structure_report
+from facet.discharging import AuditReport, audit, structure_report
 from facet.embedding import (
     EmbeddedGraph,
-    EmbeddingError,
     facial_distance,
     generate,
     medial,
@@ -28,7 +27,6 @@ from facet.embedding import (
     serialize_peg,
 )
 from facet.facial_coloring import (
-    ColoringError,
     SolverBudgetError,
     chromatic_index,
     conflict_graph,
@@ -36,24 +34,10 @@ from facet.facial_coloring import (
     serialize_coloring,
     verify,
 )
-from facet.nullstellensatz import ExponentOverflow, coefficient, lemma_polynomial
-from facet.reducibility import (
-    ConfigurationError,
-    catalog,
-    check,
-    configuration_from_json,
-)
+from facet.nullstellensatz import coefficient, lemma_polynomial
+from facet.reducibility import catalog, check, configuration_from_json
 
-_INPUT_ERRORS = (
-    OSError,
-    EmbeddingError,
-    ColoringError,
-    ConfigurationError,
-    DischargingError,
-    SolverBudgetError,
-    ExponentOverflow,
-    ValueError,
-)
+_INPUT_ERRORS = (OSError, ValueError, SolverBudgetError)
 
 
 def _read(path: str) -> str:
@@ -196,10 +180,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.dot:
         _dot_conflicts(g, args.ell, args.dot)
-    upper = args.palette if args.palette else 3 * args.ell + 1
-    chi, witness = chromatic_index(
-        g, args.ell, upper_bound=upper, max_nodes=args.budget
-    )
+    chi, witness = chromatic_index(g, args.ell, max_nodes=args.budget)
     doc = {
         "ok": True,
         "chi": chi,
@@ -435,12 +416,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="exact facial chromatic index")
     p.add_argument("--graph", required=True)
-    p.add_argument(
-        "--palette",
-        type=_positive_int,
-        default=None,
-        help="advisory color budget (default 3*ell+1; never affects exactness)",
-    )
     p.add_argument(
         "--budget",
         type=_positive_int,

@@ -113,7 +113,7 @@ def initial_charges(g: EmbeddedGraph) -> ChargeLedger:
 def _faces_at_two_vertex(g: EmbeddedGraph, u: int) -> tuple[int, int]:
     """Face indices on the two sides of a 2-vertex, in dart order."""
     d1, d2 = g.rotation[u]
-    return g.face_of_dart(d1), g.face_of_dart(d2)
+    return g.face_of_dart[d1], g.face_of_dart[d2]
 
 
 # Rule amounts as (units of 1/30, the Fraction logged in a Transfer).
@@ -181,7 +181,7 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
     for v in range(g.n):
         if deg[v] < 4:
             continue
-        for f in sorted(g.faces_at_vertex(v)):
+        for f in sorted(g.faces_at_vertex[v]):
             if prof[f].length == 5:
                 send("R1", ("v", v), ("f", f), _R1)
 
@@ -262,7 +262,7 @@ def _two_connected(g: EmbeddedGraph) -> bool:
     links = [(u, v) for u, v in g.endpoints if u != v]
     if g.n == 2:
         return len(links) >= 2
-    return len(blocks(SimpleGraph.from_edges(g.n, links)).blocks) == 1
+    return len(blocks(SimpleGraph.from_edges(g.n, links))) == 1
 
 
 def _short_cycles(g: EmbeddedGraph, max_len: int = 7) -> Iterator[list[int]]:
@@ -487,7 +487,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
     )
     # 13: every 2-vertex touches a 7+ face
     p_seven_plus = all(
-        any(prof[f].length >= 7 for f in g.faces_at_vertex(v))
+        any(prof[f].length >= 7 for f in g.faces_at_vertex[v])
         for v in two_vertices
     )
     # 14: a thread on a 7-face has a 4+ neighbor; 15: a thread touches
@@ -496,7 +496,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
     for e, (u, v) in enumerate(g.endpoints):
         if u == v or deg[u] != 2 or deg[v] != 2:
             continue
-        faces = {g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1)}
+        faces = {g.face_of_dart[2 * e], g.face_of_dart[2 * e + 1]}
         sevens = sum(1 for f in faces if prof[f].length == 7)
         if sevens > 1:
             p_thread_one_seven = False

@@ -65,17 +65,12 @@ class FaceWalk:
     def __len__(self) -> int:
         return len(self.darts)
 
-    @property
-    def length(self) -> int:
-        return len(self.darts)
-
 
 @dataclass(frozen=True)
 class FaceProfile:
     """Per-face counts used by the charge rules.
 
-    ``n2`` counts distinct 2-vertices on the walk, ``n2t`` those of them
-    that lie in a 2-thread (have a 2-valent neighbor).  ``s1`` and ``s2``
+    ``n2`` counts distinct 2-vertices on the walk.  ``s1`` and ``s2``
     count maximal cyclic runs of 2-vertices of length exactly 1 and 2;
     longer runs are counted by neither, so ``n2 == s1 + 2 * s2`` holds
     exactly when every maximal run has length at most 2.
@@ -84,7 +79,6 @@ class FaceProfile:
     face: int
     length: int
     n2: int
-    n2t: int
     s1: int
     s2: int
 
@@ -205,9 +199,6 @@ class EmbeddedGraph:
             for v, rot in enumerate(self.rotation)
         )
 
-    def edge_vertices(self, e: int) -> tuple[int, int]:
-        return self.endpoints[e]
-
     def neighbors(self, v: int) -> list[int]:
         """Neighbors in rotation order (repeats for parallel edges; a loop
         contributes the vertex itself twice)."""
@@ -250,12 +241,9 @@ class EmbeddedGraph:
 
     # -- faces ----------------------------------------------------------
 
+    @cached_attribute
     def sigma(self) -> tuple[int, ...]:
         """Clockwise-successor permutation on darts."""
-        return self._sigma
-
-    @cached_attribute
-    def _sigma(self) -> tuple[int, ...]:
         out = [0] * (2 * self.m)
         for rot in self.rotation:
             k = len(rot)
@@ -263,13 +251,10 @@ class EmbeddedGraph:
                 out[d] = rot[(i + 1) % k]
         return tuple(out)
 
+    @cached_attribute
     def phi(self) -> tuple[int, ...]:
         """Face permutation phi(d) = sigma(twin(d))."""
-        return self._phi
-
-    @cached_attribute
-    def _phi(self) -> tuple[int, ...]:
-        sig = self.sigma()
+        sig = self.sigma
         return tuple(sig[twin(d)] for d in range(2 * self.m))
 
     def faces(self) -> tuple[FaceWalk, ...]:
@@ -278,7 +263,7 @@ class EmbeddedGraph:
 
     @cached_attribute
     def _faces(self) -> tuple[FaceWalk, ...]:
-        ph = self.phi()
+        ph = self.phi
         heads = self._heads
         seen = [False] * (2 * self.m)
         walks = []
@@ -301,22 +286,18 @@ class EmbeddedGraph:
             )
         return tuple(walks)
 
-    def face_of_dart(self, dart: int) -> int:
-        return self._face_of_dart[dart]
-
     @cached_attribute
-    def _face_of_dart(self) -> list[int]:
+    def face_of_dart(self) -> list[int]:
+        """``face_of_dart[d]``: the index of the face walk through ``d``."""
         lookup = [0] * (2 * self.m)
         for walk in self.faces():
             for d in walk.darts:
                 lookup[d] = walk.index
         return lookup
 
-    def faces_at_vertex(self, v: int) -> frozenset[int]:
-        return self._faces_at_vertex[v]
-
     @cached_attribute
-    def _faces_at_vertex(self) -> list[frozenset[int]]:
+    def faces_at_vertex(self) -> list[frozenset[int]]:
+        """``faces_at_vertex[v]``: the indices of the face walks through ``v``."""
         table = [set() for _ in range(self.n)]
         for walk in self.faces():
             for x in walk.vertices:
@@ -326,17 +307,16 @@ class EmbeddedGraph:
     @cached_attribute
     def _face_profiles(self) -> tuple[FaceProfile, ...]:
         profiles = []
-        deg, thread = self.degrees, self.two_thread
+        deg = self.degrees
         for walk in self.faces():
             verts = walk.vertices
             two = [deg[x] == 2 for x in verts]
             n2 = len({x for x, t in zip(verts, two) if t})
-            n2t = len({x for x in verts if thread[x]})
             # Maximal cyclic runs of 2-vertices: read from a non-2-vertex on.
             cut = two.index(False) if False in two else 0
             runs = [len(list(r)) for t, r in groupby(two[cut:] + two[:cut]) if t]
             profiles.append(
-                FaceProfile(walk.index, len(walk), n2, n2t, runs.count(1), runs.count(2))
+                FaceProfile(walk.index, len(walk), n2, runs.count(1), runs.count(2))
             )
         return tuple(profiles)
 
@@ -404,7 +384,7 @@ def facial_distance(g: EmbeddedGraph, e: int, f: int) -> float:
     if e == f:
         return 0
     best = math.inf
-    for index in {g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1)}:
+    for index in {g.face_of_dart[2 * e], g.face_of_dart[2 * e + 1]}:
         seq = g.faces()[index].edges
         at_e = [i for i, x in enumerate(seq) if x == e]
         for j, x in enumerate(seq):
@@ -507,15 +487,14 @@ def serialize_peg(g: EmbeddedGraph) -> str:
 
 @dataclass(frozen=True)
 class SurgeryResult:
-    """Surgery output: the new graph plus id re-mappings.
+    """Surgery output: the new graph plus the edge id re-mapping.
 
-    ``edge_map[e]`` / ``vertex_map[v]`` give the new id, or ``None`` for
-    removed elements; both identified edges map to the merged id.
+    ``edge_map[e]`` gives the new id, or ``None`` for a removed edge;
+    both identified edges map to the merged id.
     """
 
     graph: EmbeddedGraph
     edge_map: tuple[Optional[int], ...]
-    vertex_map: tuple[Optional[int], ...]
 
 
 def _compact(
@@ -551,7 +530,7 @@ def _compact(
     for old_v, rot in rotations.items():
         rot_out[vmap[old_v]] = [map_dart(d) for d in rot]
     built = EmbeddedGraph.build(nxt, endpoints, rot_out)
-    return SurgeryResult(built, tuple(emap), tuple(vmap))
+    return SurgeryResult(built, tuple(emap))
 
 
 def delete_edge(g: EmbeddedGraph, e: int) -> SurgeryResult:
@@ -586,11 +565,7 @@ def subdivide_edge(g: EmbeddedGraph, e: int) -> SurgeryResult:
     ]
     rotations.append([2 * e + 1, 2 * new_e])
     built = EmbeddedGraph.build(g.n + 1, endpoints, rotations)
-    return SurgeryResult(
-        built,
-        tuple(range(g.m)),
-        tuple(range(g.n)),
-    )
+    return SurgeryResult(built, tuple(range(g.m)))
 
 
 def contract_edge(g: EmbeddedGraph, e: int) -> SurgeryResult:
@@ -619,11 +594,7 @@ def contract_edge(g: EmbeddedGraph, e: int) -> SurgeryResult:
     rotations[u] = merged
     keep_vertex = [x != v for x in range(g.n)]
     keep_edge = [i != e for i in range(g.m)]
-    res = _compact(g, keep_vertex, keep_edge, endpoints, rotations)
-    # The removed endpoint maps onto the merged vertex.
-    vmap = list(res.vertex_map)
-    vmap[v] = vmap[u]
-    return SurgeryResult(res.graph, res.edge_map, tuple(vmap))
+    return _compact(g, keep_vertex, keep_edge, endpoints, rotations)
 
 
 def contract_face(g: EmbeddedGraph, face: int) -> SurgeryResult:
@@ -648,7 +619,7 @@ def contract_face(g: EmbeddedGraph, face: int) -> SurgeryResult:
     for e in boundary_edges:
         boundary_darts.update((2 * e, 2 * e + 1))
 
-    sig = g.sigma()
+    sig = g.sigma
     arcs: list[list[int]] = []
     for i in range(k):
         d_out = walk.darts[i]
@@ -675,11 +646,7 @@ def contract_face(g: EmbeddedGraph, face: int) -> SurgeryResult:
     rotations[w] = merged
     keep_vertex = [x == w or x not in on_face for x in range(g.n)]
     keep_edge = [e not in boundary_edges for e in range(g.m)]
-    res = _compact(g, keep_vertex, keep_edge, endpoints, rotations)
-    vmap = list(res.vertex_map)
-    for x in on_face:
-        vmap[x] = vmap[w]
-    return SurgeryResult(res.graph, res.edge_map, tuple(vmap))
+    return _compact(g, keep_vertex, keep_edge, endpoints, rotations)
 
 
 def identify_edges(g: EmbeddedGraph, e: int, f: int, face: int) -> SurgeryResult:
@@ -776,10 +743,7 @@ def identify_edges(g: EmbeddedGraph, e: int, f: int, face: int) -> SurgeryResult
     res = _compact(g, keep_vertex, keep_edge, endpoints, rotations)
     emap = list(res.edge_map)
     emap[f] = emap[e]
-    vmap = list(res.vertex_map)
-    vmap[w2] = vmap[u1]
-    vmap[w1] = vmap[u2]
-    return SurgeryResult(res.graph, tuple(emap), tuple(vmap))
+    return SurgeryResult(res.graph, tuple(emap))
 
 
 def delete_vertex(g: EmbeddedGraph, v: int) -> SurgeryResult:
@@ -818,7 +782,7 @@ def medial(g: EmbeddedGraph) -> tuple[EmbeddedGraph, tuple[int, ...]]:
     """
     if g.m == 0:
         raise EmbeddingError("medial of an edgeless graph is undefined")
-    phi = g.phi()
+    phi = g.phi
     phi_inv = [0] * len(phi)
     for d, t in enumerate(phi):
         phi_inv[t] = d
@@ -1022,11 +986,6 @@ def _split_face(
 
 
 # -- profiles ------------------------------------------------------------
-
-
-def in_two_thread(g: EmbeddedGraph, v: int) -> bool:
-    """A 2-vertex belongs to a 2-thread iff some neighbor is 2-valent."""
-    return g.two_thread[v]
 
 
 def face_profiles(g: EmbeddedGraph) -> tuple[FaceProfile, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from facet.embedding import EmbeddedGraph
 
@@ -22,11 +22,6 @@ class ColoringError(ValueError):
 
 class SolverBudgetError(RuntimeError):
     """Instance exceeds the exact solver's size budget."""
-
-
-def default_palette(ell: int) -> tuple[int, ...]:
-    """Colors 1..3*ell+1, the conjectured-sufficient palette size."""
-    return tuple(range(1, 3 * ell + 2))
 
 
 @dataclass(frozen=True)
@@ -195,7 +190,6 @@ def _face_clique(g: EmbeddedGraph, ell: int) -> set[int]:
 def chromatic_index(
     g: EmbeddedGraph,
     ell: int,
-    upper_bound: Optional[int] = None,
     max_nodes: int = 40,
 ) -> tuple[int, dict[int, int]]:
     """Exact ell-facial chromatic index with a witness coloring.
@@ -208,7 +202,6 @@ def chromatic_index(
     incumbent; the search stops once it meets the lower bound, the larger
     of a greedy clique and :func:`_face_clique`.  The witness is the
     first optimal coloring in search order, whatever the bound.
-    ``upper_bound`` is an advisory hint that cannot change the result.
 
     Raises :class:`SolverBudgetError` for instances above ``max_nodes``
     conflict nodes; the search is exact but exponential, and the budget

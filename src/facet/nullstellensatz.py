@@ -76,10 +76,6 @@ class Certificate:
         if sum(self.target) != len(self.pairs):
             raise ValueError("target degree must equal the number of factors")
 
-    @property
-    def degree(self) -> int:
-        return len(self.pairs)
-
 
 def _capped_expansion(
     pairs: tuple[tuple[int, int], ...], caps: tuple[int, ...]

@@ -682,6 +682,14 @@ def configuration_to_json(config: Configuration) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _int(x, field: str) -> int:
+    """``x`` itself if it is an int; a bool, float or numeric string is
+    refused rather than coerced."""
+    if type(x) is not int:
+        raise ConfigurationError(f"{field} must be an integer, got {x!r}")
+    return x
+
+
 def configuration_from_json(text: str) -> Configuration:
     try:
         doc = json.loads(text)
@@ -690,7 +698,7 @@ def configuration_from_json(text: str) -> Configuration:
     try:
         if not isinstance(doc["name"], str):
             raise ConfigurationError(f"name must be a string, got {doc['name']!r}")
-        if int(doc["ell"]) < 1:
+        if _int(doc["ell"], "ell") < 1:
             raise ConfigurationError(f"ell must be at least 1, got {doc['ell']!r}")
         if not isinstance(doc["host"], str):
             raise ConfigurationError(f"host must be a string, got {doc['host']!r}")
@@ -703,15 +711,16 @@ def configuration_from_json(text: str) -> Configuration:
             name=doc["name"],
             description=str(doc.get("description", "")),
             host=parse_peg(doc["host"]),
-            ell=int(doc["ell"]),
-            colors=int(doc["colors"]),
+            ell=doc["ell"],
+            colors=_int(doc["colors"], "colors"),
             surgery=tuple(_surgery_step(s) for s in doc["surgery"]),
-            variables=tuple(int(x) for x in doc["variables"]),
-            dummies=tuple(int(x) for x in doc.get("dummies", [])),
+            variables=tuple(_int(x, "variables") for x in doc["variables"]),
+            dummies=tuple(_int(x, "dummies") for x in doc.get("dummies", [])),
             conflicts=tuple(
-                (int(a), int(b)) for a, b in doc["conflicts"]
+                (_int(a, "conflicts"), _int(b, "conflicts"))
+                for a, b in doc["conflicts"]
             ),
-            caps=tuple(int(x) for x in doc["caps"]),
+            caps=tuple(_int(x, "caps") for x in doc["caps"]),
             certificate=certificate,
             obligations=tuple(str(x) for x in doc.get("obligations", [])),
         )

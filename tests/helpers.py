@@ -314,7 +314,7 @@ def reference_gallai_tree(g) -> bool:
             return False
         return all(len(g.adjacency[v] & verts) == 2 for v in verts)
 
-    return all(complete(b) or odd_cycle(b) for b in blocks(g).blocks)
+    return all(complete(b) or odd_cycle(b) for b in blocks(g))
 
 
 def reference_list_color(g, lists, max_nodes: int = 25):
@@ -626,7 +626,7 @@ def reference_apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedge
     for v in range(g.n):
         if g.degree(v) < 4:
             continue
-        for f in sorted(g.faces_at_vertex(v)):
+        for f in sorted(g.faces_at_vertex[v]):
             if prof[f].length == 5:
                 send("R1", ("v", v), ("f", f), Fraction(1, 5))
     for v in range(g.n):
@@ -635,7 +635,7 @@ def reference_apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedge
         for u in sorted(set(g.neighbors(v))):
             if u == v or g.degree(u) != 2:
                 continue
-            f1, f2 = (g.face_of_dart(d) for d in g.rotation[u])
+            f1, f2 = (g.face_of_dart[d] for d in g.rotation[u])
             if f1 == f2:
                 gaps.append(
                     f"R2 gap: 2-vertex {u} (next to {v}) is incident with "
@@ -698,7 +698,7 @@ def reference_pair_predicates(g: EmbeddedGraph) -> dict[str, bool]:
     ]
 
     def sides(e):
-        return {g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1)}
+        return {g.face_of_dart[2 * e], g.face_of_dart[2 * e + 1]}
 
     def has_thread(walk):
         k = len(walk.vertices)
@@ -711,7 +711,7 @@ def reference_pair_predicates(g: EmbeddedGraph) -> dict[str, bool]:
         return [u for u in set(walk.vertices) if deg(u) == 2]
 
     def face_pair(v):
-        return tuple(g.face_of_dart(d) for d in g.rotation[v])
+        return tuple(g.face_of_dart[d] for d in g.rotation[v])
 
     out = {}
     out["seven_face_thread_4plus_neighbor"] = all(

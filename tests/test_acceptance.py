@@ -11,7 +11,6 @@ import random
 import time
 
 import networkx as nx
-import pytest
 
 from facet.choosability import SimpleGraph, degree_feasible_colorable, list_color
 from facet.discharging import audit

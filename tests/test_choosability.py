@@ -59,31 +59,25 @@ class TestSimpleGraph:
             SimpleGraph.from_edges(2, [(0, 2)])
 
     def test_connectivity(self):
-        assert cycle(4).is_connected()
-        assert not SimpleGraph.from_edges(3, [(0, 1)]).is_connected()
-        assert SimpleGraph.from_edges(1, []).is_connected()
+        assert cycle(4).is_connected
+        assert not SimpleGraph.from_edges(3, [(0, 1)]).is_connected
+        assert SimpleGraph.from_edges(1, []).is_connected
 
 
 class TestBlocks:
     def test_bowtie(self):
         dec = blocks(bowtie())
-        assert sorted(sorted(b) for b in dec.blocks) == [[0, 1, 2], [2, 3, 4]]
-        assert dec.cut_vertices == {2}
+        assert sorted(sorted(b) for b in dec) == [[0, 1, 2], [2, 3, 4]]
 
     def test_path(self):
         dec = blocks(path(4))
-        assert sorted(sorted(b) for b in dec.blocks) == [[0, 1], [1, 2], [2, 3]]
-        assert dec.cut_vertices == {1, 2}
+        assert sorted(sorted(b) for b in dec) == [[0, 1], [1, 2], [2, 3]]
 
     def test_biconnected_graph_is_one_block(self):
-        dec = blocks(cycle(5))
-        assert dec.blocks == (frozenset(range(5)),)
-        assert dec.cut_vertices == frozenset()
+        assert blocks(cycle(5)) == (frozenset(range(5)),)
 
     def test_isolated_vertex_is_singleton_block(self):
-        dec = blocks(SimpleGraph.from_edges(3, [(0, 1)]))
-        assert frozenset({2}) in dec.blocks
-        assert dec.cut_vertices == frozenset()
+        assert frozenset({2}) in blocks(SimpleGraph.from_edges(3, [(0, 1)]))
 
 
 class TestGallaiTree:
@@ -224,7 +218,7 @@ class TestGraphFactCache:
     def test_cached_facts_leave_equality_and_repr_alone(self):
         g, fresh = bowtie(), bowtie()
         before = repr(g)
-        assert g.is_connected() and is_gallai_tree(g) and g.degrees
+        assert g.is_connected and is_gallai_tree(g) and g.degrees
         list_color(g, [{1, 2, 3}] * g.n)
         assert g._search_plan is g._search_plan
         assert g._search_plan == ((2, 0, 1, 3, 4), tuple(map(tuple, g.adjacency)))
@@ -361,3 +355,16 @@ def test_guarantee_implies_colorable(seed, n):
             assert coloring[u] != coloring[v]
         for v in range(n):
             assert coloring[v] in set(lists[v])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 7))
+def test_guarantee_flag_matches_degree_guarantee(seed, n):
+    # degree_feasible_colorable computes the flag itself after its own
+    # checks; it must not drift from degree_guarantee on valid input.
+    rng = random.Random(seed)
+    g = random_connected(rng, n)
+    sizes = [g.degree(v) + rng.choice((0, 0, 0, 1)) for v in range(n)]
+    lists = [rng.sample(range(1, 9), k) for k in sizes]
+    guaranteed, _, _ = degree_feasible_colorable(g, lists)
+    assert guaranteed == degree_guarantee(g, sizes)

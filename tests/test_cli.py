@@ -211,6 +211,14 @@ class TestReduce:
             ("certificate", []),
             ("host", 5),
             ("ell", float("inf")),
+            # integers are taken as they are, never coerced
+            ("ell", True),
+            ("ell", 3.9),
+            ("ell", "3"),
+            ("variables", [1.7]),
+            ("caps", [True]),
+            ("colors", 10.5),
+            ("colors", "10"),
         ],
         ids=[
             "empty-step",
@@ -220,6 +228,13 @@ class TestReduce:
             "certificate-not-string",
             "host-not-string",
             "ell-infinite",
+            "ell-bool",
+            "ell-float",
+            "ell-string",
+            "variable-float",
+            "cap-bool",
+            "colors-float",
+            "colors-string",
         ],
     )
     def test_malformed_config_file_is_input_error(self, key, value, tmp_path, capsys):

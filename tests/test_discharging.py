@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from facet.discharging import (
     ChargeLedger,
     DischargingError,
-    StructureReport,
     apply_rules,
     audit,
     initial_charges,

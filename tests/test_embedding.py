@@ -18,7 +18,6 @@ from facet.embedding import (
     facial_neighborhood,
     generate,
     identify_edges,
-    in_two_thread,
     medial,
     parse_peg,
     random_plane_graph,
@@ -91,7 +90,7 @@ class TestFaces:
         before = repr(g)
         assert g.faces() is g.faces()
         assert g.edge_gap_table(3) is g.edge_gap_table(3)
-        g.vertex_gap_table(3), g.face_of_dart(0), g.faces_at_vertex(0)
+        g.vertex_gap_table(3), g.face_of_dart[0], g.faces_at_vertex[0]
         assert g.two_thread is g.two_thread
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == before
 
@@ -168,7 +167,6 @@ class TestSurgery:
         res = contract_edge(generate("k4"), 0)
         assert (res.graph.n, res.graph.m) == (3, 5)
         assert face_lengths(res.graph) == [2, 2, 3, 3]
-        assert res.vertex_map == (0, 0, 1, 2)
 
     def test_contract_loop_refused(self):
         g = generate("cycle", 1)
@@ -268,7 +266,6 @@ def test_catalog_shape(catalog):
 def test_face_profile_run_counts():
     g = generate("theta", 2, 3, 4)
     for p in face_profiles(g):
-        assert p.n2 >= p.n2t
         # s1/s2 only count runs of length exactly 1 and 2
         assert p.s1 + 2 * p.s2 <= max(p.n2, 0) + 2
 
@@ -358,9 +355,6 @@ def test_two_thread_flags_match_reference():
     for g in hosts:
         want = tuple(reference_in_two_thread(g, v) for v in range(g.n))
         assert g.two_thread == want
-        assert [in_two_thread(g, v) for v in range(g.n)] == list(want)
-        for walk, p in zip(g.faces(), face_profiles(g)):
-            assert p.n2t == len({x for x in walk.vertices if want[x]})
         seen.update(want)
     assert seen == {True, False}
 

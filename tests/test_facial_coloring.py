@@ -186,11 +186,6 @@ class TestChromaticIndex:
                 got, _ = chromatic_index(g, ell)
                 assert got == expect, (name, ell)
 
-    def test_upper_bound_is_advisory_only(self, catalog):
-        chi, witness = chromatic_index(catalog["cycle-7"], 3, upper_bound=3)
-        assert chi == 7
-        assert verify(catalog["cycle-7"], 3, witness).ok
-
     def test_budget_gate(self, catalog):
         with pytest.raises(SolverBudgetError):
             chromatic_index(catalog["cycle-7"], 3, max_nodes=5)
@@ -198,7 +193,7 @@ class TestChromaticIndex:
     def test_matches_reference_solver_on_catalog(self, catalog):
         for name, g in catalog.items():
             for ell in (1, 2, 3):
-                got = chromatic_index(g, ell, upper_bound=3 * ell + 1)
+                got = chromatic_index(g, ell)
                 assert got == reference_chromatic_index(g, ell, 3 * ell + 1), (name, ell)
 
     def test_matches_reference_solver_on_random_graphs(self):

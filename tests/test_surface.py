@@ -1,10 +1,12 @@
-"""Every public name and every function the bench tracer wraps resolves.
+"""Every public name and every function the bench tracer wraps resolves,
+and no module imports a name it never reads.
 
 ``bench/tracer.py`` replaces the functions it names to time them, so a
 rename or deletion in facet would otherwise surface only as a failed
 ``--trace 1`` run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -13,7 +15,8 @@ import pytest
 
 import facet
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _tracer_targets():
@@ -37,3 +40,24 @@ def test_tracer_target_resolves(module_name, attr):
 def test_public_names_resolve():
     missing = [name for name in facet.__all__ if not hasattr(facet, name)]
     assert missing == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names an import binds in ``path`` that no expression reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_unread_imports():
+    # __init__.py imports names only to export them through __all__
+    paths = [p for p in (ROOT / "src" / "facet").glob("*.py") if p.name != "__init__.py"]
+    paths += (ROOT / "tests").glob("*.py")
+    unread = {p.relative_to(ROOT).as_posix(): _unread_imports(p) for p in sorted(paths)}
+    assert {k: v for k, v in unread.items() if v} == {}
