@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from facet.choosability import SimpleGraph, list_color
 from facet.embedding import EmbeddedGraph
 
 
@@ -194,14 +195,14 @@ def chromatic_index(
 ) -> tuple[int, dict[int, int]]:
     """Exact ell-facial chromatic index with a witness coloring.
 
-    Branch and bound over a static node order (conflict degree
-    descending, id as tiebreak) with conflicts and color classes as bit
-    masks.  Colors are tried in ascending order, and a node may reuse
-    any color seen so far or open exactly one fresh color, so no color
-    permutation is explored twice.  First-fit in that order seeds the
-    incumbent; the search stops once it meets the lower bound, the larger
-    of a greedy clique and :func:`_face_clique`.  The witness is the
-    first optimal coloring in search order, whatever the bound.
+    The lower bound is the larger of a greedy clique and
+    :func:`_face_clique`; first fit in conflict degree order (id as the
+    tiebreak) is the incumbent, returned when it meets the bound.
+    Otherwise each k from the bound up is decided by
+    :func:`~facet.choosability.list_color` on the conflict graph, with
+    the i-th edge of the larger clique pinned to color i and every
+    other edge offered colors 1..k; the pinning breaks the color
+    symmetry.  The witness is the first coloring found.
 
     Raises :class:`SolverBudgetError` for instances above ``max_nodes``
     conflict nodes; the search is exact but exponential, and the budget
@@ -219,37 +220,21 @@ def chromatic_index(
 
     order = _degree_order(masks)
     clique = _greedy_clique(masks, order)
-    lower = max(1, clique.bit_count(), len(_face_clique(g, ell)))
+    face = _face_clique(g, ell)
+    lower = max(1, clique.bit_count(), len(face))
     first = _first_fit(masks, order)
     best = 1 + max(first.values())
-    best_col = [first[e] for e in order]
     if best > lower:
-        adj = [masks[e] for e in order]
-        bits = [1 << e for e in order]
-        classes = [0] * best  # classes[c]: bit mask of the edges colored c
-        assign = [0] * n  # assign[i]: color of order[i]
-
-        def descend(idx: int, used: int) -> None:
-            nonlocal best, best_col
-            if idx == n:
-                best, best_col = used, assign[:]
-                return
-            conflicts, bit = adj[idx], bits[idx]
-            for c in range(used + 1):
-                now = used if c < used else c + 1
-                if now >= best:
-                    return
-                if classes[c] & conflicts:
-                    continue
-                classes[c] |= bit
-                assign[idx] = c
-                descend(idx + 1, now)
-                classes[c] ^= bit
-                if best <= lower:
-                    return
-
-        descend(0, 0)
-    return best, {e: c + 1 for e, c in zip(order, best_col)}
+        if len(face) <= clique.bit_count():
+            face = {e for e in range(n) if clique >> e & 1}
+        pinned = {e: (i,) for i, e in enumerate(sorted(face), 1)}
+        sg = SimpleGraph.from_edges(n, g.edge_gap_table(ell))
+        for k in range(lower, best):
+            lists = [pinned.get(e, range(1, k + 1)) for e in range(n)]
+            found = list_color(sg, lists, max_nodes=max_nodes)
+            if found is not None:
+                return k, found
+    return best, {e: c + 1 for e, c in first.items()}
 
 
 # -- coloring text format --------------------------------------------------

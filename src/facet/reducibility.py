@@ -76,12 +76,14 @@ class Configuration:
     obligations: tuple[str, ...]
 
     @property
+    def free(self) -> tuple[int, ...]:
+        """The 1-based variables that are not dummies, in order."""
+        return tuple(v for v in range(1, len(self.variables) + 1) if v not in self.dummies)
+
+    @property
     def uncolored(self) -> tuple[int, ...]:
         """Host edges whose colors are forgotten before re-extension."""
-        dead = set(self.dummies)
-        return tuple(
-            e for i, e in enumerate(self.variables) if i + 1 not in dead
-        )
+        return tuple(self.variables[v - 1] for v in self.free)
 
 
 @dataclass(frozen=True)
@@ -165,11 +167,10 @@ def check(config: Configuration) -> CheckReport:
         if bad_edges:
             log("variable-edges", False, f"edge ids {bad_edges} not in host")
         return CheckReport(name=config.name, ok=False, steps=tuple(steps))
-    dead = set(config.dummies)
+    free = set(config.free)
     bad_pairs = [
         p for p in config.conflicts
-        if not (1 <= p[0] <= nvars and 1 <= p[1] <= nvars)
-        or p[0] == p[1] or p[0] in dead or p[1] in dead
+        if p[0] not in free or p[1] not in free or p[0] == p[1]
     ]
     log(
         "conflict-indices",
@@ -235,7 +236,7 @@ def check(config: Configuration) -> CheckReport:
     short = []
     for i, e in enumerate(config.variables):
         cap = config.caps[i]
-        if i + 1 in dead:
+        if i + 1 not in free:
             if cap != 1:
                 short.append((i + 1, "dummy cap must be 1"))
             continue
@@ -305,7 +306,7 @@ def _check_obligation(config: Configuration, ob: str) -> list[CheckStep]:
     def log(label: str, ok: bool, detail: str) -> None:
         steps.append(CheckStep(label, bool(ok), detail))
 
-    free = [i + 1 for i in range(len(config.variables)) if i + 1 not in set(config.dummies)]
+    free = list(config.free)
     sg = _conflict_subgraph(config, free)
     caps = {v: config.caps[v - 1] for v in free}
 
@@ -693,7 +694,8 @@ def _int(x, field: str) -> int:
 def configuration_from_json(text: str) -> Configuration:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack
         raise ConfigurationError(f"bad JSON: {exc}") from exc
     try:
         if not isinstance(doc["name"], str):
@@ -707,6 +709,9 @@ def configuration_from_json(text: str) -> Configuration:
             raise ConfigurationError(
                 f"certificate must be null or a string, got {certificate!r}"
             )
+        obligations = doc.get("obligations", [])
+        if not isinstance(obligations, list) or not all(isinstance(x, str) for x in obligations):
+            raise ConfigurationError(f"obligations must be a list of strings, got {obligations!r}")
         return Configuration(
             name=doc["name"],
             description=str(doc.get("description", "")),
@@ -722,7 +727,7 @@ def configuration_from_json(text: str) -> Configuration:
             ),
             caps=tuple(_int(x, "caps") for x in doc["caps"]),
             certificate=certificate,
-            obligations=tuple(str(x) for x in doc.get("obligations", [])),
+            obligations=tuple(obligations),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigurationError):

@@ -478,8 +478,9 @@ def reference_uncovered_pairs(config):
 
 def reference_chromatic_index(g, ell, upper_bound=None):
     """Earlier exact solver: set adjacency, greedy-clique lower bound only,
-    and a second first fit capped at ``upper_bound``.  Same static order,
-    color order and canonical fresh-color rule as the library solver."""
+    and a second first fit capped at ``upper_bound``; branch and bound
+    over a static order with the canonical fresh-color rule, sharing no
+    search code with the library solver."""
     adjacency = [set() for _ in range(g.m)]
     for (a, b), (gap, _, _, _) in reference_gap_table(g, "edges").items():
         if gap <= ell:

@@ -219,6 +219,9 @@ class TestReduce:
             ("caps", [True]),
             ("colors", 10.5),
             ("colors", "10"),
+            # a string is not read as a list of one-character obligations
+            ("obligations", "forced-extension"),
+            ("obligations", [1]),
         ],
         ids=[
             "empty-step",
@@ -235,6 +238,8 @@ class TestReduce:
             "cap-bool",
             "colors-float",
             "colors-string",
+            "obligations-string",
+            "obligation-not-string",
         ],
     )
     def test_malformed_config_file_is_input_error(self, key, value, tmp_path, capsys):
@@ -248,6 +253,17 @@ class TestReduce:
         assert main(["reduce", "--config-file", str(f)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_deeply_nested_config_file_is_input_error(self, tmp_path, capsys):
+        # deeper than the JSON decoder's recursion limit
+        text = "[" * 5000
+        with pytest.raises(ConfigurationError):
+            configuration_from_json(text)
+        f = tmp_path / "nested.json"
+        f.write_text(text)
+        assert main(["reduce", "--config-file", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad JSON: ")
 
     @pytest.mark.parametrize(
         "name, step, detail",
