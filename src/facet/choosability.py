@@ -10,6 +10,7 @@ two agree.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Collection, Hashable, Iterable, Optional, Sequence
@@ -164,6 +165,32 @@ def degree_guarantee(g: SimpleGraph, sizes: Sequence[int]) -> bool:
     )
 
 
+# The colors sorted by repr, and color i's bit 1 << i (a dict the memo
+# shares; never changed).  Memoized for palettes of plain ints only, where
+# equal colors have equal reprs: {True, 2} equals {1, 2} yet sorts apart.
+@functools.lru_cache(maxsize=256)
+def _palette(colors: frozenset) -> tuple[tuple, dict]:
+    colors = tuple(sorted(colors, key=repr))
+    return colors, {c: 1 << i for i, c in enumerate(colors)}
+
+
+def _domains(lists: Sequence[Collection[Hashable]]) -> tuple[tuple, list[int]]:
+    """The union of the lists as a palette, and each list as a bit mask."""
+    palette = frozenset().union(*lists)
+    sort = _palette if set(map(type, palette)) <= {int} else _palette.__wrapped__
+    colors, bit = sort(palette)
+    domains = []
+    for l in lists:
+        d = 0
+        for c in l:
+            d |= bit[c]
+        domains.append(d)
+    # the union used up any one-shot iterator, which leaves its mask 0
+    if 0 in domains and not all(hasattr(l, "__len__") for l in lists):
+        raise ListColoringError("each list must be a collection")
+    return colors, domains
+
+
 def list_color(
     g: SimpleGraph,
     lists: Sequence[Collection[Hashable]],
@@ -172,11 +199,12 @@ def list_color(
     """Exact list-coloring search; a proper assignment or ``None``.
 
     Backtracking with forward checking on bit masks: color ``i`` is bit
-    ``i`` of the union of the lists sorted once by ``repr``, and each
-    vertex's live colors are one int.  Vertices are attacked fewest live
-    colors first (degree descending, id as the tiebreaks), and each
-    tries its live colors in ``repr`` order.  The returned dict lists
-    the vertices in the order they were colored.
+    ``i`` of the union of the lists sorted by ``repr`` (once per process
+    for a palette of plain ints), and each vertex's live colors are one
+    int; :func:`degree_feasible_colorable` shares this set-up.  Vertices
+    are attacked fewest live colors first (degree descending, id as the
+    tiebreaks), and each tries its live colors in ``repr`` order.  The
+    returned dict lists the vertices in the order they were colored.
     """
     if len(lists) != g.n:
         raise ListColoringError("one list per vertex required")
@@ -184,16 +212,13 @@ def list_color(
         raise SearchBudgetError(
             f"graph has {g.n} vertices, search budget is {max_nodes}"
         )
-    colors = sorted(set().union(*lists), key=repr)
-    bit = {c: 1 << i for i, c in enumerate(colors)}
-    domains = []
-    for l in lists:
-        d = 0
-        for c in l:
-            d |= bit[c]
-        if not d:
-            return None
-        domains.append(d)
+    return _search(g, *_domains(lists))
+
+
+def _search(g: SimpleGraph, colors: tuple, domains: list[int]) -> Optional[dict]:
+    """:func:`list_color`'s search on :func:`_domains`' output; overwrites it."""
+    if 0 in domains:
+        return None
     order, nbrs = g._search_plan
     # one frame (vertex, live colors, untried colors, pruned neighbors,
     # bit) per colored vertex; a colored vertex's domain is 0, so pruning
@@ -239,25 +264,28 @@ def list_color(
 
 
 def degree_feasible_colorable(
-    g: SimpleGraph, lists: Sequence[Iterable[Hashable]]
+    g: SimpleGraph, lists: Sequence[Collection[Hashable]]
 ) -> tuple[bool, bool, Optional[dict[int, Hashable]]]:
     """Degree-feasibility guarantee plus exact confirmation.
 
-    Requires a connected graph and ``|L(v)| >= d(v)`` everywhere.
-    Returns ``(guaranteed, colorable, coloring)`` where ``guaranteed``
-    is True when some list exceeds its degree or the graph is not a
-    Gallai tree; in that case the search must succeed.
+    Requires a connected graph and ``|L(v)| >= d(v)`` everywhere (distinct
+    colors counted).  Returns ``(guaranteed, colorable, coloring)`` where
+    ``guaranteed`` is True when some list exceeds its degree or the graph
+    is not a Gallai tree; in that case the search must succeed.  The
+    lists are encoded once, by :func:`list_color`'s set-up and budget.
     """
     if not g.is_connected:
         raise ListColoringError("guarantee needs a connected graph")
-    sets = [set(l) for l in lists]
-    sizes = list(map(len, sets))
+    colors, domains = _domains(lists)
+    sizes = list(map(int.bit_count, domains))
     if len(sizes) != g.n:
         raise ListColoringError("one list per vertex required")
     if not all(map(operator.ge, sizes, g.degrees)):
         v = next(v for v, d in enumerate(g.degrees) if sizes[v] < d)
         raise ListColoringError(f"list at vertex {v} smaller than its degree")
-    coloring = list_color(g, sets)
+    if g.n > 25:
+        raise SearchBudgetError(f"graph has {g.n} vertices, search budget is 25")
+    coloring = _search(g, colors, domains)
     # the checks above are degree_guarantee's first two conditions
     guaranteed = sum(sizes) > sum(g.degrees) or not is_gallai_tree(g)
     return guaranteed, coloring is not None, coloring

@@ -128,6 +128,13 @@ class TestListColor:
         with pytest.raises(SearchBudgetError):
             list_color(path(30), [{1, 2}] * 30)
 
+    @pytest.mark.parametrize("fn", [list_color, degree_feasible_colorable])
+    def test_one_shot_iterators_refused(self, fn):
+        # building the palette would use them up, leaving empty lists
+        for lists in ([iter([1, 2]), iter([1, 2])], [[1, 2], (c for c in (1, 2))]):
+            with pytest.raises(ListColoringError, match="collection"):
+                fn(path(2), lists)
+
 
 class TestDegreeFeasible:
     def test_k3_tight_lists_not_guaranteed_not_colorable(self):
@@ -158,6 +165,33 @@ class TestDegreeFeasible:
     def test_needs_connected(self):
         with pytest.raises(ListColoringError, match="connected"):
             degree_feasible_colorable(SimpleGraph.from_edges(2, []), [{1}, {1}])
+
+    def test_repeated_colors_count_once(self):
+        # [1, 1] has one color, below degree 2, though its length is 2
+        for g, lists in [
+            (complete(3), [[1, 1, 2], [2, 1, 2], [1, 2]]),
+            (complete(3), [[1, 1, 2, 3], [2, 2, 1], [1, 2]]),
+            (complete(3), [[1, 1], [1, 2], [1, 2]]),
+            (cycle(4), [[1, 2, 1], [2, 2, 1], [1, 2], [2, 1, 1]]),
+            (path(3), [[5, 5], [5, 6, 6], [6, 6]]),
+        ]:
+            assert _outcome(degree_feasible_colorable, g, lists) == _outcome(
+                reference_degree_feasible_colorable, g, lists
+            ), lists
+        with pytest.raises(ListColoringError, match="vertex 0 smaller than its degree"):
+            degree_feasible_colorable(complete(3), [[1, 1], [1, 2], [1, 2]])
+        rng = random.Random(9)
+        for g in _small_atlas_graphs():
+            for _ in range(10):
+                lists = [rng.choices(range(1, 5), k=g.degree(v) + 1) for v in range(g.n)]
+                assert _outcome(degree_feasible_colorable, g, lists) == _outcome(
+                    reference_degree_feasible_colorable, g, lists
+                ), (g, lists)
+
+    def test_budget(self):
+        g = path(26)
+        with pytest.raises(SearchBudgetError, match="26 vertices"):
+            degree_feasible_colorable(g, [range(g.degree(v)) for v in range(g.n)])
 
 
 class TestDegreeGuarantee:
@@ -269,6 +303,7 @@ def _same_search(g, lists):
     assert got == want, (g, lists)
     if got is not None:
         assert list(got.items()) == list(want.items()), (g, lists)
+        assert list(map(type, got.values())) == list(map(type, want.values()))
     return got
 
 
@@ -284,6 +319,18 @@ class TestSearchOrder:
             for _ in range(60):
                 lists = [rng.sample(palette, rng.randint(1, 3)) for _ in range(g.n)]
                 _same_search(g, lists)
+
+    def test_palettes_equal_to_an_int_palette(self):
+        # {True, 2}, {1.0, 2} and {1, 2.0} equal {1, 2} as sets; after
+        # {1, 2} has been searched, each must still be sorted and colored
+        # from its own colors
+        rng = random.Random(6)
+        graphs = (path(2), path(3), complete(3), cycle(4), bowtie())
+        for palette in ([1, 2], [1, 2, 3], [True, 2], [1.0, 2], [1, 2.0], [True, 2, 3]):
+            for g in graphs:
+                for _ in range(20):
+                    lists = [rng.sample(palette, rng.randint(1, 2)) for _ in range(g.n)]
+                    _same_search(g, lists)
 
     def test_tight_lists_on_cliques_and_odd_cycles(self):
         # Degree-sized lists: both outcomes occur, and a refusal means
