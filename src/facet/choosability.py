@@ -17,6 +17,8 @@ from typing import Collection, Hashable, Iterable, Optional, Sequence
 
 from facet._cached import cached_attribute
 
+_MAX_NODES = 25  # the exact search's default budget, in vertices
+
 
 class ListColoringError(ValueError):
     pass
@@ -165,9 +167,8 @@ def degree_guarantee(g: SimpleGraph, sizes: Sequence[int]) -> bool:
     )
 
 
-# The colors sorted by repr, and color i's bit 1 << i (a dict the memo
-# shares; never changed).  Memoized for palettes of plain ints only, where
-# equal colors have equal reprs: {True, 2} equals {1, 2} yet sorts apart.
+# The colors sorted by repr and color i's bit 1 << i (shared; never changed),
+# memoized for plain ints only: {True, 2} equals {1, 2} yet sorts apart.
 @functools.lru_cache(maxsize=256)
 def _palette(colors: frozenset) -> tuple[tuple, dict]:
     colors = tuple(sorted(colors, key=repr))
@@ -194,7 +195,7 @@ def _domains(lists: Sequence[Collection[Hashable]]) -> tuple[tuple, list[int]]:
 def list_color(
     g: SimpleGraph,
     lists: Sequence[Collection[Hashable]],
-    max_nodes: int = 25,
+    max_nodes: int = _MAX_NODES,
 ) -> Optional[dict[int, Hashable]]:
     """Exact list-coloring search; a proper assignment or ``None``.
 
@@ -208,15 +209,14 @@ def list_color(
     """
     if len(lists) != g.n:
         raise ListColoringError("one list per vertex required")
+    return _search(g, *_domains(lists), max_nodes)
+
+
+def _search(g: SimpleGraph, colors: tuple, domains: list, max_nodes: int) -> Optional[dict]:
+    """:func:`list_color`'s budget and search on :func:`_domains`' output,
+    which it overwrites; a 0 mask is an empty list, not a used-up iterator."""
     if g.n > max_nodes:
-        raise SearchBudgetError(
-            f"graph has {g.n} vertices, search budget is {max_nodes}"
-        )
-    return _search(g, *_domains(lists))
-
-
-def _search(g: SimpleGraph, colors: tuple, domains: list[int]) -> Optional[dict]:
-    """:func:`list_color`'s search on :func:`_domains`' output; overwrites it."""
+        raise SearchBudgetError(f"graph has {g.n} vertices, search budget is {max_nodes}")
     if 0 in domains:
         return None
     order, nbrs = g._search_plan
@@ -268,11 +268,10 @@ def degree_feasible_colorable(
 ) -> tuple[bool, bool, Optional[dict[int, Hashable]]]:
     """Degree-feasibility guarantee plus exact confirmation.
 
-    Requires a connected graph and ``|L(v)| >= d(v)`` everywhere (distinct
-    colors counted).  Returns ``(guaranteed, colorable, coloring)`` where
-    ``guaranteed`` is True when some list exceeds its degree or the graph
-    is not a Gallai tree; in that case the search must succeed.  The
-    lists are encoded once, by :func:`list_color`'s set-up and budget.
+    Requires a connected graph and ``|L(v)| >= d(v)`` in distinct colors.
+    Returns ``(guaranteed, colorable, coloring)`` where ``guaranteed`` is
+    True when some list exceeds its degree or the graph is not a Gallai
+    tree; in that case :func:`list_color`'s set-up and search must succeed.
     """
     if not g.is_connected:
         raise ListColoringError("guarantee needs a connected graph")
@@ -283,9 +282,7 @@ def degree_feasible_colorable(
     if not all(map(operator.ge, sizes, g.degrees)):
         v = next(v for v, d in enumerate(g.degrees) if sizes[v] < d)
         raise ListColoringError(f"list at vertex {v} smaller than its degree")
-    if g.n > 25:
-        raise SearchBudgetError(f"graph has {g.n} vertices, search budget is 25")
-    coloring = _search(g, colors, domains)
+    coloring = _search(g, colors, domains, _MAX_NODES)
     # the checks above are degree_guarantee's first two conditions
     guaranteed = sum(sizes) > sum(g.degrees) or not is_gallai_tree(g)
     return guaranteed, coloring is not None, coloring

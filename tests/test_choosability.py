@@ -332,6 +332,16 @@ class TestSearchOrder:
                     lists = [rng.sample(palette, rng.randint(1, 2)) for _ in range(g.n)]
                     _same_search(g, lists)
 
+    def test_memo_holds_int_palettes_only(self):
+        memo = choosability._palette
+        memo.cache_clear()
+        list_color(path(2), [[1, 2], [1, 2]])
+        list_color(path(2), [[2, 1], [1, 2]])
+        assert memo.cache_info()[:2] == (1, 1)  # hits, misses
+        for palette in ([True, 2], [1.0, 2], [1, 2.0]):
+            list_color(path(2), [palette, palette])
+        assert memo.cache_info()[:2] == (1, 1)
+
     def test_tight_lists_on_cliques_and_odd_cycles(self):
         # Degree-sized lists: both outcomes occur, and a refusal means
         # every branch was tried and taken back.
