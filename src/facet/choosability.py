@@ -177,7 +177,10 @@ def _palette(colors: frozenset) -> tuple[tuple, dict]:
 
 def _domains(lists: Sequence[Collection[Hashable]]) -> tuple[tuple, list[int]]:
     """The union of the lists as a palette, and each list as a bit mask."""
-    palette = frozenset().union(*lists)
+    try:
+        palette = frozenset().union(*lists)
+    except TypeError as exc:  # a list that is not iterable, or an unhashable color
+        raise ListColoringError(f"each list must be a collection of colors: {exc}") from exc
     sort = _palette if set(map(type, palette)) <= {int} else _palette.__wrapped__
     colors, bit = sort(palette)
     domains = []

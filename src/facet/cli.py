@@ -29,7 +29,6 @@ from facet.embedding import (
 from facet.facial_coloring import (
     SolverBudgetError,
     chromatic_index,
-    conflict_graph,
     parse_coloring,
     serialize_coloring,
     verify,
@@ -123,14 +122,13 @@ def _elt(e: tuple[str, int]) -> str:
 
 
 def _dot_conflicts(g: EmbeddedGraph, ell: int, path: str) -> None:
-    cg = conflict_graph(g, ell)
-    lines = ["graph conflicts {"]
-    for e in range(cg.n_edges):
-        lines.append(f"  {e};")
-    for a, b in cg.pairs():
-        gap = cg.witness[(a, b)][0]
-        lines.append(f'  {a} -- {b} [label="{gap}"];')
-    lines.append("}")
+    gaps = g.edge_gap_table(ell)
+    lines = [
+        "graph conflicts {",
+        *(f"  {e};" for e in range(g.m)),
+        *(f'  {a} -- {b} [label="{gaps[a, b][0]}"];' for a, b in sorted(gaps)),
+        "}",
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

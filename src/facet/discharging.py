@@ -601,7 +601,6 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
 # -- audit ------------------------------------------------------------------
 
 VERDICT_VIOLATES = "violates-structure"
-VERDICT_IMPOSSIBLE = "counterexample-impossible"
 VERDICT_ANOMALY = "discharging-anomaly"
 
 
@@ -609,14 +608,12 @@ VERDICT_ANOMALY = "discharging-anomaly"
 class AuditReport:
     """Discharging outcome for one connected plane graph.
 
-    ``verdict`` is one of three strings: "violates-structure" when at
-    least one structural predicate fails (the graph cannot be a minimal
-    counterexample for structural reasons); "counterexample-impossible"
-    when every predicate holds and every final charge is nonnegative,
-    contradicting the fixed total of -12; "discharging-anomaly" when
-    every predicate holds yet some final charge is negative, which would
-    mean the rule set fails on a structurally admissible graph and
-    should never occur.
+    ``verdict`` is "violates-structure" when at least one structural
+    predicate fails (the graph cannot be a minimal counterexample for
+    structural reasons), and "discharging-anomaly" when every predicate
+    holds: the final charges sum to -12, so some element ends negative,
+    which would mean the rule set fails on a structurally admissible
+    graph and should never occur.
     """
 
     ledger: ChargeLedger
@@ -637,10 +634,5 @@ def audit(g: EmbeddedGraph) -> AuditReport:
             f"final {ledger.total_final}"
         )
     structure = structure_report(g)
-    if not structure.all_pass:
-        verdict = VERDICT_VIOLATES
-    elif ledger.negatives():
-        verdict = VERDICT_ANOMALY
-    else:
-        verdict = VERDICT_IMPOSSIBLE
+    verdict = VERDICT_ANOMALY if structure.all_pass else VERDICT_VIOLATES
     return AuditReport(ledger=ledger, structure=structure, verdict=verdict)

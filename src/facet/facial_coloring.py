@@ -10,7 +10,7 @@ problems on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from facet.choosability import SimpleGraph, list_color
@@ -23,24 +23,6 @@ class ColoringError(ValueError):
 
 class SolverBudgetError(RuntimeError):
     """Instance exceeds the exact solver's size budget."""
-
-
-@dataclass(frozen=True)
-class ConflictGraph:
-    """Conflict structure of an ell-facial coloring instance.
-
-    ``adjacency[e]`` lists the edges conflicting with ``e``; ``witness``
-    maps each conflicting pair (lo, hi) to ``(gap, face, pos_lo, pos_hi)``
-    naming a face walk realising the minimal gap.
-    """
-
-    ell: int
-    n_edges: int
-    adjacency: tuple[frozenset[int], ...]
-    witness: dict[tuple[int, int], tuple[int, int, int, int]] = field(compare=False)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.witness)
 
 
 @dataclass(frozen=True)
@@ -64,19 +46,9 @@ class Verdict:
     missing: tuple[int, ...] = ()
 
 
-def conflict_graph(g: EmbeddedGraph, ell: int) -> ConflictGraph:
-    """Build the ell-facial conflict graph of a plane pseudograph."""
-    witness = dict(g.edge_gap_table(ell))
-    adj: list[set[int]] = [set() for _ in range(g.m)]
-    for a, b in witness:
-        adj[a].add(b)
-        adj[b].add(a)
-    return ConflictGraph(
-        ell=ell,
-        n_edges=g.m,
-        adjacency=tuple(frozenset(s) for s in adj),
-        witness=witness,
-    )
+def conflict_graph(g: EmbeddedGraph, ell: int) -> SimpleGraph:
+    """The ell-facial conflict graph: vertex ``e`` is edge ``e`` of ``g``."""
+    return SimpleGraph.from_edges(g.m, g.edge_gap_table(ell))
 
 
 def _conflict_masks(g: EmbeddedGraph, ell: int) -> list[int]:
@@ -228,7 +200,7 @@ def chromatic_index(
         if len(face) <= clique.bit_count():
             face = {e for e in range(n) if clique >> e & 1}
         pinned = {e: (i,) for i, e in enumerate(sorted(face), 1)}
-        sg = SimpleGraph.from_edges(n, g.edge_gap_table(ell))
+        sg = conflict_graph(g, ell)
         for k in range(lower, best):
             lists = [pinned.get(e, range(1, k + 1)) for e in range(n)]
             found = list_color(sg, lists, max_nodes=max_nodes)

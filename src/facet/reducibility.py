@@ -140,13 +140,6 @@ def _surgery_step(step) -> tuple:
     return (kind, *ids)
 
 
-def _run_surgery(g: EmbeddedGraph, steps: tuple[tuple, ...]) -> EmbeddedGraph:
-    for step in steps:
-        kind, *ids = _surgery_step(step)
-        g = getattr(embedding, kind)(g, *ids).graph
-    return g
-
-
 def check(config: Configuration) -> CheckReport:
     """Replay and verify every claim a configuration makes."""
     steps: list[CheckStep] = []
@@ -181,9 +174,18 @@ def check(config: Configuration) -> CheckReport:
     dup = len(set(config.variables)) != nvars
     log("variable-edges", not dup, "variable edges distinct")
 
-    # Surgery runs and shrinks.
+    # Surgery runs and shrinks, and each identification joins edges that
+    # are not already facially close in the graph it acts on.  An edge
+    # id out of range fails the distance with the error the step would
+    # raise, and a failed step leaves the steps after it unmeasured.
+    reduced, identified = g, []
     try:
-        reduced = _run_surgery(g, config.surgery)
+        for step in config.surgery:
+            kind, *ids = _surgery_step(step)
+            if kind == "identify_edges":
+                e, f, _ = ids
+                identified.append((e, f, facial_distance(reduced, e, f)))
+            reduced = getattr(embedding, kind)(reduced, *ids).graph
         shrunk = (reduced.n, reduced.m) < (g.n, g.m)
         log(
             "surgery",
@@ -192,25 +194,8 @@ def check(config: Configuration) -> CheckReport:
         )
     except (EmbeddingError, ConfigurationError) as exc:
         log("surgery", False, str(exc))
-
-    # Identified edges must not already be facially close; a malformed
-    # step, or one naming an edge outside the host, has failed the
-    # surgery already.
-    for step in config.surgery:
-        if not isinstance(step, (list, tuple)) or len(step) != 4:
-            continue
-        kind, e, f, _ = step
-        if kind != "identify_edges" or not all(
-            type(x) is int and 0 <= x < g.m for x in (e, f)
-        ):
-            continue
-        d = facial_distance(g, e, f)
-        ok = d > config.ell
-        log(
-            "identify-distance",
-            ok,
-            f"edges {e},{f} at facial distance {d}",
-        )
+    for e, f, d in identified:
+        log("identify-distance", d > config.ell, f"edges {e},{f} at facial distance {d}")
 
     # Actual conflicts among uncolored edges are covered.
     uncolored = config.uncolored

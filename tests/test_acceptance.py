@@ -92,12 +92,9 @@ def test_criterion_5_no_consistent_counterexample(catalog):
     graphs = list(catalog.values())
     graphs += [random_plane_graph(seed) for seed in range(200)]
     for g in graphs:
-        rep = audit(g)
-        assert rep.verdict != "discharging-anomaly"
-        assert rep.verdict in {"violates-structure", "counterexample-impossible"}
-        if rep.structure.all_pass:
-            assert all(ch >= 0 for ch in rep.ledger.vertex_final)
-            assert all(ch >= 0 for ch in rep.ledger.face_final)
+        # the final charges sum to -12, so a graph passing every
+        # predicate would be a discharging anomaly
+        assert audit(g).verdict == "violates-structure"
 
 
 def _atlas_graphs():

@@ -135,6 +135,14 @@ class TestListColor:
             with pytest.raises(ListColoringError, match="collection"):
                 fn(path(2), lists)
 
+    @pytest.mark.parametrize("fn", [list_color, degree_feasible_colorable])
+    @pytest.mark.parametrize(
+        "lists", [[None, [1]], [5, [1]], [[[1]], [1]]], ids=["none", "int", "unhashable"]
+    )
+    def test_non_collection_or_unhashable_color_refused(self, fn, lists):
+        with pytest.raises(ListColoringError, match="collection of colors"):
+            fn(path(2), lists)
+
 
 class TestDegreeFeasible:
     def test_k3_tight_lists_not_guaranteed_not_colorable(self):

@@ -1,6 +1,8 @@
 """End-to-end runs of the facet command line."""
 
+import contextlib
 import gc
+import io
 import json
 import subprocess
 import sys
@@ -30,6 +32,41 @@ DISCONNECTED_PEG = (
     "rot 0 0 5\nrot 1 2 1\nrot 2 4 3\n"
     "rot 3 6 11\nrot 4 8 7\nrot 5 10 9\n"
 )
+
+
+# Every pair of C7's edges is within 3 on a face walk; the label is the gap.
+C7_DOT = """\
+graph conflicts {
+  0;
+  1;
+  2;
+  3;
+  4;
+  5;
+  6;
+  0 -- 1 [label="1"];
+  0 -- 2 [label="2"];
+  0 -- 3 [label="3"];
+  0 -- 4 [label="3"];
+  0 -- 5 [label="2"];
+  0 -- 6 [label="1"];
+  1 -- 2 [label="1"];
+  1 -- 3 [label="2"];
+  1 -- 4 [label="3"];
+  1 -- 5 [label="3"];
+  1 -- 6 [label="2"];
+  2 -- 3 [label="1"];
+  2 -- 4 [label="2"];
+  2 -- 5 [label="3"];
+  2 -- 6 [label="3"];
+  3 -- 4 [label="1"];
+  3 -- 5 [label="2"];
+  3 -- 6 [label="3"];
+  4 -- 5 [label="1"];
+  4 -- 6 [label="2"];
+  5 -- 6 [label="1"];
+}
+"""
 
 
 @pytest.fixture()
@@ -125,10 +162,7 @@ class TestChi:
     def test_dot_export(self, c7, tmp_path, capsys):
         dot = tmp_path / "g.dot"
         assert main(["chi", "--graph", str(c7), "--dot", str(dot)]) == 0
-        text = dot.read_text()
-        assert text.startswith("graph conflicts {")
-        assert text.rstrip().endswith("}")
-        assert '0 -- 1 [label="1"];' in text
+        assert dot.read_text() == C7_DOT
 
     def test_budget_exceeded_is_input_error(self, c7, capsys):
         assert main(["chi", "--graph", str(c7), "--budget", "2"]) == 2
@@ -280,6 +314,18 @@ class TestReduce:
         f.write_text(json.dumps(doc))
         assert main(["reduce", "--config-file", str(f)]) == 1
         assert lines(capsys) == [f"FAIL {name}: surgery ({detail})", "all = fail"]
+
+    def test_identification_too_close_after_earlier_step_fails(self, tmp_path, capsys):
+        config = next(c for c in catalog() if c.name == "eight-face")
+        doc = json.loads(configuration_to_json(config))
+        doc["surgery"] = [["delete_edge", 0], ["identify_edges", 1, 16, 0]]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main(["reduce", "--config-file", str(f)]) == 1
+        assert lines(capsys) == [
+            "FAIL eight-face: identify-distance (edges 1,16 at facial distance 2)",
+            "all = fail",
+        ]
 
     def test_unknown_config_name(self, capsys):
         assert main(["reduce", "--config", "nope"]) == 2
@@ -534,6 +580,46 @@ _DOCS = st.recursive(
     ),
     max_leaves=30,
 )
+
+
+# Each file reader: a valid document and the command that reads it.  The
+# configuration (eight-face) is compact JSON, so more edits land on its
+# keys and values.
+READER_INPUTS = {
+    "config": (
+        json.dumps(json.loads(configuration_to_json(catalog()[3]))),
+        ["reduce", "--config-file"],
+    ),
+    "peg": (serialize_peg(generate("prism", 4)), ["chi", "--graph"]),
+    "pairs": ("p 1 2\np 2 3\np 1 3\nt 2 1 0\n", ["cn", "--pairs"]),
+}
+
+# Text inserted by an edit: mostly characters the three formats use.
+_INSERTS = st.text(
+    st.sampled_from('0123456789-.[]{}",: \nprte') | st.characters(codec="utf-8"),
+    max_size=4,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@pytest.mark.parametrize("reader", sorted(READER_INPUTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_input_exits_0_1_or_2(reader, data, fuzz_file):
+    # up to four edits, each cutting up to 3 characters at a position
+    # and inserting up to 4 there
+    text, argv = READER_INPUTS[reader]
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 3))
+        text = text[:at] + data.draw(_INSERTS) + text[at + cut:]
+    fuzz_file.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([*argv, str(fuzz_file)]) in (0, 1, 2)
 
 
 class TestJsonWriter:

@@ -55,13 +55,6 @@ class TestConflictGraph:
             }
             assert set(cg.adjacency[e]) == expect
 
-    def test_witness_keys_sorted_pairs(self, catalog):
-        cg = conflict_graph(catalog["k4"], 2)
-        for a, b in cg.pairs():
-            assert a < b
-            gap, face, pi, pj = cg.witness[(a, b)]
-            assert gap <= 2 and face >= 0 and pi >= 0 and pj >= 0
-
     def test_ell_zero_rejected(self, catalog):
         with pytest.raises(ValueError):
             conflict_graph(catalog["cycle-3"], 0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -47,6 +48,107 @@ REAL_CONFLICTS = [
     for pair in c.conflicts
     if facial_distance(c.host, *(c.variables[v - 1] for v in pair)) <= c.ell
 ]
+
+
+# Every step of `check` on each catalog entry, as (label, ok, detail).
+CHECK_STEPS = {
+    "four-vertex": [
+        ("shape", True, "8 variables, 8 caps"),
+        ("conflict-indices", True, "conflicts stay on free variables"),
+        ("variable-edges", True, "variable edges distinct"),
+        ("surgery", True, "host (9v,12e) -> reduced (4v,4e)"),
+        ("conflicts-covered", True, "derived conflicts covered by transcription"),
+        ("availability", True, "all caps met"),
+        ("certificate-transcription", True, "pairs and caps agree"),
+        ("certificate-coefficient", True, "coefficient 6, pinned 6"),
+        ("certificate-room", True, "target exponents fit below caps"),
+        ("certificate-witness", True, "witness monomial (3, 3, 3, 3, 2, 2, 2, 2)"),
+    ],
+    "face-length-4": [
+        ("shape", True, "4 variables, 4 caps"),
+        ("conflict-indices", True, "conflicts stay on free variables"),
+        ("variable-edges", True, "variable edges distinct"),
+        ("surgery", True, "host (8v,12e) -> reduced (5v,8e)"),
+        ("conflicts-covered", True, "derived conflicts covered by transcription"),
+        ("availability", True, "all caps met"),
+        ("slack-list-extension", True, "sizes [4, 4, 4, 4] vs degrees [3, 3, 3, 3]"),
+    ],
+    "three-thread": [
+        ("shape", True, "1 variables, 1 caps"),
+        ("conflict-indices", True, "conflicts stay on free variables"),
+        ("variable-edges", True, "variable edges distinct"),
+        ("surgery", True, "host (11v,12e) -> reduced (10v,11e)"),
+        ("conflicts-covered", True, "derived conflicts covered by transcription"),
+        ("availability", True, "all caps met"),
+        ("forced-extension", True, "single conflict-free edge with a spare color"),
+    ],
+    "eight-face": [
+        ("shape", True, "6 variables, 6 caps"),
+        ("conflict-indices", True, "conflicts stay on free variables"),
+        ("variable-edges", True, "variable edges distinct"),
+        ("surgery", True, "host (16v,24e) -> reduced (14v,23e)"),
+        ("identify-distance", True, "edges 8,12 at facial distance 4"),
+        ("conflicts-covered", True, "derived conflicts covered by transcription"),
+        ("availability", True, "all caps met"),
+        ("non-conflict-matching", True, "non-conflicting pairs [(1, 4), (2, 5), (3, 6)]"),
+        ("common-color-1-4", True, "residual sizes [2, 2, 2, 2], degrees [2, 2, 2, 2]"),
+        ("common-color-2-5", True, "residual sizes [2, 2, 2, 2], degrees [2, 2, 2, 2]"),
+        ("common-color-3-6", True, "residual sizes [2, 2, 2, 2], degrees [2, 2, 2, 2]"),
+        ("disjoint-representatives", True, "size-level Hall condition holds"),
+    ],
+    "nine-face": [
+        ("shape", True, "7 variables, 7 caps"),
+        ("conflict-indices", True, "conflicts stay on free variables"),
+        ("variable-edges", True, "variable edges distinct"),
+        ("surgery", True, "host (17v,25e) -> reduced (15v,24e)"),
+        ("identify-distance", True, "edges 14,10 at facial distance 4"),
+        ("conflicts-covered", True, "derived conflicts covered by transcription"),
+        ("availability", True, "all caps met"),
+        ("certificate-transcription", True, "pairs and caps agree"),
+        ("certificate-coefficient", True, "coefficient -3, pinned -3"),
+        ("certificate-room", True, "target exponents fit below caps"),
+        ("certificate-witness", True, "witness monomial (1, 2, 2, 2, 3, 3, 2)"),
+    ],
+    "ten-face-adjacent": [
+        ("shape", True, "10 variables, 10 caps"),
+        ("conflict-indices", True, "conflicts stay on free variables"),
+        ("variable-edges", True, "variable edges distinct"),
+        ("surgery", True, "host (17v,24e) -> reduced (15v,23e)"),
+        ("identify-distance", True, "edges 10,14 at facial distance 4"),
+        ("conflicts-covered", True, "derived conflicts covered by transcription"),
+        ("availability", True, "all caps met"),
+        ("certificate-transcription", True, "pairs and caps agree"),
+        ("certificate-coefficient", True, "coefficient 1, pinned 1"),
+        ("certificate-room", True, "target exponents fit below caps"),
+        ("certificate-witness", True, "witness monomial (0, 4, 2, 0, 2, 2, 2, 0, 2, 4)"),
+    ],
+    "ten-face-dist3": [
+        ("shape", True, "10 variables, 10 caps"),
+        ("conflict-indices", True, "conflicts stay on free variables"),
+        ("variable-edges", True, "variable edges distinct"),
+        ("surgery", True, "host (17v,24e) -> reduced (15v,23e)"),
+        ("identify-distance", True, "edges 11,15 at facial distance 4"),
+        ("conflicts-covered", True, "derived conflicts covered by transcription"),
+        ("availability", True, "all caps met"),
+        ("certificate-transcription", True, "pairs and caps agree"),
+        ("certificate-coefficient", True, "coefficient -1, pinned -1"),
+        ("certificate-room", True, "target exponents fit below caps"),
+        ("certificate-witness", True, "witness monomial (2, 2, 3, 3, 0, 1, 2, 2, 0, 3)"),
+    ],
+    "ten-face-dist4": [
+        ("shape", True, "10 variables, 10 caps"),
+        ("conflict-indices", True, "conflicts stay on free variables"),
+        ("variable-edges", True, "variable edges distinct"),
+        ("surgery", True, "host (17v,24e) -> reduced (15v,23e)"),
+        ("identify-distance", True, "edges 16,12 at facial distance 4"),
+        ("conflicts-covered", True, "derived conflicts covered by transcription"),
+        ("availability", True, "all caps met"),
+        ("certificate-transcription", True, "pairs and caps agree"),
+        ("certificate-coefficient", True, "coefficient -1, pinned -1"),
+        ("certificate-room", True, "target exponents fit below caps"),
+        ("certificate-witness", True, "witness monomial (3, 2, 2, 3, 0, 2, 1, 2, 0, 3)"),
+    ],
+}
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +221,26 @@ def test_every_step_logged_ok(configs, name):
     assert "availability" in labels
     assert "conflicts-covered" in labels
     assert reference_uncovered_pairs(configs[name]) == []
+
+
+def test_check_steps_golden():
+    assert {
+        r.name: [(s.label, s.ok, s.detail) for s in r.steps] for r in check_all()
+    } == CHECK_STEPS
+
+
+def test_identify_distance_measured_on_the_graph_the_step_acts_on(configs):
+    # Edges 1 and 16 share no face of the host; once edge 0 is deleted
+    # they lie 2 apart on the merged face, too close to identify at ell = 3.
+    config = dataclasses.replace(
+        configs["eight-face"],
+        surgery=(("delete_edge", 0), ("identify_edges", 1, 16, 0)),
+    )
+    assert facial_distance(config.host, 1, 16) == math.inf
+    report = check(config)
+    assert [(s.label, s.detail) for s in report.failures()] == [
+        ("identify-distance", "edges 1,16 at facial distance 2")
+    ]
 
 
 def test_each_certificate_expanded_once_per_process(monkeypatch):
