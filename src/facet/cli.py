@@ -16,6 +16,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
+from facet.choosability import SearchBudgetError
 from facet.discharging import AuditReport, audit, structure_report
 from facet.embedding import (
     EmbeddedGraph,
@@ -27,7 +28,6 @@ from facet.embedding import (
     serialize_peg,
 )
 from facet.facial_coloring import (
-    SolverBudgetError,
     chromatic_index,
     parse_coloring,
     serialize_coloring,
@@ -36,7 +36,7 @@ from facet.facial_coloring import (
 from facet.nullstellensatz import coefficient, lemma_polynomial
 from facet.reducibility import catalog, check, configuration_from_json
 
-_INPUT_ERRORS = (OSError, ValueError, SolverBudgetError)
+_INPUT_ERRORS = (OSError, ValueError, SearchBudgetError)
 
 
 def _read(path: str) -> str:

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from facet._cached import cached_attribute
 
@@ -499,51 +499,44 @@ class SurgeryResult:
 
 def _compact(
     g: EmbeddedGraph,
-    keep_vertex: list[bool],
-    keep_edge: list[bool],
-    new_endpoints: list[tuple[int, int]],
-    rotations: dict[int, list[int]],
+    endpoints: Sequence[tuple[int, int]],
+    rotations: dict[int, Sequence[int]],
 ) -> SurgeryResult:
-    """Renumber surviving vertices/edges contiguously and rebuild."""
-    vmap: list[Optional[int]] = [None] * g.n
-    nxt = 0
-    for v in range(g.n):
-        if keep_vertex[v]:
-            vmap[v] = nxt
-            nxt += 1
+    """Renumber what survives contiguously and rebuild.
+
+    The surviving vertices are the keys of ``rotations`` (old id ->
+    clockwise darts, old labels) and the surviving edges are those with
+    a dart in it; both keep their relative order.  ``endpoints[e]``
+    names the ends of each surviving edge by old vertex id.
+    """
+    kept = sorted(rotations)
+    vmap = {v: i for i, v in enumerate(kept)}
+    alive = sorted({edge_of(d) for rot in rotations.values() for d in rot})
     emap: list[Optional[int]] = [None] * g.m
-    enxt = 0
-    for e in range(g.m):
-        if keep_edge[e]:
-            emap[e] = enxt
-            enxt += 1
-
-    def map_dart(d: int) -> int:
-        return 2 * emap[edge_of(d)] + (d & 1)
-
-    endpoints = []
-    for e in range(g.m):
-        if keep_edge[e]:
-            u, v = new_endpoints[e]
-            endpoints.append((vmap[u], vmap[v]))
-    rot_out: list[list[int]] = [[] for _ in range(nxt)]
-    for old_v, rot in rotations.items():
-        rot_out[vmap[old_v]] = [map_dart(d) for d in rot]
-    built = EmbeddedGraph.build(nxt, endpoints, rot_out)
+    for i, e in enumerate(alive):
+        emap[e] = i
+    built = EmbeddedGraph.build(
+        len(kept),
+        [(vmap[endpoints[e][0]], vmap[endpoints[e][1]]) for e in alive],
+        [[2 * emap[edge_of(d)] + (d & 1) for d in rotations[v]] for v in kept],
+    )
     return SurgeryResult(built, tuple(emap))
+
+
+def _after(g: EmbeddedGraph, v: int, d: int) -> list[int]:
+    """The darts at ``v`` clockwise after ``d``, ending just before ``d``."""
+    rot = g.rotation[v]
+    i = rot.index(d)
+    return [*rot[i + 1:], *rot[:i]]
 
 
 def delete_edge(g: EmbeddedGraph, e: int) -> SurgeryResult:
     """Remove one edge; the two flanking faces merge."""
     _check_edge(g, e)
-    dead = {2 * e, 2 * e + 1}
     rotations = {
-        v: [d for d in g.rotation[v] if d not in dead] for v in range(g.n)
+        v: [d for d in rot if edge_of(d) != e] for v, rot in enumerate(g.rotation)
     }
-    keep_edge = [i != e for i in range(g.m)]
-    return _compact(
-        g, [True] * g.n, keep_edge, list(g.endpoints), rotations
-    )
+    return _compact(g, g.endpoints, rotations)
 
 
 def subdivide_edge(g: EmbeddedGraph, e: int) -> SurgeryResult:
@@ -579,31 +572,25 @@ def contract_edge(g: EmbeddedGraph, e: int) -> SurgeryResult:
     u, v = g.endpoints[e]
     if u == v:
         raise SurgeryError(f"cannot contract loop {e}")
-    du, dv = 2 * e, 2 * e + 1
-
-    def split_after(vtx: int, d: int) -> list[int]:
-        rot = g.rotation[vtx]
-        i = rot.index(d)
-        return [rot[(i + k) % len(rot)] for k in range(1, len(rot))]
-
-    merged = split_after(u, du) + split_after(v, dv)
     endpoints = [
         (u if a == v else a, u if b == v else b) for (a, b) in g.endpoints
     ]
-    rotations = {x: list(g.rotation[x]) for x in range(g.n) if x != v}
-    rotations[u] = merged
-    keep_vertex = [x != v for x in range(g.n)]
-    keep_edge = [i != e for i in range(g.m)]
-    return _compact(g, keep_vertex, keep_edge, endpoints, rotations)
+    rotations = dict(enumerate(g.rotation))
+    del rotations[v]
+    rotations[u] = _after(g, u, 2 * e) + _after(g, v, 2 * e + 1)
+    return _compact(g, endpoints, rotations)
 
 
 def contract_face(g: EmbeddedGraph, face: int) -> SurgeryResult:
     """Collapse a face: delete its boundary edges, merge its vertices.
 
-    Requires the walk to visit no vertex twice.  The merged vertex keeps
-    the surviving dart arcs of the boundary vertices; because walks run
-    counterclockwise around the collapsing disk, the arcs are stitched in
-    reverse walk order to stay clockwise around the new vertex.
+    Requires the walk to visit no vertex and no edge twice.  At walk
+    position i the boundary vertex keeps the arc of darts strictly
+    between its outgoing walk dart and the twin of its incoming one,
+    clockwise.  Because walks run counterclockwise around the
+    collapsing disk, the arcs are stitched in reverse walk order to stay
+    clockwise around the merged vertex, which takes the id of the
+    walk's first vertex.
     """
     walks = g.faces()
     if not (0 <= face < len(walks)):
@@ -611,55 +598,39 @@ def contract_face(g: EmbeddedGraph, face: int) -> SurgeryResult:
     walk = walks[face]
     if len(set(walk.vertices)) != len(walk.vertices):
         raise SurgeryError("non-simple face: walk repeats a vertex")
-    k = len(walk)
-    boundary_edges = set(walk.edges)
-    if len(boundary_edges) != k:
+    if len(set(walk.edges)) != len(walk):
         raise SurgeryError("non-simple face: walk repeats an edge")
-    boundary_darts = set()
-    for e in boundary_edges:
-        boundary_darts.update((2 * e, 2 * e + 1))
 
-    sig = g.sigma
-    arcs: list[list[int]] = []
-    for i in range(k):
-        d_out = walk.darts[i]
-        d_stop = twin(walk.darts[(i - 1) % k])
-        arc = []
-        d = sig[d_out]
-        while d != d_stop:
-            arc.append(d)
-            d = sig[d]
-        arcs.append(arc)
-    merged: list[int] = list(arcs[0])
-    for i in range(k - 1, 0, -1):
-        merged.extend(arcs[i])
-
-    w = walk.vertices[0]  # survivor id before compaction
+    # _after(v_i, darts[i]) ends with twin(darts[i - 1]), a boundary dart.
+    arcs = [_after(g, v, d)[:-1] for v, d in zip(walk.vertices, walk.darts)]
+    w = walk.vertices[0]
     on_face = set(walk.vertices)
     endpoints = [
         (w if a in on_face else a, w if b in on_face else b)
         for (a, b) in g.endpoints
     ]
     rotations = {
-        x: list(g.rotation[x]) for x in range(g.n) if x not in on_face
+        x: rot for x, rot in enumerate(g.rotation) if x not in on_face
     }
-    rotations[w] = merged
-    keep_vertex = [x == w or x not in on_face for x in range(g.n)]
-    keep_edge = [e not in boundary_edges for e in range(g.m)]
-    return _compact(g, keep_vertex, keep_edge, endpoints, rotations)
+    rotations[w] = arcs[0] + [d for arc in reversed(arcs[1:]) for d in arc]
+    return _compact(g, endpoints, rotations)
 
 
 def identify_edges(g: EmbeddedGraph, e: int, f: int, face: int) -> SurgeryResult:
     """Identify two vertex-disjoint edges of one face into a single edge.
 
     The face walk must traverse each of ``e`` and ``f`` exactly once.
-    Writing the walk as  e, P1, f, P2  the quotient glues e onto f
-    antiparallel (head-to-tail), so P1 and P2 close into the two cycles
-    of a dumbbell and the old face splits into two faces bounded by P1
-    and P2.  The merged edge inherits e's darts: its walk slot inside
-    f's opposite face is taken over by e's free dart.  Rotations are
-    recovered from the rewritten face permutation via
-    sigma(d) = phi(twin(d)).
+    Writing the walk as  e, P1, f, P2  with ``a_e`` (u1 -> u2) and
+    ``a_f`` (w1 -> w2) the walk's darts on e and f, the quotient glues
+    e onto f antiparallel: u1 ~ w2 and u2 ~ w1.  P1 and P2 close into
+    the two cycles of a dumbbell, and the old face splits into two
+    faces bounded by P1 and P2.  The merged edge keeps e's id and
+    darts; in f's opposite face ``a_e`` takes the slot of ``twin(a_f)``.
+    Each merged rotation splices the two glued corners, as
+    :func:`contract_edge` does: u1 keeps ``a_e`` and its darts after it,
+    then w2's darts after ``twin(a_f)``; u2 keeps ``twin(a_e)``, then
+    w1's darts after ``a_f``, then u2's darts after ``twin(a_e)``.
+    Every other vertex keeps its rotation.
     """
     _check_edge(g, e)
     _check_edge(g, f)
@@ -675,72 +646,23 @@ def identify_edges(g: EmbeddedGraph, e: int, f: int, face: int) -> SurgeryResult
         raise SurgeryError(
             f"edges {e} and {f} must each occur exactly once on face {face}"
         )
-    k = len(walk)
-    i_e, i_f = pos_e[0], pos_f[0]
-    a_e = walk.darts[i_e]  # traverses e inside this face, u1 -> u2
-    a_f = walk.darts[i_f]  # traverses f inside this face, w1 -> w2
-    u1, u2 = g.dart_vertex(a_e), g.dart_vertex(twin(a_e))
-    w1, w2 = g.dart_vertex(a_f), g.dart_vertex(twin(a_f))
+    a_e, a_f = walk.darts[pos_e[0]], walk.darts[pos_f[0]]
+    t_e, t_f = twin(a_e), twin(a_f)
+    u1, u2 = g.dart_vertex(a_e), g.dart_vertex(t_e)
+    w1, w2 = g.dart_vertex(a_f), g.dart_vertex(t_f)
     if len({u1, u2, w1, w2}) != 4:
         raise SurgeryError(f"edges {e} and {f} share a vertex")
 
-    p1 = [walk.darts[(i_e + t) % k] for t in range(1, (i_f - i_e) % k)]
-    p2 = [walk.darts[(i_f + t) % k] for t in range(1, (i_e - i_f) % k)]
-    # Disjoint endpoints force both connecting paths to be nonempty.
-    assert p1 and p2
-
-    t_f = twin(a_f)
-    dead = {a_f, t_f}
-
-    new_walks: list[list[int]] = []
-    for other in walks:
-        if other.index == face:
-            continue
-        darts = [a_e if d == t_f else d for d in other.darts]
-        new_walks.append(darts)
-    new_walks.append(p1)
-    new_walks.append(p2)
-
-    phi_new: dict[int, int] = {}
-    for darts in new_walks:
-        for i, d in enumerate(darts):
-            phi_new[d] = darts[(i + 1) % len(darts)]
-
-    # Vertex classes after identification: u1~w2, u2~w1.
     cls = list(range(g.n))
     cls[w2] = u1
     cls[w1] = u2
-
-    endpoints = []
-    for eid, (a, b) in enumerate(g.endpoints):
-        endpoints.append((cls[a], cls[b]))
-
-    # Rebuild rotations from sigma(d) = phi_new(twin(d)).
-    surviving = sorted(phi_new)
-    sigma_new = {d: phi_new[twin(d)] for d in surviving}
-    rotations: dict[int, list[int]] = {}
-    placed: set[int] = set()
-    for d0 in surviving:
-        if d0 in placed:
-            continue
-        cycle = [d0]
-        placed.add(d0)
-        d = sigma_new[d0]
-        while d != d0:
-            cycle.append(d)
-            placed.add(d)
-            d = sigma_new[d]
-        base = cls[g.dart_vertex(d0)]
-        if base in rotations:
-            raise SurgeryError("identification does not yield a plane embedding")
-        rotations[base] = cycle
-
-    keep_vertex = [cls[x] == x for x in range(g.n)]
-    for x in range(g.n):
-        if keep_vertex[x] and x not in rotations:
-            rotations[x] = []  # isolated vertex keeps empty rotation
-    keep_edge = [eid != f for eid in range(g.m)]
-    res = _compact(g, keep_vertex, keep_edge, endpoints, rotations)
+    endpoints = [(cls[a], cls[b]) for a, b in g.endpoints]
+    rotations = {
+        x: rot for x, rot in enumerate(g.rotation) if x not in (w1, w2)
+    }
+    rotations[u1] = [a_e, *_after(g, u1, a_e), *_after(g, w2, t_f)]
+    rotations[u2] = [t_e, *_after(g, w1, a_f), *_after(g, u2, t_e)]
+    res = _compact(g, endpoints, rotations)
     emap = list(res.edge_map)
     emap[f] = emap[e]
     return SurgeryResult(res.graph, tuple(emap))
@@ -754,18 +676,13 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> SurgeryResult:
     """
     if not (0 <= v < g.n):
         raise EmbeddingError(f"vertex id {v} out of range")
-    dead_edges = {edge_of(d) for d in g.rotation[v]}
-    dead_darts = set()
-    for e in dead_edges:
-        dead_darts.update((2 * e, 2 * e + 1))
+    dead = {edge_of(d) for d in g.rotation[v]}
     rotations = {
-        x: [d for d in g.rotation[x] if d not in dead_darts]
-        for x in range(g.n)
+        x: [d for d in rot if edge_of(d) not in dead]
+        for x, rot in enumerate(g.rotation)
         if x != v
     }
-    keep_vertex = [x != v for x in range(g.n)]
-    keep_edge = [e not in dead_edges for e in range(g.m)]
-    return _compact(g, keep_vertex, keep_edge, list(g.endpoints), rotations)
+    return _compact(g, g.endpoints, rotations)
 
 
 # -- medial graph --------------------------------------------------------

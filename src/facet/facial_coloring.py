@@ -13,16 +13,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from facet.choosability import SimpleGraph, list_color
+from facet.choosability import SearchBudgetError, SimpleGraph, list_color
 from facet.embedding import EmbeddedGraph
 
 
 class ColoringError(ValueError):
     """Malformed or improper coloring input."""
-
-
-class SolverBudgetError(RuntimeError):
-    """Instance exceeds the exact solver's size budget."""
 
 
 @dataclass(frozen=True)
@@ -176,14 +172,14 @@ def chromatic_index(
     other edge offered colors 1..k; the pinning breaks the color
     symmetry.  The witness is the first coloring found.
 
-    Raises :class:`SolverBudgetError` for instances above ``max_nodes``
-    conflict nodes; the search is exact but exponential, and the budget
-    keeps misuse loud instead of slow.
+    Raises :class:`~facet.choosability.SearchBudgetError` for instances
+    above ``max_nodes`` conflict nodes; the search is exact but
+    exponential, and the budget keeps misuse loud instead of slow.
     """
     masks = _conflict_masks(g, ell)
     n = g.m
     if n > max_nodes:
-        raise SolverBudgetError(
+        raise SearchBudgetError(
             f"conflict graph has {n} nodes, budget is {max_nodes}; "
             "instance too large for the exact solver"
         )

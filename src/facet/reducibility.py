@@ -10,8 +10,9 @@ certificate or a set of mechanized extension arguments.
 :func:`check` replays the whole argument on the host: the surgery runs
 and shrinks, the actual facial conflicts are covered by the transcribed
 ones, the geometric availability counts meet the promised list sizes,
-and the certificate or extension obligations hold.  A catalog entry
-passing ``check`` is a machine-verified reduction step.
+and the certificate or extension obligations hold; a configuration with
+neither fails.  A catalog entry passing ``check`` is a machine-verified
+reduction step.
 """
 
 from __future__ import annotations
@@ -267,6 +268,10 @@ def check(config: Configuration) -> CheckReport:
     if not bad_pairs:
         for ob in config.obligations:
             steps.extend(_check_obligation(config, ob))
+    # Without a certificate or an obligation nothing argues that a
+    # coloring of the reduced graph extends.
+    if config.certificate is None and not config.obligations:
+        log("extension", False, "no certificate or obligation")
 
     return CheckReport(
         name=config.name, ok=all(s.ok for s in steps), steps=tuple(steps)

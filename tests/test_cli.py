@@ -327,6 +327,19 @@ class TestReduce:
             "all = fail",
         ]
 
+    def test_configuration_without_extension_argument_fails(self, tmp_path, capsys):
+        config = next(c for c in catalog() if c.name == "eight-face")
+        doc = json.loads(configuration_to_json(config))
+        doc["certificate"] = None
+        doc["obligations"] = []
+        f = tmp_path / "bare.json"
+        f.write_text(json.dumps(doc))
+        assert main(["reduce", "--config-file", str(f)]) == 1
+        assert lines(capsys) == [
+            "FAIL eight-face: extension (no certificate or obligation)",
+            "all = fail",
+        ]
+
     def test_unknown_config_name(self, capsys):
         assert main(["reduce", "--config", "nope"]) == 2
 

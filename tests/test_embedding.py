@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -12,6 +13,7 @@ from facet.embedding import (
     SurgeryError,
     contract_edge,
     contract_face,
+    delete_edge,
     delete_vertex,
     face_profiles,
     facial_distance,
@@ -205,6 +207,61 @@ class TestSurgery:
         g = generate("cycle", 6)
         with pytest.raises(SurgeryError):
             identify_edges(g, 0, 1, 0)  # adjacent edges share a vertex
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_identify_faces_follow_the_docstring(self, seed):
+        # With the walk read as e, P1, f, P2, the result's faces are every
+        # other face with twin(a_f) replaced by a_e, plus P1 and P2, as
+        # cyclic dart sequences through edge_map.  Every ordered pair of
+        # positions on every face is tried; a pair that breaks a
+        # precondition must raise.
+        g = random_plane_graph(seed, max_ops=12)
+
+        def cyclic(darts):
+            i = darts.index(min(darts))
+            return tuple(darts[i:] + darts[:i])
+
+        glued = 0
+        for walk in g.faces():
+            k = len(walk)
+            for i, j in itertools.product(range(k), repeat=2):
+                e, f = walk.edges[i], walk.edges[j]
+                ends = {walk.vertices[i], walk.vertices[(i + 1) % k]}
+                ends |= {walk.vertices[j], walk.vertices[(j + 1) % k]}
+                if walk.edges.count(e) != 1 or walk.edges.count(f) != 1 or len(ends) != 4:
+                    with pytest.raises(SurgeryError):
+                        identify_edges(g, e, f, walk.index)
+                    continue
+                res = identify_edges(g, e, f, walk.index)
+                a_e, t_f = walk.darts[i], walk.darts[j] ^ 1
+                p1 = [walk.darts[(i + t) % k] for t in range(1, (j - i) % k)]
+                p2 = [walk.darts[(j + t) % k] for t in range(1, (i - j) % k)]
+                expected = [
+                    [a_e if d == t_f else d for d in other.darts]
+                    for other in g.faces()
+                    if other.index != walk.index
+                ] + [p1, p2]
+                emap = res.edge_map
+                assert emap[f] == emap[e]
+                assert (res.graph.n, res.graph.m) == (g.n - 2, g.m - 1)
+                assert sorted(
+                    cyclic([2 * emap[d >> 1] + (d & 1) for d in darts])
+                    for darts in expected
+                ) == sorted(cyclic(list(w.darts)) for w in res.graph.faces())
+                glued += 1
+        assert glued
+
+    def test_isolated_vertices_survive(self):
+        # survivors are read off the new rotations, empty ones included
+        k2 = EmbeddedGraph.build(2, [(0, 1)], [[0], [1]])
+        res = delete_edge(k2, 0)
+        assert (res.graph.n, res.graph.rotation, res.edge_map) == (2, ((), ()), (None,))
+        c6 = generate("cycle", 6)
+        g = EmbeddedGraph.build(7, c6.endpoints, [*c6.rotation, []])
+        res = identify_edges(g, 0, 3, 0)
+        assert (res.graph.n, res.graph.m) == (5, 5)
+        assert res.graph.rotation[4] == ()
+        assert res.graph.warnings == ("disconnected: 2 components",)
 
 
 class TestWarnings:

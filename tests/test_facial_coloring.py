@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from facet.choosability import SearchBudgetError
 from facet.embedding import (
     facial_distance,
     generate,
@@ -13,7 +14,6 @@ from facet.embedding import (
 )
 from facet.facial_coloring import (
     ColoringError,
-    SolverBudgetError,
     Violation,
     chromatic_index,
     conflict_graph,
@@ -180,7 +180,7 @@ class TestChromaticIndex:
                 assert got == expect, (name, ell)
 
     def test_budget_gate(self, catalog):
-        with pytest.raises(SolverBudgetError):
+        with pytest.raises(SearchBudgetError, match="conflict graph has 7 nodes"):
             chromatic_index(catalog["cycle-7"], 3, max_nodes=5)
 
     @staticmethod

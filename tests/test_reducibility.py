@@ -16,7 +16,7 @@ from facet.reducibility import (
     configuration_to_json,
     neighborhood_audit,
 )
-from facet import nullstellensatz
+from facet import embedding, nullstellensatz
 from facet.embedding import (
     EmbeddedGraph,
     EmbeddingError,
@@ -48,6 +48,23 @@ REAL_CONFLICTS = [
     for pair in c.conflicts
     if facial_distance(c.host, *(c.variables[v - 1] for v in pair)) <= c.ell
 ]
+
+
+def _wrong_faces():
+    """(name, step index, face) for every identify step of the catalog and
+    every valid face id of the graph it acts on other than its own."""
+    out = []
+    for c in catalog():
+        g = c.host
+        for i, (kind, *ids) in enumerate(c.surgery):
+            if kind == "identify_edges":
+                out += [(c.name, i, x) for x in range(len(g.faces())) if x != ids[2]]
+            g = getattr(embedding, kind)(g, *ids).graph
+    return out
+
+
+WRONG_FACES = _wrong_faces()
+CAP_SLOTS = [(c.name, i) for c in catalog() for i in range(len(c.caps))]
 
 
 # Every step of `check` on each catalog entry, as (label, ok, detail).
@@ -400,3 +417,46 @@ class TestMalformedConfigs:
         assert not report.ok
         failing = {s.label for s in report.steps if not s.ok}
         assert "availability" in failing or "certificate-transcription" in failing
+
+
+@pytest.mark.parametrize("name", EXPECTED_NAMES)
+def test_configuration_without_extension_argument_fails(configs, name):
+    # with no certificate and no obligation nothing says a coloring of
+    # the reduced graph extends, however well the rest replays
+    bare = dataclasses.replace(configs[name], certificate=None, obligations=())
+    assert [(s.label, s.detail) for s in check(bare).failures()] == [
+        ("extension", "no certificate or obligation")
+    ]
+
+
+def test_wrong_face_cases_cover_every_identify_entry():
+    assert len(WRONG_FACES) == 42
+    assert {name for name, _, _ in WRONG_FACES} == {
+        c.name for c in catalog() if any(s[0] == "identify_edges" for s in c.surgery)
+    }
+
+
+@pytest.mark.parametrize(
+    "name, index, face", WRONG_FACES, ids=[f"{n}-face-{x}" for n, _, x in WRONG_FACES]
+)
+def test_identify_on_a_wrong_face_fails_the_surgery(configs, name, index, face):
+    config = configs[name]
+    surgery = list(config.surgery)
+    kind, e, f, _ = surgery[index]
+    surgery[index] = (kind, e, f, face)
+    report = check(dataclasses.replace(config, surgery=tuple(surgery)))
+    assert [(s.label, s.detail) for s in report.failures()] == [
+        ("surgery", f"edges {e} and {f} must each occur exactly once on face {face}")
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, index", CAP_SLOTS, ids=[f"{n}-var-{i + 1}" for n, i in CAP_SLOTS]
+)
+def test_cap_above_colors_fails_availability(configs, name, index):
+    # availability is colors minus a count, so no cap above colors is met
+    config = configs[name]
+    caps = list(config.caps)
+    caps[index] = config.colors + 1
+    report = check(dataclasses.replace(config, caps=tuple(caps)))
+    assert report.failures()[0].label == "availability"
