@@ -113,7 +113,7 @@ class EmbeddedGraph:
         orbits (an isolated vertex counts one empty face).
         """
         eps = tuple((int(u), int(v)) for u, v in endpoints)
-        rot = tuple(tuple(int(d) for d in r) for r in rotation)
+        rot = tuple(tuple(map(int, r)) for r in rotation)
         g = EmbeddedGraph(int(n), eps, rot)
         g._validate()
         return g
@@ -125,26 +125,28 @@ class EmbeddedGraph:
             raise EmbeddingError(
                 f"expected {self.n} rotation lists, got {len(self.rotation)}"
             )
-        m = len(self.endpoints)
+        m2 = 2 * len(self.endpoints)
         for e, (u, v) in enumerate(self.endpoints):
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise EmbeddingError(f"edge {e} endpoint out of range")
-        seen: dict[int, int] = {}
+        # sigma[d] < 0 marks an unlisted dart; a bad successor is checked next.
+        tails = self._tails
+        sigma = [-1] * m2
         for vtx, rot in enumerate(self.rotation):
-            for d in rot:
-                if not (0 <= d < 2 * m):
+            for d, nxt in zip(rot, rot[1:] + rot[:1]):
+                if not (0 <= d < m2):
                     raise EmbeddingError(f"dart {d} out of range at vertex {vtx}")
-                if d in seen:
+                if sigma[d] >= 0:
                     raise EmbeddingError(f"dart {d} listed twice")
-                seen[d] = vtx
-                want = self.endpoints[edge_of(d)][d & 1]
-                if want != vtx:
+                if tails[d] != vtx:
                     raise EmbeddingError(
-                        f"dart {d} listed at vertex {vtx}, belongs to {want}"
+                        f"dart {d} listed at vertex {vtx}, belongs to {tails[d]}"
                     )
-        if len(seen) != 2 * m:
-            missing = sorted(set(range(2 * m)) - set(seen))
+                sigma[d] = nxt
+        if -1 in sigma:
+            missing = [d for d in range(m2) if sigma[d] < 0]
             raise EmbeddingError(f"missing darts {missing[:4]}")
+        object.__setattr__(self, "sigma", tuple(sigma))
         # Per-component sphere check: V - E + F = 2, one empty face for a
         # dartless component.  Equivalent to the plane-drawing formula
         # V - E + F = 1 + #components once outer faces are merged.
@@ -175,6 +177,11 @@ class EmbeddedGraph:
 
     def dart_vertex(self, dart: int) -> int:
         return self._heads[twin(dart)]
+
+    @cached_attribute
+    def _tails(self) -> list[int]:
+        """``_tails[d]``: the vertex dart ``d`` is based at."""
+        return [x for uv in self.endpoints for x in uv]
 
     @cached_attribute
     def _heads(self) -> list[int]:
@@ -263,8 +270,8 @@ class EmbeddedGraph:
 
     @cached_attribute
     def _faces(self) -> tuple[FaceWalk, ...]:
-        ph = self.phi
-        heads = self._heads
+        sigma = self.sigma
+        tails = self._tails
         seen = [False] * (2 * self.m)
         walks = []
         for start in range(2 * self.m):
@@ -275,15 +282,11 @@ class EmbeddedGraph:
             while not seen[d]:
                 seen[d] = True
                 orbit.append(d)
-                d = ph[d]
-            walks.append(
-                FaceWalk(
-                    index=len(walks),
-                    darts=tuple(orbit),
-                    edges=tuple(d >> 1 for d in orbit),
-                    vertices=tuple(heads[d ^ 1] for d in orbit),
-                )
-            )
+                d = sigma[d ^ 1]
+            darts = tuple(orbit)
+            edges = tuple([d >> 1 for d in orbit])
+            vertices = tuple([tails[d] for d in orbit])
+            walks.append(FaceWalk(len(walks), darts, edges, vertices))
         return tuple(walks)
 
     @cached_attribute
@@ -413,34 +416,30 @@ def _check_edge(g: EmbeddedGraph, e: int) -> None:
 def parse_peg(text: str) -> EmbeddedGraph:
     """Parse the plane-embedded-graph text format.
 
-    Line 1 is ``peg 1``; then ``vertices <n>``, ``edges <m>``, one
-    ``e <id> <u> <v>`` line per edge and one ``rot <v> <darts...>`` line
-    per vertex.  ``#`` starts a comment.  A disconnected graph parses
-    with a warning; a non-planar rotation system is an error.
+    Line 1 is ``peg 1``; then exactly one ``vertices <n>`` and one
+    ``edges <m>`` line, one ``e <id> <u> <v>`` line per edge and one
+    ``rot <v> <darts...>`` line per vertex; only ``rot`` lines vary in
+    length.  ``#`` starts a comment.  A disconnected graph parses with
+    a warning; a repeated declaration or a non-planar embedding is an error.
     """
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    if not lines:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    rows = [parts for parts in map(str.split, lines) if parts]
+    if not rows:
         raise PegParseError("empty input")
-    if lines[0].split() != ["peg", "1"]:
-        raise PegParseError(f"expected header 'peg 1', got {lines[0]!r}")
+    if rows[0] != ["peg", "1"]:
+        raise PegParseError(f"expected header 'peg 1', got {_peg_line(lines, 0)!r}")
 
-    n = m = None
+    counts: dict[str, int] = {}
     edges: dict[int, tuple[int, int]] = {}
     rots: dict[int, tuple[int, ...]] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
+    for k, parts in enumerate(rows[1:], 1):
         kind = parts[0]
         try:
-            if kind == "vertices":
-                n = int(parts[1])
-            elif kind == "edges":
-                m = int(parts[1])
-            elif kind == "e":
-                eid, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+            if kind == "e":
+                _, eid, u, v = parts
+                eid, u, v = int(eid), int(u), int(v)
                 if eid in edges:
                     raise PegParseError(f"edge {eid} declared twice")
                 edges[eid] = (u, v)
@@ -448,13 +447,19 @@ def parse_peg(text: str) -> EmbeddedGraph:
                 v = int(parts[1])
                 if v in rots:
                     raise PegParseError(f"rotation of vertex {v} declared twice")
-                rots[v] = tuple(int(x) for x in parts[2:])
+                rots[v] = tuple(map(int, parts[2:]))
+            elif kind == "vertices" or kind == "edges":
+                _, count = parts
+                if kind in counts:
+                    raise PegParseError(f"{kind!r} declared twice")
+                counts[kind] = int(count)
             else:
                 raise PegParseError(f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
             if isinstance(exc, PegParseError):
                 raise
-            raise PegParseError(f"malformed line {ln!r}") from exc
+            raise PegParseError(f"malformed line {_peg_line(lines, k)!r}") from exc
+    n, m = counts.get("vertices"), counts.get("edges")
     if n is None or m is None:
         raise PegParseError("missing 'vertices' or 'edges' declaration")
     # counts first, so a huge declared count fails before any range is built
@@ -469,6 +474,11 @@ def parse_peg(text: str) -> EmbeddedGraph:
         )
     except EmbeddingError as exc:
         raise PegParseError(str(exc)) from exc
+
+
+def _peg_line(lines: list[str], k: int) -> str:
+    """The ``k``-th non-blank line, comment cut and stripped, for errors."""
+    return [ln.strip() for ln in lines if ln.strip()][k]
 
 
 def serialize_peg(g: EmbeddedGraph) -> str:

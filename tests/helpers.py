@@ -574,6 +574,42 @@ def reference_in_two_thread(g: EmbeddedGraph, v: int) -> bool:
     )
 
 
+def reference_faces(g: EmbeddedGraph) -> dict:
+    """Face walks from the definitions: sigma takes each dart to the next
+    one clockwise in its rotation list, phi = sigma after twin, and the
+    faces are the phi-orbits, numbered by their lowest dart and each read
+    from it.  Returns ``sigma``, ``phi``, ``face_of_dart`` and the walks
+    as ``(index, darts, edges, vertices)`` tuples."""
+    darts = 2 * len(g.endpoints)
+    sigma = [None] * darts
+    for rot in g.rotation:
+        for i, d in enumerate(rot):
+            sigma[d] = rot[(i + 1) % len(rot)]
+    phi = [sigma[twin(d)] for d in range(darts)]
+    face_of_dart = [None] * darts
+    walks = []
+    for start in range(darts):
+        if face_of_dart[start] is not None:
+            continue
+        orbit = [start]
+        while phi[orbit[-1]] != start:
+            orbit.append(phi[orbit[-1]])
+        for d in orbit:
+            face_of_dart[d] = len(walks)
+        walks.append((
+            len(walks),
+            tuple(orbit),
+            tuple(d // 2 for d in orbit),
+            tuple(g.endpoints[d // 2][d % 2] for d in orbit),
+        ))
+    return {
+        "sigma": tuple(sigma),
+        "phi": tuple(phi),
+        "face_of_dart": face_of_dart,
+        "walks": walks,
+    }
+
+
 def reference_gap_table(g: EmbeddedGraph, key: str) -> dict:
     """O(k^2) gap-table oracle, unbounded: every pair of positions on
     every face walk, keeping the first occurrence of each pair's minimal

@@ -547,6 +547,29 @@ class TestHarness:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {detail}")
 
+    @pytest.mark.parametrize(
+        "old, new, detail",
+        [
+            ("edges", "vertices 2\nedges", "'vertices' declared twice"),
+            ("edges 1", "edges 1\nedges 1", "'edges' declared twice"),
+            ("vertices 2", "vertices 2 9", "malformed line 'vertices 2 9'"),
+            ("e 0 0 1", "e 0 0 1 7", "malformed line 'e 0 0 1 7'"),
+        ],
+        ids=["vertices-twice", "edges-twice", "vertices-field", "e-field"],
+    )
+    def test_repeated_declaration_or_extra_field_is_input_error(
+        self, old, new, detail, tmp_path, capsys
+    ):
+        text = "peg 1\nvertices 2\nedges 1\ne 0 0 1\nrot 0 0\nrot 1 1\n"
+        f = tmp_path / "k2.peg"
+        f.write_text(text)
+        assert main(["chi", "--graph", str(f)]) == 0
+        capsys.readouterr()
+        f.write_text(text.replace(old, new, 1))
+        assert main(["chi", "--graph", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {detail}\n"
+
     def test_repeated_calls_match_fresh_processes(self, c7, capsys, monkeypatch):
         src = str(Path(facet.__file__).resolve().parents[1])
         monkeypatch.setenv("PYTHONPATH", src)

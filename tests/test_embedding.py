@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from facet.reducibility import catalog as reduction_catalog
 
 from helpers import (
     pendant_path_host,
+    reference_faces,
     reference_gap_table,
     reference_in_two_thread,
     reference_run_counts,
@@ -44,6 +46,8 @@ TWO_TRIANGLES = (
     "rot 0 0 5\nrot 1 1 2\nrot 2 3 4\n"
     "rot 3 6 11\nrot 4 7 8\nrot 5 9 10\n"
 )
+
+K2_PEG = "peg 1\nvertices 2\nedges 1\ne 0 0 1\nrot 0 0\nrot 1 1\n"
 
 
 def face_lengths(g):
@@ -137,25 +141,93 @@ class TestPeg:
         assert parse_peg(text) == g
 
     def test_bad_header(self):
-        with pytest.raises(PegParseError):
+        with pytest.raises(PegParseError, match=r"^expected header 'peg 1', got 'peg 2'$"):
             parse_peg("peg 2\nvertices 0\nedges 0\n")
 
+    def test_bad_header_quotes_the_stripped_line(self):
+        # the comment and the outer blanks go, the inner ones stay
+        with pytest.raises(PegParseError, match=r"^expected header 'peg 1', got 'peg   2'$"):
+            parse_peg("# c\n\n  peg   2  # x\nvertices 0\n")
+
     def test_missing_rotation(self):
-        with pytest.raises(PegParseError):
+        with pytest.raises(
+            PegParseError, match=r"^rotation lines must cover every vertex exactly once$"
+        ):
             parse_peg("peg 1\nvertices 1\nedges 0\n")
 
     def test_dart_out_of_range(self):
-        with pytest.raises(PegParseError):
+        with pytest.raises(PegParseError, match=r"^dart 3 out of range at vertex 1$"):
             parse_peg(
                 "peg 1\nvertices 2\nedges 1\ne 0 0 1\nrot 0 0\nrot 1 3\n"
             )
+
+    @pytest.mark.parametrize(
+        "line, quoted",
+        [("e 0 0 # one end", "'e 0 0'"), ("  e\t0   0  #x", "'e\\t0   0'")],
+    )
+    def test_malformed_line_quotes_it_without_the_comment(self, line, quoted):
+        with pytest.raises(PegParseError, match=f"^malformed line {re.escape(quoted)}$"):
+            parse_peg(f"peg 1\nvertices 2\nedges 1\n{line}\nrot 0 0\nrot 1 1\n")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("edges 1\n", "vertices 2\nedges 1\n", "'vertices' declared twice"),
+            ("edges 1\n", "edges 1\nedges 1\n", "'edges' declared twice"),
+            ("vertices 2\n", "vertices 2 9\n", "malformed line 'vertices 2 9'"),
+            ("edges 1\n", "edges 1 1\n", "malformed line 'edges 1 1'"),
+            ("e 0 0 1\n", "e 0 0 1 7\n", "malformed line 'e 0 0 1 7'"),
+        ],
+        ids=["vertices-twice", "edges-twice", "vertices-field", "edges-field", "e-field"],
+    )
+    def test_repeated_declaration_or_extra_field_rejected(self, old, new, message):
+        assert parse_peg(K2_PEG).m == 1
+        with pytest.raises(PegParseError, match=f"^{re.escape(message)}$"):
+            parse_peg(K2_PEG.replace(old, new))
 
     def test_nonplanar_rotation_rejected(self):
         # K4 with two darts swapped at vertex 0 embeds on the torus only
         endpoints = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         rotations = [[4, 2, 0], [1, 8, 6], [7, 10, 3], [5, 11, 9]]
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(
+            EmbeddingError,
+            match=r"^rotation system is not a plane embedding: "
+            r"component 0 has V-E\+F = 4-6\+2$",
+        ):
             EmbeddedGraph.build(4, endpoints, rotations)
+
+    @pytest.mark.parametrize(
+        "n, endpoints, rotation, message",
+        [
+            (-1, [], [], "negative vertex count"),
+            (2, [], [[]], "expected 2 rotation lists, got 1"),
+            (2, [(0, 2)], [[0], [1]], "edge 0 endpoint out of range"),
+            (2, [(0, 1)], [[0], [3]], "dart 3 out of range at vertex 1"),
+            (2, [(0, 1)], [[0], [-1]], "dart -1 out of range at vertex 1"),
+            (2, [(0, 1)], [[0, 0], [1]], "dart 0 listed twice"),
+            (2, [(0, 1)], [[1], [0]], "dart 1 listed at vertex 0, belongs to 1"),
+            (3, [(0, 1), (1, 2)], [[0], [], []], "missing darts [1, 2, 3]"),
+            (2, [(0, 1)] * 3, [[0, 2, 4], []], "missing darts [1, 3, 5]"),
+            (2, [(0, 1)], [[], [1]], "missing darts [0]"),
+            # the checks run dart by dart in rotation order
+            (2, [(0, 1)], [[0, 0, 5], [1]], "dart 0 listed twice"),
+            (2, [(0, 1)], [[5, 0, 0], [1]], "dart 5 out of range at vertex 0"),
+            (2, [(0, 1)], [[1, 1], [0]], "dart 1 listed at vertex 0, belongs to 1"),
+            (2, [(0, 1)], [[0, -1], [1]], "dart -1 out of range at vertex 0"),
+        ],
+    )
+    def test_construction_error_messages(self, n, endpoints, rotation, message):
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            EmbeddedGraph.build(n, endpoints, rotation)
+        if len(rotation) == n:
+            # parse_peg reports the same text
+            text = "".join(
+                ["peg 1\n", f"vertices {n}\n", f"edges {len(endpoints)}\n"]
+                + [f"e {e} {u} {v}\n" for e, (u, v) in enumerate(endpoints)]
+                + [f"rot {v} {' '.join(map(str, r))}\n" for v, r in enumerate(rotation)]
+            )
+            with pytest.raises(PegParseError, match=f"^{re.escape(message)}$"):
+                parse_peg(text)
 
 
 class TestSurgery:
@@ -318,6 +390,55 @@ def test_catalog_shape(catalog):
     for name, g in catalog.items():
         assert g.n - g.m + len(g.faces()) == 2, name
         assert g.is_connected, name
+
+
+def surgery_results(g):
+    """The graph of every surgery on ``g`` that its preconditions allow:
+    per edge delete, subdivide and contract (not a loop), per vertex
+    delete, and per face contract and identify its first edge with each
+    edge two or more steps on."""
+    out = []
+    for e in range(g.m):
+        out += [delete_edge(g, e).graph, subdivide_edge(g, e).graph]
+        if g.endpoints[e][0] != g.endpoints[e][1]:
+            out.append(contract_edge(g, e).graph)
+    out += [delete_vertex(g, v).graph for v in range(g.n)]
+    for walk in g.faces():
+        calls = [(contract_face, walk.index)]
+        calls += [(identify_edges, walk.edges[0], f, walk.index) for f in walk.edges[2:]]
+        for surgery, *args in calls:
+            try:
+                out.append(surgery(g, *args).graph)
+            except SurgeryError:
+                pass
+    return out
+
+
+def assert_faces_match_reference(g, label):
+    ref = reference_faces(g)
+    # a copy made without build computes sigma on first use instead
+    for h in (g, EmbeddedGraph(g.n, g.endpoints, g.rotation)):
+        assert h.sigma == ref["sigma"], label
+        assert h.phi == ref["phi"], label
+        assert h.face_of_dart == ref["face_of_dart"], label
+        walks = [(w.index, w.darts, w.edges, w.vertices) for w in h.faces()]
+        assert walks == ref["walks"], label
+
+
+@pytest.mark.parametrize("hosts", ["catalog", *(f"random-{s}" for s in range(0, 100, 10))])
+def test_faces_match_reference(hosts, catalog):
+    if hosts == "catalog":
+        graphs = list(catalog.items())
+    else:
+        first = int(hosts.split("-")[1])
+        graphs = [(f"random-{s}", random_plane_graph(s)) for s in range(first, first + 10)]
+    surgeries = 0
+    for name, g in graphs:
+        assert_faces_match_reference(g, name)
+        for i, h in enumerate(surgery_results(g)):
+            assert_faces_match_reference(h, (name, i))
+            surgeries += 1
+    assert surgeries > 10 * len(graphs)
 
 
 def test_face_profile_run_counts():
