@@ -125,28 +125,10 @@ class EmbeddedGraph:
             raise EmbeddingError(
                 f"expected {self.n} rotation lists, got {len(self.rotation)}"
             )
-        m2 = 2 * len(self.endpoints)
         for e, (u, v) in enumerate(self.endpoints):
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise EmbeddingError(f"edge {e} endpoint out of range")
-        # sigma[d] < 0 marks an unlisted dart; a bad successor is checked next.
-        tails = self._tails
-        sigma = [-1] * m2
-        for vtx, rot in enumerate(self.rotation):
-            for d, nxt in zip(rot, rot[1:] + rot[:1]):
-                if not (0 <= d < m2):
-                    raise EmbeddingError(f"dart {d} out of range at vertex {vtx}")
-                if sigma[d] >= 0:
-                    raise EmbeddingError(f"dart {d} listed twice")
-                if tails[d] != vtx:
-                    raise EmbeddingError(
-                        f"dart {d} listed at vertex {vtx}, belongs to {tails[d]}"
-                    )
-                sigma[d] = nxt
-        if -1 in sigma:
-            missing = [d for d in range(m2) if sigma[d] < 0]
-            raise EmbeddingError(f"missing darts {missing[:4]}")
-        object.__setattr__(self, "sigma", tuple(sigma))
+        self.sigma  # checks every dart while it fills sigma
         # Per-component sphere check: V - E + F = 2, one empty face for a
         # dartless component.  Equivalent to the plane-drawing formula
         # V - E + F = 1 + #components once outer faces are merged.
@@ -176,7 +158,7 @@ class EmbeddedGraph:
         return len(self.endpoints)
 
     def dart_vertex(self, dart: int) -> int:
-        return self._heads[twin(dart)]
+        return self._tails[dart]
 
     @cached_attribute
     def _tails(self) -> list[int]:
@@ -250,12 +232,29 @@ class EmbeddedGraph:
 
     @cached_attribute
     def sigma(self) -> tuple[int, ...]:
-        """Clockwise-successor permutation on darts."""
-        out = [0] * (2 * self.m)
-        for rot in self.rotation:
-            k = len(rot)
-            for i, d in enumerate(rot):
-                out[d] = rot[(i + 1) % k]
+        """Clockwise-successor permutation on darts.
+
+        Raises :class:`EmbeddingError` for a dart out of range, listed
+        twice, listed at the wrong vertex, or not listed at all.
+        """
+        m2 = 2 * self.m
+        # out[d] < 0 marks an unlisted dart; a bad successor is checked next.
+        tails = self._tails
+        out = [-1] * m2
+        for vtx, rot in enumerate(self.rotation):
+            for d, nxt in zip(rot, rot[1:] + rot[:1]):
+                if not (0 <= d < m2):
+                    raise EmbeddingError(f"dart {d} out of range at vertex {vtx}")
+                if out[d] >= 0:
+                    raise EmbeddingError(f"dart {d} listed twice")
+                if tails[d] != vtx:
+                    raise EmbeddingError(
+                        f"dart {d} listed at vertex {vtx}, belongs to {tails[d]}"
+                    )
+                out[d] = nxt
+        if -1 in out:
+            missing = [d for d in range(m2) if out[d] < 0]
+            raise EmbeddingError(f"missing darts {missing[:4]}")
         return tuple(out)
 
     @cached_attribute

@@ -534,38 +534,45 @@ class TestHarness:
     @pytest.mark.parametrize(
         "body, detail",
         [
-            ("vertices 99999999999\nedges 0\n", "rotation lines must cover"),
-            ("vertices 1\nedges 99999999999\nrot 0\n", "edge ids must cover"),
+            # huge counts are compared before any range of that size is built
+            (
+                "vertices 99999999999\nedges 0\n",
+                "rotation lines must cover every vertex exactly once",
+            ),
+            (
+                "vertices 1\nedges 99999999999\nrot 0\n",
+                "edge ids must cover 0..m-1 exactly",
+            ),
+            # a valid K2 but for one repeated or overlong line
+            (
+                "vertices 2\nvertices 2\nedges 1\ne 0 0 1\nrot 0 0\nrot 1 1\n",
+                "'vertices' declared twice",
+            ),
+            (
+                "vertices 2\nedges 1\nedges 1\ne 0 0 1\nrot 0 0\nrot 1 1\n",
+                "'edges' declared twice",
+            ),
+            (
+                "vertices 2 9\nedges 1\ne 0 0 1\nrot 0 0\nrot 1 1\n",
+                "malformed line 'vertices 2 9'",
+            ),
+            (
+                "vertices 2\nedges 1\ne 0 0 1 7\nrot 0 0\nrot 1 1\n",
+                "malformed line 'e 0 0 1 7'",
+            ),
         ],
-        ids=["vertices", "edges"],
+        ids=[
+            "huge-vertices",
+            "huge-edges",
+            "vertices-twice",
+            "edges-twice",
+            "vertices-field",
+            "e-field",
+        ],
     )
-    def test_huge_declared_count_is_input_error(self, body, detail, tmp_path, capsys):
-        # the counts are compared before any range of that size is built
-        f = tmp_path / "huge.peg"
+    def test_bad_declaration_is_input_error(self, body, detail, tmp_path, capsys):
+        f = tmp_path / "bad.peg"
         f.write_text("peg 1\n" + body)
-        assert main(["chi", "--graph", str(f)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith(f"error: {detail}")
-
-    @pytest.mark.parametrize(
-        "old, new, detail",
-        [
-            ("edges", "vertices 2\nedges", "'vertices' declared twice"),
-            ("edges 1", "edges 1\nedges 1", "'edges' declared twice"),
-            ("vertices 2", "vertices 2 9", "malformed line 'vertices 2 9'"),
-            ("e 0 0 1", "e 0 0 1 7", "malformed line 'e 0 0 1 7'"),
-        ],
-        ids=["vertices-twice", "edges-twice", "vertices-field", "e-field"],
-    )
-    def test_repeated_declaration_or_extra_field_is_input_error(
-        self, old, new, detail, tmp_path, capsys
-    ):
-        text = "peg 1\nvertices 2\nedges 1\ne 0 0 1\nrot 0 0\nrot 1 1\n"
-        f = tmp_path / "k2.peg"
-        f.write_text(text)
-        assert main(["chi", "--graph", str(f)]) == 0
-        capsys.readouterr()
-        f.write_text(text.replace(old, new, 1))
         assert main(["chi", "--graph", str(f)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {detail}\n"

@@ -140,14 +140,18 @@ class TestPeg:
         )
         assert parse_peg(text) == g
 
-    def test_bad_header(self):
-        with pytest.raises(PegParseError, match=r"^expected header 'peg 1', got 'peg 2'$"):
-            parse_peg("peg 2\nvertices 0\nedges 0\n")
-
-    def test_bad_header_quotes_the_stripped_line(self):
-        # the comment and the outer blanks go, the inner ones stay
-        with pytest.raises(PegParseError, match=r"^expected header 'peg 1', got 'peg   2'$"):
-            parse_peg("# c\n\n  peg   2  # x\nvertices 0\n")
+    @pytest.mark.parametrize(
+        "text, quoted",
+        [
+            ("peg 2\nvertices 0\nedges 0\n", "peg 2"),
+            # the comment and the outer blanks go, the inner ones stay
+            ("# c\n\n  peg   2  # x\nvertices 0\n", "peg   2"),
+        ],
+        ids=["plain", "stripped"],
+    )
+    def test_bad_header(self, text, quoted):
+        with pytest.raises(PegParseError, match=rf"^expected header 'peg 1', got '{quoted}'$"):
+            parse_peg(text)
 
     def test_missing_rotation(self):
         with pytest.raises(
