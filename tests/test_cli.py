@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import subprocess
@@ -450,6 +451,34 @@ class TestStructure:
         assert doc["all_pass"] is False
         assert doc["predicates"]["two_connected"] is True
         assert "no_three_thread" in doc["failing"]
+
+
+# First 16 hex digits of the sha256 of stdout for `structure`,
+# `structure --json` and `discharge --json` on each catalog host.
+CATALOG_HOST_STDOUT = {
+    "four-vertex": ("e6b9258afda15c41", "38c7ea450b3d7b4f", "93ec139e47a91513"),
+    "face-length-4": ("ca052ae17c78d1fd", "d99594013b798dbb", "3505e59f2f719260"),
+    "three-thread": ("a8e0bdf1555756fc", "78e4da83beb9f9ba", "f17913cf4c1faaf1"),
+    "eight-face": ("d006fe25d86aab3a", "3dfe41a60c3de802", "1f5e03790947dcc3"),
+    "nine-face": ("f2fcb367b81693d7", "c5b94d56a73f1714", "a5b5475a6a46aa30"),
+    "ten-face-adjacent": ("6417245b2b05d7f1", "2c7a30244d3e30cd", "10ffceb7dde98ed8"),
+    "ten-face-dist3": ("b4e430de6e940db2", "50842b393653c7cb", "c3c1153b1a4380dc"),
+    "ten-face-dist4": ("b4e430de6e940db2", "50842b393653c7cb", "b651b3e6119344d3"),
+}
+
+
+@pytest.mark.parametrize("config", catalog(), ids=lambda c: c.name)
+def test_catalog_host_structure_and_discharge_stdout_frozen(config, tmp_path, capsys):
+    peg = tmp_path / "host.peg"
+    peg.write_text(serialize_peg(config.host))
+    digests = []
+    for argv, code in (
+        (["structure"], 1), (["structure", "--json"], 1), (["discharge", "--json"], 0),
+    ):
+        assert main([argv[0], "--graph", str(peg), *argv[1:]]) == code
+        out = capsys.readouterr().out
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(digests) == CATALOG_HOST_STDOUT[config.name]
 
 
 class TestDistance:

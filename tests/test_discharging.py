@@ -1,6 +1,7 @@
 """Charge bookkeeping, the discharging rules, and structure predicates."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -371,6 +372,89 @@ def test_pair_predicates_match_one_scan_each():
         assert {k: got[k] for k in want} == want
         seen.update(want.items())
     assert len(seen) == 2 * len(want)
+
+
+def _predicate_sweep():
+    """Connected graphs with edges that, between them, pass and fail each
+    of the 23 predicates: random graphs, subdivided prisms and random
+    graphs, and edge deletions and contractions of the first 300."""
+    hosts = [random_plane_graph(s, max_ops=3 + s % 16) for s in range(600)]
+    rng = random.Random(19)
+    for i in range(600):
+        g = generate("prism", 3 + i % 6) if i % 3 else random_plane_graph(i, max_ops=6)
+        for _ in range(rng.randrange(1, 12)):
+            g = subdivide_edge(g, rng.randrange(g.m)).graph
+        hosts.append(g)
+    for g in hosts[:300]:
+        for e in range(min(4, g.m)):
+            hosts.append(delete_edge(g, e).graph)
+            if g.endpoints[e][0] != g.endpoints[e][1]:
+                hosts.append(contract_edge(g, e).graph)
+    return [g for g in hosts if g.m and g.is_connected]
+
+
+# (pass, fail) counts of each predicate over the sweep, in field order.
+SWEEP_COUNTS = {
+    "two_connected": (2534, 1066),
+    "loopless": (3570, 30),
+    "min_degree_two": (2771, 829),
+    "four_vertex_two_neighbors": (3361, 239),
+    "no_short_separating_cycle": (999, 2601),
+    "faces_at_least_five": (745, 2855),
+    "no_eight_face": (2141, 1459),
+    "no_three_thread": (1025, 2575),
+    "thread_far_from_2vertices_on_big_faces": (823, 2777),
+    "five_faces_all_four_plus": (1211, 2389),
+    "six_face_2vertex_4plus_neighbors": (1581, 2019),
+    "no_thread_on_small_face": (870, 2730),
+    "two_vertex_on_seven_plus_face": (1582, 2018),
+    "seven_face_thread_4plus_neighbor": (2488, 1112),
+    "thread_at_most_one_seven_face": (3428, 172),
+    "seven_face_thread_extra_2vertex_pattern": (2109, 1491),
+    "seven_face_multi_2vertices_4plus": (3444, 156),
+    "six_seven_shared_2vertex": (2991, 609),
+    "seven_seven_shared_2vertex_4plus": (3343, 257),
+    "seven_face_three_2verts_isolation": (3337, 263),
+    "nine_face_no_2vertex": (2483, 1117),
+    "ten_face_two_2vertices": (2962, 638),
+    "section_count_bounds": (1446, 2154),
+}
+# sha256 over one line of 0/1 flags per graph, in sweep and field order.
+SWEEP_DIGEST = "52bef6fe9480ed5f2edcd4117e10bbd05eb886b9380b15cce33b0732dbf46736"
+
+
+def test_structure_report_golden_on_sweep():
+    digest = hashlib.sha256()
+    counts = {name: [0, 0] for name in SWEEP_COUNTS}
+    for g in _predicate_sweep():
+        report = structure_report(g).as_dict()
+        assert list(report) == list(SWEEP_COUNTS)
+        digest.update("".join("01"[ok] for ok in report.values()).encode() + b"\n")
+        for name, ok in report.items():
+            counts[name][not ok] += 1
+    assert {name: tuple(c) for name, c in counts.items()} == SWEEP_COUNTS
+    assert all(min(c) > 0 for c in SWEEP_COUNTS.values())
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize(
+    "name, predicate",
+    [
+        ("four-vertex", "four_vertex_two_neighbors"),
+        ("face-length-4", "faces_at_least_five"),
+        ("eight-face", "no_eight_face"),
+        ("three-thread", "no_three_thread"),
+        ("nine-face", "nine_face_no_2vertex"),
+        ("ten-face-adjacent", "ten_face_two_2vertices"),
+        ("ten-face-dist3", "ten_face_two_2vertices"),
+        ("ten-face-dist4", "ten_face_two_2vertices"),
+    ],
+)
+def test_catalog_host_violates_its_predicate(name, predicate):
+    # Each reduction shows a minimal counterexample cannot contain its
+    # host, which backs the predicate that the host violates.
+    (config,) = [c for c in reduction_catalog() if c.name == name]
+    assert predicate in structure_report(config.host).failing()
 
 
 def _assert_matches_fraction_oracle(g, ledger):

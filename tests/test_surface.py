@@ -1,5 +1,6 @@
 """Every public name and every function the bench tracer wraps resolves,
-and no module imports a name it never reads.
+no module imports a name it never reads, and no private helper goes
+unread.
 
 ``bench/tracer.py`` replaces the functions it names to time them, so a
 rename or deletion in facet would otherwise surface only as a failed
@@ -61,3 +62,33 @@ def test_no_unread_imports():
     paths += (ROOT / "tests").glob("*.py")
     unread = {p.relative_to(ROOT).as_posix(): _unread_imports(p) for p in sorted(paths)}
     assert {k: v for k, v in unread.items() if v} == {}
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """``_x`` names a module or class body defines by def, class or
+    assignment."""
+    bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    names = set()
+    for node in (node for body in bodies for node in body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_no_unread_private_helpers():
+    # A private helper whose last caller is gone is dead code; reads are
+    # loads of a bare name or an attribute anywhere in src/facet.
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src" / "facet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in _private_definitions(tree):
+            defined.setdefault(name, path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert {name: p for name, p in defined.items() if name not in read} == {}
