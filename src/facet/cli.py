@@ -17,7 +17,13 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
 from facet.choosability import SearchBudgetError
-from facet.discharging import AuditReport, audit, structure_report
+from facet.discharging import (
+    VERDICT_ANOMALY,
+    AuditReport,
+    StructureReport,
+    audit,
+    structure_report,
+)
 from facet.embedding import (
     EmbeddedGraph,
     facial_distance,
@@ -268,6 +274,14 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0 if doc["ok"] else 1
 
 
+def _structure_doc(rep: StructureReport) -> dict:
+    return {
+        "predicates": rep.as_dict(),
+        "all_pass": rep.all_pass,
+        "failing": list(rep.failing()),
+    }
+
+
 def _discharge_doc(rep: AuditReport) -> dict:
     led = rep.ledger
     return {
@@ -296,11 +310,7 @@ def _discharge_doc(rep: AuditReport) -> dict:
             {"element": _elt(e), "num": ch.numerator, "den": ch.denominator}
             for e, ch in led.negatives()
         ],
-        "structure": {
-            "predicates": rep.structure.as_dict(),
-            "all_pass": rep.structure.all_pass,
-            "failing": list(rep.structure.failing()),
-        },
+        "structure": _structure_doc(rep.structure),
         "verdict": rep.verdict,
     }
 
@@ -325,7 +335,7 @@ def _cmd_discharge(args: argparse.Namespace) -> int:
         lines.append("structure failing: none")
     lines.append(f"verdict = {rep.verdict}")
     _emit(args, _discharge_doc(rep), lines)
-    return 1 if rep.verdict == "discharging-anomaly" else 0
+    return 1 if rep.verdict == VERDICT_ANOMALY else 0
 
 
 def _cmd_medial(args: argparse.Namespace) -> int:
@@ -356,18 +366,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_structure(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    rep = structure_report(g)
-    doc = {
-        "predicates": rep.as_dict(),
-        "all_pass": rep.all_pass,
-        "failing": list(rep.failing()),
-    }
+    doc = _structure_doc(structure_report(g))
     lines = [
-        ("ok " if ok else "FAIL ") + name for name, ok in rep.as_dict().items()
+        ("ok " if ok else "FAIL ") + name for name, ok in doc["predicates"].items()
     ]
-    lines.append("all = pass" if rep.all_pass else "all = fail")
+    lines.append("all = pass" if doc["all_pass"] else "all = fail")
     _emit(args, doc, lines)
-    return 0 if rep.all_pass else 1
+    return 0 if doc["all_pass"] else 1
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:

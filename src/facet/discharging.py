@@ -360,49 +360,38 @@ def _no_short_separating_cycle(g: EmbeddedGraph) -> bool:
     return not any(_cycle_separating(g, c) for c in _short_cycles(g, 7))
 
 
-def _thread_pairs_on_walk(g: EmbeddedGraph, verts: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Positions i with consecutive distinct 2-vertices at i, i+1."""
-    k = len(verts)
-    deg = g.degrees
-    out = []
-    for i in range(k):
-        a, b = verts[i], verts[(i + 1) % k]
-        if a != b and deg[a] == 2 and deg[b] == 2:
-            out.append((i, (i + 1) % k))
-    return out
-
-
 @dataclass(frozen=True)
 class StructureReport:
     """One boolean per structural conclusion, in a fixed field order.
 
     Every entry states a property that must hold in a minimal
-    counterexample; a True value means this graph satisfies it.
+    counterexample; a True value means this graph satisfies it.  The
+    comments give each predicate's number.
     """
 
-    two_connected: bool
-    loopless: bool
-    min_degree_two: bool
-    four_vertex_two_neighbors: bool
-    no_short_separating_cycle: bool
-    faces_at_least_five: bool
-    no_eight_face: bool
-    no_three_thread: bool
-    thread_far_from_2vertices_on_big_faces: bool
-    five_faces_all_four_plus: bool
-    six_face_2vertex_4plus_neighbors: bool
-    no_thread_on_small_face: bool
-    two_vertex_on_seven_plus_face: bool
-    seven_face_thread_4plus_neighbor: bool
-    thread_at_most_one_seven_face: bool
-    seven_face_thread_extra_2vertex_pattern: bool
-    seven_face_multi_2vertices_4plus: bool
-    six_seven_shared_2vertex: bool
-    seven_seven_shared_2vertex_4plus: bool
-    seven_face_three_2verts_isolation: bool
-    nine_face_no_2vertex: bool
-    ten_face_two_2vertices: bool
-    section_count_bounds: bool
+    two_connected: bool  # 1
+    loopless: bool  # 2
+    min_degree_two: bool  # 3
+    four_vertex_two_neighbors: bool  # 4
+    no_short_separating_cycle: bool  # 5
+    faces_at_least_five: bool  # 6
+    no_eight_face: bool  # 7
+    no_three_thread: bool  # 8
+    thread_far_from_2vertices_on_big_faces: bool  # 9
+    five_faces_all_four_plus: bool  # 10
+    six_face_2vertex_4plus_neighbors: bool  # 11
+    no_thread_on_small_face: bool  # 12
+    two_vertex_on_seven_plus_face: bool  # 13
+    seven_face_thread_4plus_neighbor: bool  # 14
+    thread_at_most_one_seven_face: bool  # 15
+    seven_face_thread_extra_2vertex_pattern: bool  # 16
+    seven_face_multi_2vertices_4plus: bool  # 17
+    six_seven_shared_2vertex: bool  # 18
+    seven_seven_shared_2vertex_4plus: bool  # 19
+    seven_face_three_2verts_isolation: bool  # 20
+    nine_face_no_2vertex: bool  # 21
+    ten_face_two_2vertices: bool  # 22
+    section_count_bounds: bool  # 23
 
     def as_dict(self) -> dict[str, bool]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -415,187 +404,132 @@ class StructureReport:
         return tuple(name for name, ok in self.as_dict().items() if not ok)
 
 
+_PREDICATES = tuple(f.name for f in fields(StructureReport))
+
+
 def structure_report(g: EmbeddedGraph) -> StructureReport:
-    """Evaluate every structural predicate on the embedding."""
-    walks = list(g.faces())
+    """Evaluate every structural predicate on the embedding.
+
+    Predicates 1-5 are graph-wide.  Each of the others is stated on the
+    element it constrains, in one pass over the faces, one over the
+    2-vertices and one over the 2-thread edges; an element that violates
+    a predicate clears its entry.
+    """
+    walks = g.faces()
     prof = face_profiles(g)
-    deg = g.degrees
-    two_vertices = [v for v in range(g.n) if deg[v] == 2]
-
-    def cyc_dist(i: int, j: int, k: int) -> int:
-        d = abs(i - j) % k
-        return min(d, k - d)
-
-    # 1
-    p_two_connected = _two_connected(g)
-    # 2
-    p_loopless = all(u != v for u, v in g.endpoints)
-    # 3
-    p_min_degree = all(deg[v] >= 2 for v in range(g.n))
+    deg, thread = g.degrees, g.two_thread
+    ok = dict.fromkeys(_PREDICATES, True)
+    ok["two_connected"] = _two_connected(g)
+    ok["loopless"] = all(u != v for u, v in g.endpoints)
+    ok["min_degree_two"] = all(d >= 2 for d in deg)
     # 4: a 4-vertex has at most three 2-valent neighbors
-    p_four_vertex = True
-    for v in range(g.n):
-        if deg[v] != 4:
-            continue
-        two_nbrs = {u for u in g.neighbors(v) if u != v and deg[u] == 2}
-        if len(two_nbrs) > 3:
-            p_four_vertex = False
-            break
-    # 5
-    p_no_sep = _no_short_separating_cycle(g)
-    # 6, 7
-    p_faces_five = all(p.length >= 5 for p in prof)
-    p_no_eight = all(p.length != 8 for p in prof)
-    # 8: every 2-vertex has a 3+ neighbor
-    p_no_three_thread = all(
-        any(u != v and deg[u] >= 3 for u in g.neighbors(v))
-        for v in two_vertices
+    ok["four_vertex_two_neighbors"] = all(
+        len({u for u in g.neighbors(v) if u != v and deg[u] == 2}) <= 3
+        for v in range(g.n)
+        if deg[v] == 4
     )
-    # 9: on an 8+ face, within facial distance 3 of a thread vertex only
-    # the thread itself may be 2-valent
-    p_thread_far = True
-    for walk in walks:
-        k = len(walk.vertices)
-        if k < 8:
-            continue
-        for i, j in _thread_pairs_on_walk(g, walk.vertices):
-            u, v = walk.vertices[i], walk.vertices[j]
-            for t, w in enumerate(walk.vertices):
-                if w in (u, v) or deg[w] != 2:
+    ok["no_short_separating_cycle"] = _no_short_separating_cycle(g)
+
+    for walk, p in zip(walks, prof):
+        k, n2, verts = p.length, p.n2, walk.vertices
+        # A walk through a thread vertex passes its 2-valent neighbor
+        # next to it, so it holds a 2-thread exactly when it holds a
+        # thread vertex.
+        has_thread = n2 >= 2 and any(thread[u] for u in verts)
+        if k <= 6 and has_thread:
+            ok["no_thread_on_small_face"] = False  # 12
+        if k < 5:
+            ok["faces_at_least_five"] = False  # 6
+        elif k == 5:
+            if any(deg[w] < 4 for w in verts):
+                ok["five_faces_all_four_plus"] = False  # 10
+        elif k == 6:
+            # 11: both neighbors of a 2-vertex on a 6-face are 4+
+            if any(
+                deg[u] == 2 and min(deg[w] for w in g.neighbors(u)) < 4 for u in verts
+            ):
+                ok["six_face_2vertex_4plus_neighbors"] = False
+        elif k == 7 and n2 >= (3 if has_thread else 2):
+            # 16: with a thread and a third 2-vertex, each 2-vertex has a
+            # 4+ neighbor and its other neighbor is 2-valent or 4+;
+            # 17: with no thread and 2+ 2-vertices, each has a 4+ neighbor
+            for u in verts:
+                if deg[u] != 2:
                     continue
-                if min(cyc_dist(t, i, k), cyc_dist(t, j, k)) <= 3:
-                    p_thread_far = False
-    # 10
-    p_five_faces = all(
-        all(deg[w] >= 4 for w in walk.vertices)
-        for walk in walks
-        if len(walk.vertices) == 5
-    )
-    # 11: both neighbors of a 2-vertex on a 6-face are 4+
-    p_six_face = True
-    for walk in walks:
-        if len(walk.vertices) != 6:
+                lo, hi = sorted(deg[w] for w in g.neighbors(u))
+                if has_thread:
+                    if not (hi >= 4 and (lo == 2 or lo >= 4)):
+                        ok["seven_face_thread_extra_2vertex_pattern"] = False
+                elif hi < 4:
+                    ok["seven_face_multi_2vertices_4plus"] = False
+        elif k >= 8:
+            if k == 8:
+                ok["no_eight_face"] = False  # 7
+            elif k == 9 and n2:
+                ok["nine_face_no_2vertex"] = False  # 21
+            elif k == 10 and n2 > 2:
+                ok["ten_face_two_2vertices"] = False  # 22
+            # 23: section bounds on 8+ faces holding 2-vertices
+            if n2 and (
+                n2 > k // 2
+                or p.s2 > (k - 2 * p.s1) // 5
+                or (k == 11 and p.s2 and n2 > 4)
+            ):
+                ok["section_count_bounds"] = False
+            # 9: within facial distance 3 of a thread at walk positions
+            # (i, i + 1), that is at positions i - 3 .. i + 4, only the
+            # thread itself is 2-valent
+            for i in range(k if has_thread else 0):
+                u, v = verts[i], verts[(i + 1) % k]
+                if u != v and deg[u] == deg[v] == 2 and any(
+                    deg[w] == 2 and w != u and w != v
+                    for w in (verts[(i + s) % k] for s in range(-3, 5))
+                ):
+                    ok["thread_far_from_2vertices_on_big_faces"] = False
+
+    for v in range(g.n):
+        if deg[v] != 2:
             continue
-        for u in set(walk.vertices):
-            if deg[u] == 2 and not all(deg[w] >= 4 for w in g.neighbors(u)):
-                p_six_face = False
-    # 12: no 2-thread on a face of length at most 6
-    p_no_small_thread = all(
-        not _thread_pairs_on_walk(g, walk.vertices)
-        for walk in walks
-        if len(walk.vertices) <= 6
-    )
-    # 13: every 2-vertex touches a 7+ face
-    p_seven_plus = all(
-        any(prof[f].length >= 7 for f in g.faces_at_vertex[v])
-        for v in two_vertices
-    )
-    # 14: a thread on a 7-face has a 4+ neighbor; 15: a thread touches
-    # at most one 7-face
-    p_thread_nbr = p_thread_one_seven = True
+        nbrs = g.neighbors(v)
+        # 8: every 2-vertex has a 3+ neighbor
+        if not any(u != v and deg[u] >= 3 for u in nbrs):
+            ok["no_three_thread"] = False
+        f1, f2 = _faces_at_two_vertex(g, v)
+        p1, p2 = prof[f1], prof[f2]
+        # 13: every 2-vertex touches a 7+ face
+        if max(p1.length, p2.length) < 7:
+            ok["two_vertex_on_seven_plus_face"] = False
+        if f1 == f2:
+            continue
+        # Between two distinct faces, 18: a 6-face and a 7-face force the
+        # rest of the 7-face to be 3+; 19: two 7-faces with 2+ 2-vertices
+        # each force two distinct 4+ neighbors; 20: two 7-faces, one with
+        # 3+ 2-vertices: v is the other's only 2-vertex
+        if {p1.length, p2.length} == {6, 7}:
+            seven = walks[f1 if p1.length == 7 else f2]
+            if any(w != v and deg[w] < 3 for w in seven.vertices):
+                ok["six_seven_shared_2vertex"] = False
+        elif p1.length == p2.length == 7:
+            if min(p1.n2, p2.n2) >= 2 and len({w for w in nbrs if deg[w] >= 4}) < 2:
+                ok["seven_seven_shared_2vertex_4plus"] = False
+            if (p1.n2 >= 3 and p2.n2 != 1) or (p2.n2 >= 3 and p1.n2 != 1):
+                ok["seven_face_three_2verts_isolation"] = False
+
     for e, (u, v) in enumerate(g.endpoints):
         if u == v or deg[u] != 2 or deg[v] != 2:
             continue
-        faces = {g.face_of_dart[2 * e], g.face_of_dart[2 * e + 1]}
-        sevens = sum(1 for f in faces if prof[f].length == 7)
+        # 15: a thread touches at most one 7-face; 14: a thread on a
+        # 7-face has a 4+ neighbor
+        sides = {g.face_of_dart[2 * e], g.face_of_dart[2 * e + 1]}
+        sevens = sum(prof[f].length == 7 for f in sides)
         if sevens > 1:
-            p_thread_one_seven = False
-        outer = {w for w in g.neighbors(u) + g.neighbors(v) if w not in (u, v)}
-        if sevens and not any(deg[w] >= 4 for w in outer):
-            p_thread_nbr = False
-    # 16: a 7-face with a thread and a third 2-vertex constrains every
-    # 2-vertex's pair of neighbors; 17: on a 7-face with 2+ 2-vertices
-    # and no thread, each has a 4+ neighbor
-    p_seven_pattern = p_seven_multi = True
-    for walk in walks:
-        if len(walk.vertices) != 7:
-            continue
-        thread = bool(_thread_pairs_on_walk(g, walk.vertices))
-        if prof[walk.index].n2 < (3 if thread else 2):
-            continue
-        for u in set(walk.vertices):
-            if deg[u] != 2:
-                continue
-            a, b = g.neighbors(u)
-            da, db = deg[a], deg[b]
-            if not thread:
-                if da < 4 and db < 4:
-                    p_seven_multi = False
-            elif not (
-                (da >= 4 and db >= 4) or (da == 2 and db >= 4) or (db == 2 and da >= 4)
-            ):
-                p_seven_pattern = False
-    # At a 2-vertex v between two distinct faces:
-    # 18: a 6-face and a 7-face force the rest of the 7-face to be 3+;
-    # 19: two 7-faces with 2+ 2-vertices each force two distinct 4+
-    # neighbors on v; 20: two 7-faces, one with 3+ 2-vertices: v is the
-    # other's only 2-vertex
-    p_six_seven = p_seven_seven = p_isolation = True
-    for v in two_vertices:
-        f1, f2 = _faces_at_two_vertex(g, v)
-        if f1 == f2:
-            continue
-        for a, b in ((f1, f2), (f2, f1)):
-            if prof[a].length == 6 and prof[b].length == 7:
-                if any(w != v and deg[w] < 3 for w in walks[b].vertices):
-                    p_six_seven = False
-        p1, p2 = prof[f1], prof[f2]
-        if p1.length != 7 or p2.length != 7:
-            continue
-        if p1.n2 >= 2 and p2.n2 >= 2:
-            if len({w for w in g.neighbors(v) if deg[w] >= 4}) < 2:
-                p_seven_seven = False
-        if (p1.n2 >= 3 and p2.n2 != 1) or (p2.n2 >= 3 and p1.n2 != 1):
-            p_isolation = False
-    # 21, 22
-    p_nine = all(
-        prof[walk.index].n2 == 0
-        for walk in walks
-        if len(walk.vertices) == 9
-    )
-    p_ten = all(
-        prof[walk.index].n2 <= 2
-        for walk in walks
-        if len(walk.vertices) == 10
-    )
-    # 23: section bounds on 8+ faces holding 2-vertices
-    p_sections = True
-    for p in prof:
-        k = p.length
-        if k < 8 or p.n2 == 0:
-            continue
-        if p.n2 > k // 2:
-            p_sections = False
-        if p.s2 > (k - 2 * p.s1) // 5:
-            p_sections = False
-        if k == 11 and p.s2 > 0 and p.n2 > 4:
-            p_sections = False
+            ok["thread_at_most_one_seven_face"] = False
+        if sevens and not any(
+            deg[w] >= 4 for w in g.neighbors(u) + g.neighbors(v) if w != u and w != v
+        ):
+            ok["seven_face_thread_4plus_neighbor"] = False
 
-    return StructureReport(
-        two_connected=p_two_connected,
-        loopless=p_loopless,
-        min_degree_two=p_min_degree,
-        four_vertex_two_neighbors=p_four_vertex,
-        no_short_separating_cycle=p_no_sep,
-        faces_at_least_five=p_faces_five,
-        no_eight_face=p_no_eight,
-        no_three_thread=p_no_three_thread,
-        thread_far_from_2vertices_on_big_faces=p_thread_far,
-        five_faces_all_four_plus=p_five_faces,
-        six_face_2vertex_4plus_neighbors=p_six_face,
-        no_thread_on_small_face=p_no_small_thread,
-        two_vertex_on_seven_plus_face=p_seven_plus,
-        seven_face_thread_4plus_neighbor=p_thread_nbr,
-        thread_at_most_one_seven_face=p_thread_one_seven,
-        seven_face_thread_extra_2vertex_pattern=p_seven_pattern,
-        seven_face_multi_2vertices_4plus=p_seven_multi,
-        six_seven_shared_2vertex=p_six_seven,
-        seven_seven_shared_2vertex_4plus=p_seven_seven,
-        seven_face_three_2verts_isolation=p_isolation,
-        nine_face_no_2vertex=p_nine,
-        ten_face_two_2vertices=p_ten,
-        section_count_bounds=p_sections,
-    )
+    return StructureReport(**ok)
 
 
 # -- audit ------------------------------------------------------------------
