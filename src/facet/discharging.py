@@ -116,13 +116,13 @@ def _faces_at_two_vertex(g: EmbeddedGraph, u: int) -> tuple[int, int]:
     return g.face_of_dart[d1], g.face_of_dart[d2]
 
 
-# Rule amounts as (units of 1/30, the Fraction logged in a Transfer).
-_R1 = (6, Fraction(1, 5))
-_R2_FULL = (20, Fraction(2, 3))
-_R2_HALF = (10, Fraction(1, 3))
-_R3 = (30, Fraction(1))
-_R4 = (25, Fraction(5, 6))
-_R5 = (35, Fraction(7, 6))
+# Rule amounts in units of 1/30.
+_R1 = 6
+_R2_FULL = 20
+_R2_HALF = 10
+_R3 = 30
+_R4 = 25
+_R5 = 35
 
 
 def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
@@ -160,14 +160,15 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
     transfers: list[Transfer] = list(ledger.transfers)
     gaps: list[str] = list(ledger.gaps)
     notes: list[str] = list(ledger.notes)
+    frac = functools.cache(lambda units: Fraction(units, unit))
 
-    def send(rule: str, src: Element, dst: Element, amount: tuple[int, Fraction]) -> None:
-        units = amount[0] * scale
+    def send(rule: str, src: Element, dst: Element, amount: int) -> None:
+        units = amount * scale
         kind, i = src
         (vch if kind == "v" else fch)[i] -= units
         kind, i = dst
         (vch if kind == "v" else fch)[i] += units
-        transfers.append(Transfer(rule, src, dst, amount[1]))
+        transfers.append(Transfer(rule, src, dst, frac(units)))
 
     for v in range(g.n):
         if deg[v] == 2:
@@ -234,7 +235,6 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
             elif length >= 8:
                 send("R5", ("f", f), ("v", u), _R5)
 
-    frac = functools.cache(lambda units: Fraction(units, unit))
     return ChargeLedger(
         vertex_initial=ledger.vertex_initial,
         face_initial=ledger.face_initial,

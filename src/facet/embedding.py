@@ -36,9 +36,9 @@ class SurgeryError(EmbeddingError):
     """Surgery preconditions violated."""
 
 
-# (lo, hi) -> (gap, face, pos_lo, pos_hi) for the pairs at gap <= ell; see
+# (lo, hi) -> (gap, face) for the pairs at gap <= ell; see
 # EmbeddedGraph.edge_gap_table.
-GapTable = dict[tuple[int, int], tuple[int, int, int, int]]
+GapTable = dict[tuple[int, int], tuple[int, int]]
 
 
 def twin(dart: int) -> int:
@@ -76,7 +76,6 @@ class FaceProfile:
     exactly when every maximal run has length at most 2.
     """
 
-    face: int
     length: int
     n2: int
     s1: int
@@ -257,12 +256,6 @@ class EmbeddedGraph:
             raise EmbeddingError(f"missing darts {missing[:4]}")
         return tuple(out)
 
-    @cached_attribute
-    def phi(self) -> tuple[int, ...]:
-        """Face permutation phi(d) = sigma(twin(d))."""
-        sig = self.sigma
-        return tuple(sig[twin(d)] for d in range(2 * self.m))
-
     def faces(self) -> tuple[FaceWalk, ...]:
         """Face walks as phi-orbits, indexed by discovery order over darts."""
         return self._faces
@@ -317,9 +310,7 @@ class EmbeddedGraph:
             # Maximal cyclic runs of 2-vertices: read from a non-2-vertex on.
             cut = two.index(False) if False in two else 0
             runs = [len(list(r)) for t, r in groupby(two[cut:] + two[:cut]) if t]
-            profiles.append(
-                FaceProfile(walk.index, len(walk), n2, runs.count(1), runs.count(2))
-            )
+            profiles.append(FaceProfile(len(walk), n2, runs.count(1), runs.count(2)))
         return tuple(profiles)
 
     # -- facial distance -------------------------------------------------
@@ -328,10 +319,10 @@ class EmbeddedGraph:
         """Edge pairs within ``ell`` of each other on a shared face walk.
 
         Maps ``(e, f)`` with ``e < f`` at minimal cyclic gap at most
-        ``ell`` to ``(gap, face, pos_e, pos_f)`` for the first face walk
-        realising it.  Pairs farther apart, or never sharing a face, are
-        absent.  A face of length k costs O(k * ell), and each table is
-        computed once per graph and bound.
+        ``ell`` to ``(gap, face)``, ``face`` the first face walk
+        realising that gap.  Pairs farther apart, or never sharing a
+        face, are absent.  A face of length k costs O(k * ell), and each
+        table is computed once per graph and bound.
         """
         return self._gap_table("edges", ell)
 
@@ -350,7 +341,7 @@ class EmbeddedGraph:
         if (key, ell) in tables:
             return tables[key, ell]
         # Steps j - i > 0 at cyclic gap <= r, ascending: each pair keeps
-        # the first position pair, in walk order, at its least gap.
+        # its least gap and the first walk, in face order, that realises it.
         best: GapTable = {}
         steps_by_length: dict[int, list[tuple[int, int]]] = {}
         for walk in self.faces():
@@ -372,7 +363,7 @@ class EmbeddedGraph:
                     pair = (x, y) if x < y else (y, x)
                     cur = best.get(pair)
                     if cur is None or gap < cur[0]:
-                        best[pair] = (gap, walk.index) + ((i, j) if x < y else (j, i))
+                        best[pair] = (gap, walk.index)
         tables[key, ell] = best
         return best
 
@@ -708,7 +699,8 @@ def medial(g: EmbeddedGraph) -> tuple[EmbeddedGraph, tuple[int, ...]]:
     """
     if g.m == 0:
         raise EmbeddingError("medial of an edgeless graph is undefined")
-    phi = g.phi
+    sig = g.sigma
+    phi = [sig[d ^ 1] for d in range(2 * g.m)]
     phi_inv = [0] * len(phi)
     for d, t in enumerate(phi):
         phi_inv[t] = d

@@ -30,8 +30,6 @@ class Violation:
     color: int
     face: int
     gap: int
-    pos_e: int
-    pos_f: int
 
 
 @dataclass(frozen=True)
@@ -58,9 +56,9 @@ def _conflict_masks(g: EmbeddedGraph, ell: int) -> list[int]:
 
 def _check_ids(coloring: dict[int, int], count: int, kind: str) -> None:
     for key, color in coloring.items():
-        if not isinstance(key, int) or not 0 <= key < count:
+        if type(key) is not int or not 0 <= key < count:
             raise ColoringError(f"{kind} id {key!r} out of range")
-        if not isinstance(color, int) or color < 1:
+        if type(color) is not int or color < 1:
             raise ColoringError(f"color {color!r} on {kind} {key} not a positive integer")
 
 
@@ -69,8 +67,8 @@ def _verdict(
 ) -> Verdict:
     """Judge a coloring of ids ``0..count-1`` against its close pairs."""
     bad = tuple(
-        Violation(a, b, coloring[a], face, gap, pi, pj)
-        for (a, b), (gap, face, pi, pj) in sorted(
+        Violation(a, b, coloring[a], face, gap)
+        for (a, b), (gap, face) in sorted(
             (pair, wit) for pair, wit in pairs
             if pair[0] in coloring and coloring[pair[0]] == coloring.get(pair[1])
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from facet.choosability import (
     SimpleGraph,
@@ -267,7 +267,7 @@ def check(config: Configuration) -> CheckReport:
     # Obligations build graphs on the conflicts, so they need valid ones.
     if not bad_pairs:
         for ob in config.obligations:
-            steps.extend(_check_obligation(config, ob))
+            _check_obligation(config, ob, log)
     # Without a certificate or an obligation nothing argues that a
     # coloring of the reduced graph extends.
     if config.certificate is None and not config.obligations:
@@ -290,12 +290,10 @@ def _conflict_subgraph(config: Configuration, nodes: list[int]) -> SimpleGraph:
     return SimpleGraph.from_edges(len(nodes), edges)
 
 
-def _check_obligation(config: Configuration, ob: str) -> list[CheckStep]:
-    steps: list[CheckStep] = []
-
-    def log(label: str, ok: bool, detail: str) -> None:
-        steps.append(CheckStep(label, bool(ok), detail))
-
+def _check_obligation(
+    config: Configuration, ob: str, log: Callable[[str, bool, str], None]
+) -> None:
+    """Check one extension obligation, logging each step through ``log``."""
     free = list(config.free)
     sg = _conflict_subgraph(config, free)
     caps = {v: config.caps[v - 1] for v in free}
@@ -368,8 +366,6 @@ def _check_obligation(config: Configuration, ob: str) -> list[CheckStep]:
 
     else:
         log("obligation", False, f"unknown obligation {ob!r}")
-
-    return steps
 
 
 # -- catalog ---------------------------------------------------------------

@@ -482,7 +482,7 @@ def reference_chromatic_index(g, ell, upper_bound=None):
     over a static order with the canonical fresh-color rule, sharing no
     search code with the library solver."""
     adjacency = [set() for _ in range(g.m)]
-    for (a, b), (gap, _, _, _) in reference_gap_table(g, "edges").items():
+    for (a, b), (gap, _) in reference_gap_table(g, "edges").items():
         if gap <= ell:
             adjacency[a].add(b)
             adjacency[b].add(a)
@@ -578,7 +578,7 @@ def reference_faces(g: EmbeddedGraph) -> dict:
     """Face walks from the definitions: sigma takes each dart to the next
     one clockwise in its rotation list, phi = sigma after twin, and the
     faces are the phi-orbits, numbered by their lowest dart and each read
-    from it.  Returns ``sigma``, ``phi``, ``face_of_dart`` and the walks
+    from it.  Returns ``sigma``, ``face_of_dart`` and the walks
     as ``(index, darts, edges, vertices)`` tuples."""
     darts = 2 * len(g.endpoints)
     sigma = [None] * darts
@@ -604,7 +604,6 @@ def reference_faces(g: EmbeddedGraph) -> dict:
         ))
     return {
         "sigma": tuple(sigma),
-        "phi": tuple(phi),
         "face_of_dart": face_of_dart,
         "walks": walks,
     }
@@ -612,8 +611,9 @@ def reference_faces(g: EmbeddedGraph) -> dict:
 
 def reference_gap_table(g: EmbeddedGraph, key: str) -> dict:
     """O(k^2) gap-table oracle, unbounded: every pair of positions on
-    every face walk, keeping the first occurrence of each pair's minimal
-    gap.  The library's bounded tables are its pairs at gap <= ell."""
+    every face walk, keeping each pair's minimal gap and the first walk
+    that realises it, as ``(gap, face)``.  The library's bounded tables
+    are its pairs at gap <= ell."""
     best: dict = {}
     for walk in g.faces():
         seq = walk.edges if key == "edges" else walk.vertices
@@ -623,11 +623,10 @@ def reference_gap_table(g: EmbeddedGraph, key: str) -> dict:
                 a, b = seq[i], seq[j]
                 if a == b:
                     continue
-                pi, pj = (i, j) if a < b else (j, i)
                 gap = min(j - i, k - (j - i))
                 cur = best.get((min(a, b), max(a, b)))
                 if cur is None or gap < cur[0]:
-                    best[(min(a, b), max(a, b))] = (gap, walk.index, pi, pj)
+                    best[(min(a, b), max(a, b))] = (gap, walk.index)
     return best
 
 

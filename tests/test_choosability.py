@@ -174,6 +174,10 @@ class TestDegreeFeasible:
         with pytest.raises(ListColoringError, match="connected"):
             degree_feasible_colorable(SimpleGraph.from_edges(2, []), [{1}, {1}])
 
+    def test_list_count_mismatch(self):
+        with pytest.raises(ListColoringError, match="^one list per vertex required$"):
+            degree_feasible_colorable(path(3), [{1, 2}, {1, 2}])
+
     def test_repeated_colors_count_once(self):
         # [1, 1] has one color, below degree 2, though its length is 2
         for g, lists in [

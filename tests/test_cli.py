@@ -34,6 +34,7 @@ DISCONNECTED_PEG = (
     "rot 3 6 11\nrot 4 8 7\nrot 5 10 9\n"
 )
 
+K1_PEG = "peg 1\nvertices 1\nedges 0\nrot 0\n"
 
 # Every pair of C7's edges is within 3 on a face walk; the label is the gap.
 C7_DOT = """\
@@ -125,7 +126,7 @@ class TestVerify:
         assert main(["verify", "--graph", str(graph), "--coloring", str(col)]) == 1
         want = [
             f"violation e={a} f={b} color={coloring[a]} face={face} gap={gap}"
-            for (a, b), (gap, face, _, _) in sorted(reference_gap_table(g, "edges").items())
+            for (a, b), (gap, face) in sorted(reference_gap_table(g, "edges").items())
             if gap <= 3 and coloring[a] == coloring[b]
         ]
         assert len(want) == 5
@@ -169,6 +170,20 @@ class TestChi:
         assert main(["chi", "--graph", str(c7), "--budget", "2"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_ell_zero_is_usage_error(self, c7, capsys):
+        assert main(["chi", "--graph", str(c7), "--ell", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "facet chi: error: argument --ell: must be a positive integer"
+        )
+
+    def test_edgeless_graph_needs_no_colors(self, tmp_path, capsys):
+        f = tmp_path / "k1.peg"
+        f.write_text(K1_PEG)
+        assert main(["chi", "--graph", str(f)]) == 0
+        assert capsys.readouterr().out == "chi = 0\n"
+
 
 class TestCn:
     def test_lemma_golden(self, capsys):
@@ -198,6 +213,21 @@ class TestCn:
     def test_unknown_lemma(self, capsys):
         assert main(["cn", "--lemma", "nope"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("p 1 2\nt 1 0\nt 1 0\n", "line 3: duplicate target line"),
+            ("p 1 2\n", "pairs file has no target line"),
+        ],
+        ids=["duplicate-target", "no-target"],
+    )
+    def test_bad_target_lines_are_input_errors(self, text, detail, tmp_path, capsys):
+        f = tmp_path / "bad.cn"
+        f.write_text(text)
+        assert main(["cn", "--pairs", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {detail}\n"
 
     def test_target_exponent_past_fifteen(self, tmp_path, capsys):
         f = tmp_path / "big.cn"
@@ -315,6 +345,27 @@ class TestReduce:
         f.write_text(json.dumps(doc))
         assert main(["reduce", "--config-file", str(f)]) == 1
         assert lines(capsys) == [f"FAIL {name}: surgery ({detail})", "all = fail"]
+
+    @pytest.mark.parametrize(
+        "key, value, failure",
+        [
+            ("surgery", [["contract_face", 99]], "surgery (face id 99 out of range)"),
+            ("surgery", [["identify_edges", 8, 12, 99]], "surgery (face id 99 out of range)"),
+            ("certificate", "nope", "certificate (unknown certificate 'nope')"),
+            ("obligations", ["nope"], "obligation (unknown obligation 'nope')"),
+        ],
+        ids=["contract-face", "identify-edges", "certificate", "obligation"],
+    )
+    def test_unknown_face_certificate_or_obligation_fails(
+        self, key, value, failure, tmp_path, capsys
+    ):
+        config = next(c for c in catalog() if c.name == "eight-face")
+        doc = json.loads(configuration_to_json(config))
+        doc[key] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main(["reduce", "--config-file", str(f)]) == 1
+        assert lines(capsys) == [f"FAIL eight-face: {failure}", "all = fail"]
 
     def test_identification_too_close_after_earlier_step_fails(self, tmp_path, capsys):
         config = next(c for c in catalog() if c.name == "eight-face")
@@ -435,6 +486,14 @@ class TestMedial:
         assert main(["medial", "--graph", str(c7), "--out", str(out)]) == 0
         assert parse_peg(out.read_text()).n == 7
 
+    def test_edgeless_graph_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "k1.peg"
+        f.write_text(K1_PEG)
+        assert main(["medial", "--graph", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: medial of an edgeless graph is undefined\n"
+
 
 class TestStructure:
     def test_c7_fails_threads(self, c7, capsys):
@@ -540,6 +599,12 @@ class TestGen:
         assert main(["gen", "cycle"]) == 2
         assert "bad parameters" in capsys.readouterr().err
 
+    def test_empty_cycle_is_input_error(self, capsys):
+        assert main(["gen", "cycle", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad parameters for family 'cycle': cycle needs n >= 1\n"
+        )
+
     def test_unknown_family(self):
         assert main(["gen", "moebius", "5"]) == 2
 
@@ -589,6 +654,15 @@ class TestHarness:
                 "vertices 2\nedges 1\ne 0 0 1 7\nrot 0 0\nrot 1 1\n",
                 "malformed line 'e 0 0 1 7'",
             ),
+            (
+                "vertices 2\nedges 1\ne 0 0 1\ne 0 0 1\nrot 0 0\nrot 1 1\n",
+                "edge 0 declared twice",
+            ),
+            (
+                "vertices 2\nedges 1\ne 0 0 1\nrot 0 0\nrot 0 0\nrot 1 1\n",
+                "rotation of vertex 0 declared twice",
+            ),
+            ("vertices 1\nrot 0\n", "missing 'vertices' or 'edges' declaration"),
         ],
         ids=[
             "huge-vertices",
@@ -597,6 +671,9 @@ class TestHarness:
             "edges-twice",
             "vertices-field",
             "e-field",
+            "edge-twice",
+            "rotation-twice",
+            "no-edges-line",
         ],
     )
     def test_bad_declaration_is_input_error(self, body, detail, tmp_path, capsys):
@@ -605,6 +682,14 @@ class TestHarness:
         assert main(["chi", "--graph", str(f)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {detail}\n"
+
+    @pytest.mark.parametrize("text", ["", "# a comment and nothing else\n\n"])
+    def test_empty_peg_is_input_error(self, text, tmp_path, capsys):
+        f = tmp_path / "empty.peg"
+        f.write_text(text)
+        assert main(["chi", "--graph", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: empty input\n"
 
     def test_repeated_calls_match_fresh_processes(self, c7, capsys, monkeypatch):
         src = str(Path(facet.__file__).resolve().parents[1])

@@ -158,7 +158,7 @@ class TestRuleTwo:
         g = two_ring_host(4, 4, {2}, {2})
         rep = audit(g)
         sevens = sorted(i for i, w in enumerate(g.faces()) if len(w.darts) == 7)
-        prof = {p.face: p.n2 for p in face_profiles(g)}
+        prof = {i: p.n2 for i, p in enumerate(face_profiles(g))}
         assert [prof[i] for i in sevens] == [2, 2]
         r2 = [t for t in rep.ledger.transfers if t.rule == "R2"]
         assert len(r2) == 4 and all(t.amount == F(1, 3) for t in r2)
@@ -170,7 +170,7 @@ class TestRuleTwo:
     def test_unbalanced_seven_faces_pay_the_crowded_one(self):
         g = two_ring_host(4, 4, {2}, set())
         rep = audit(g)
-        prof = {p.face: p for p in face_profiles(g)}
+        prof = dict(enumerate(face_profiles(g)))
         sevens = [i for i, w in enumerate(g.faces()) if len(w.darts) == 7]
         crowded = next(i for i in sevens if prof[i].n2 == 2)
         r2 = [t for t in rep.ledger.transfers if t.rule == "R2"]

@@ -69,14 +69,14 @@ class TestVerify:
         got = [(w.e, w.f, w.color, w.face, w.gap) for w in v.violations]
         assert got == [(0, 4, 1, 0, 3), (1, 5, 2, 0, 3), (2, 6, 3, 0, 3)]
 
-    def test_violation_positions_name_real_walk_slots(self, catalog):
+    def test_bool_ids_and_colors_rejected(self, catalog):
+        # bool is an int subclass: True must not pass as id 1 or color 1
         g = catalog["cycle-7"]
-        v = verify(g, 3, {e: e % 4 + 1 for e in range(7)})
-        for w in v.violations:
-            walk = g.faces()[w.face]
-            edges = [d >> 1 for d in walk.darts]
-            assert edges[w.pos_e] == w.e
-            assert edges[w.pos_f] == w.f
+        for check, kind in ((verify, "edge"), (verify_vertex, "vertex")):
+            with pytest.raises(ColoringError, match=f"^{kind} id True out of range$"):
+                check(g, 3, {True: 1, 2: 1}, require_total=False)
+            with pytest.raises(ColoringError, match=f"^color True on {kind} 0 not"):
+                check(g, 3, {0: True, 1: 1}, require_total=False)
 
     def test_require_total_reports_missing(self, catalog):
         g = catalog["cycle-7"]
@@ -113,7 +113,7 @@ class TestVerify:
                 pairs = [(w.e, w.f) for w in verify_vertex(g, ell, vcol).violations]
                 assert pairs == sorted(
                     key
-                    for key, (gap, _, _, _) in reference_gap_table(g, "vertices").items()
+                    for key, (gap, _) in reference_gap_table(g, "vertices").items()
                     if gap <= ell and vcol[key[0]] == vcol[key[1]]
                 ), (name, ell)
 
@@ -129,8 +129,8 @@ class TestVerify:
             for (a, b), _ in rng.sample([it for it in full if it[1][0] <= 3], 6):
                 coloring[b] = coloring[a]
             want = tuple(
-                Violation(a, b, coloring[a], face, gap, pa, pb)
-                for (a, b), (gap, face, pa, pb) in full
+                Violation(a, b, coloring[a], face, gap)
+                for (a, b), (gap, face) in full
                 if gap <= 3 and coloring[a] == coloring[b]
             )
             assert len(want) >= 2

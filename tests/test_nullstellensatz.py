@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from facet.nullstellensatz import (
     CERTIFICATES,
+    Certificate,
     EXPECTED_COEFFICIENTS,
     ExponentOverflow,
     check_certificate,
@@ -146,6 +147,22 @@ class TestGoldenCertificates:
     def test_target_degree_matches_pair_count(self):
         for cert in CERTIFICATES.values():
             assert sum(cert.target) == len(cert.pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs, target, caps, detail",
+    [
+        (((1, 2),), (1,), (2, 2), r"target/caps length must equal nvars"),
+        (((1, 2),), (1, 0), (2,), r"target/caps length must equal nvars"),
+        (((1, 3),), (1, 0), (2, 2), r"bad pair \(1, 3\)"),
+        (((2, 2),), (1, 0), (2, 2), r"bad pair \(2, 2\)"),
+        (((1, 2),), (1, 1), (2, 2), r"target degree must equal the number of factors"),
+    ],
+    ids=["short-target", "short-caps", "pair-out-of-range", "pair-self", "target-degree"],
+)
+def test_certificate_validation(pairs, target, caps, detail):
+    with pytest.raises(ValueError, match=f"^{detail}$"):
+        Certificate("bad", 2, pairs, target, caps)
 
 
 def test_coefficient_wrapper_degree_mismatch_is_zero():
