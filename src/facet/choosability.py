@@ -51,9 +51,6 @@ class SimpleGraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def edges(self) -> list[tuple[int, int]]:
         return [
             (u, v) for u in range(self.n) for v in self.adjacency[u] if u < v

@@ -340,10 +340,10 @@ def _cmd_discharge(args: argparse.Namespace) -> int:
 
 def _cmd_medial(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    m, corr = medial(g)
+    m = medial(g)
     peg = serialize_peg(m)
     if args.json:
-        print(json.dumps({"peg": peg, "correspondence": list(corr)}, indent=2))
+        print(json.dumps({"peg": peg, "correspondence": list(range(m.n))}, indent=2))
     else:
         _write_out(args, peg)
     return 0

@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from facet._cached import cached_attribute
-from facet.choosability import SimpleGraph, blocks
 from facet.embedding import (
     EmbeddedGraph,
+    _compact,
     face_profiles,
     twin,
 )
@@ -250,30 +250,41 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
 
 
 def _two_connected(g: EmbeddedGraph) -> bool:
-    """2-connectivity of the pseudograph, from one lowpoint pass.
+    """2-connectivity of the pseudograph, read from its face walks.
 
-    A 2-cycle (two parallel edges) counts; a single edge, a bridge, does
-    not.  From three vertices on, loops and parallel edges cannot change
-    the answer, so the simple underlying graph decides it; a disconnected
-    one has a block per component at least.
+    A connected plane graph with at least three vertices is 2-connected
+    exactly when every face is bounded by a cycle, that is, when no face
+    walk visits a vertex twice (Mohar and Thomassen, *Graphs on
+    Surfaces*, 2001, section 2.1).  Loops never decide the answer, but a
+    loop that encloses part of the graph hides a cut vertex from the
+    walks: its base appears once on each side of it.  So a graph with
+    loops is first rebuilt without them.  On two vertices a 2-cycle (two
+    parallel edges) counts; a single edge, a bridge, does not.
     """
-    if g.n < 2:
-        return False
-    links = [(u, v) for u, v in g.endpoints if u != v]
+    if any(u == v for u, v in g.endpoints):
+        heads = g._heads
+        rotations = {v: [d for d in rot if heads[d] != v] for v, rot in enumerate(g.rotation)}
+        g = _compact(g, g.endpoints, rotations).graph
     if g.n == 2:
-        return len(links) >= 2
-    return len(blocks(SimpleGraph.from_edges(g.n, links))) == 1
+        return g.m >= 2
+    return g.n > 2 and g.is_connected and all(
+        len(set(w.vertices)) == len(w.vertices) for w in g.faces()
+    )
 
 
-def _short_cycles(g: EmbeddedGraph, max_len: int = 7) -> Iterator[list[int]]:
-    """Yield the simple cycles with at most ``max_len`` edges, as dart
+# Predicate 5 looks for separating cycles of at most this many edges.
+_MAX_LEN = 7
+
+
+def _short_cycles(g: EmbeddedGraph) -> Iterator[list[int]]:
+    """Yield the simple cycles with at most ``_MAX_LEN`` edges, as dart
     sequences.
 
     Loops are 1-cycles and parallel pairs 2-cycles.  Each cycle is
     yielded once (deduplicated by edge set); the start vertex is its
     minimum.  Enumeration is lazy, so a caller that stops at the first
     hit skips the rest of the search.  A step to ``w`` is cut when even
-    a shortest way back from ``w`` to the start would pass ``max_len``,
+    a shortest way back from ``w`` to the start would pass ``_MAX_LEN``,
     which drops only paths that cannot close in time.
     """
     heads = g._heads
@@ -281,9 +292,9 @@ def _short_cycles(g: EmbeddedGraph, max_len: int = 7) -> Iterator[list[int]]:
 
     def back_dist(s: int) -> dict[int, int]:
         # BFS over the vertices >= s.  A path at w has taken at least
-        # dist[w] steps, so past max_len // 2 no step can close in time.
+        # dist[w] steps, so past _MAX_LEN // 2 no step can close in time.
         dist, frontier = {s: 0}, [s]
-        for depth in range(1, max_len // 2 + 1):
+        for depth in range(1, _MAX_LEN // 2 + 1):
             nxt = []
             for x in frontier:
                 for d in g.rotation[x]:
@@ -310,7 +321,7 @@ def _short_cycles(g: EmbeddedGraph, max_len: int = 7) -> Iterator[list[int]]:
                     yield path + [d]
                 continue
             back = dist.get(w)
-            if back is None or len(path) + 1 + back > max_len or w in visited:
+            if back is None or len(path) + 1 + back > _MAX_LEN or w in visited:
                 continue
             visited.add(w)
             used.add(e)
@@ -357,7 +368,7 @@ def _cycle_separating(g: EmbeddedGraph, cyc: list[int]) -> bool:
 
 
 def _no_short_separating_cycle(g: EmbeddedGraph) -> bool:
-    return not any(_cycle_separating(g, c) for c in _short_cycles(g, 7))
+    return not any(_cycle_separating(g, c) for c in _short_cycles(g))
 
 
 @dataclass(frozen=True)

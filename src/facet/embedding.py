@@ -156,9 +156,6 @@ class EmbeddedGraph:
     def m(self) -> int:
         return len(self.endpoints)
 
-    def dart_vertex(self, dart: int) -> int:
-        return self._tails[dart]
-
     @cached_attribute
     def _tails(self) -> list[int]:
         """``_tails[d]``: the vertex dart ``d`` is based at."""
@@ -169,12 +166,9 @@ class EmbeddedGraph:
         """``_heads[d]``: the vertex dart ``d`` points to, its twin's base."""
         return [x for u, v in self.endpoints for x in (v, u)]
 
-    def degree(self, v: int) -> int:
-        return len(self.rotation[v])
-
     @cached_attribute
     def degrees(self) -> list[int]:
-        """``degrees[v]`` is :meth:`degree` of ``v``, for hot loops."""
+        """``degrees[v]``: the number of darts at ``v``; a loop counts twice."""
         return [len(r) for r in self.rotation]
 
     @cached_attribute
@@ -648,8 +642,8 @@ def identify_edges(g: EmbeddedGraph, e: int, f: int, face: int) -> SurgeryResult
         )
     a_e, a_f = walk.darts[pos_e[0]], walk.darts[pos_f[0]]
     t_e, t_f = twin(a_e), twin(a_f)
-    u1, u2 = g.dart_vertex(a_e), g.dart_vertex(t_e)
-    w1, w2 = g.dart_vertex(a_f), g.dart_vertex(t_f)
+    tails = g._tails
+    u1, u2, w1, w2 = tails[a_e], tails[t_e], tails[a_f], tails[t_f]
     if len({u1, u2, w1, w2}) != 4:
         raise SurgeryError(f"edges {e} and {f} share a vertex")
 
@@ -688,13 +682,12 @@ def delete_vertex(g: EmbeddedGraph, v: int) -> SurgeryResult:
 # -- medial graph --------------------------------------------------------
 
 
-def medial(g: EmbeddedGraph) -> tuple[EmbeddedGraph, tuple[int, ...]]:
-    """Medial graph plus the edge-to-vertex correspondence.
+def medial(g: EmbeddedGraph) -> EmbeddedGraph:
+    """Medial graph: medial vertex ``i`` sits on edge ``i`` of ``g``.
 
-    Medial vertex ``i`` sits on edge ``i`` of ``g``; every consecutive
-    dart pair (d, phi(d)) on a face walk becomes one medial edge, so the
-    medial has 2m edges and is 4-regular.  The rotation at a medial
-    vertex lists its four corner edges clockwise:
+    Every consecutive dart pair (d, phi(d)) on a face walk becomes one
+    medial edge, so the medial has 2m edges and is 4-regular.  The
+    rotation at a medial vertex lists its four corner edges clockwise:
     corner(d), corner(phi^-1(twin d)), corner(twin d), corner(phi^-1(d)).
     """
     if g.m == 0:
@@ -718,8 +711,7 @@ def medial(g: EmbeddedGraph) -> tuple[EmbeddedGraph, tuple[int, ...]]:
                 2 * phi_inv[d] + 1,
             ]
         )
-    med = EmbeddedGraph.build(g.m, endpoints, rotations)
-    return med, tuple(range(g.m))
+    return EmbeddedGraph.build(g.m, endpoints, rotations)
 
 
 # -- generators ----------------------------------------------------------

@@ -130,9 +130,7 @@ def _capped_expansion(
 
 
 def graph_polynomial_coefficient(
-    nvars: int,
-    pairs: Iterable[tuple[int, int]],
-    target: tuple[int, ...],
+    pairs: Iterable[tuple[int, int]], target: tuple[int, ...]
 ) -> int:
     """Coefficient of ``prod X_i^{target[i-1]}`` in ``prod (X_i - X_j)``."""
     pairs = tuple(pairs)
@@ -143,9 +141,7 @@ def graph_polynomial_coefficient(
 
 
 def cn_witness(
-    nvars: int,
-    pairs: Iterable[tuple[int, int]],
-    caps: tuple[int, ...],
+    pairs: Iterable[tuple[int, int]], caps: tuple[int, ...]
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically smallest witness monomial under the caps.
 
@@ -154,7 +150,7 @@ def cn_witness(
     ``caps[i-1]`` for every i.  Returns its exponent vector or ``None``.
     """
     poly = _capped_expansion(tuple(pairs), tuple(caps))
-    return min((unpack(key, nvars) for key in poly), default=None)
+    return min((unpack(key, len(caps)) for key in poly), default=None)
 
 
 def coefficient(
@@ -171,7 +167,7 @@ def coefficient(
     for i, j in pairs:
         if not (1 <= i < j <= nvars):
             raise ValueError(f"pair ({i}, {j}) out of range for {nvars} variables")
-    return graph_polynomial_coefficient(nvars, pairs, tuple(target))
+    return graph_polynomial_coefficient(pairs, tuple(target))
 
 
 @functools.cache
@@ -183,8 +179,8 @@ def check_certificate(cert: Certificate) -> tuple[int, Optional[tuple[int, ...]]
     witness is an independent confirmation that some qualifying monomial
     survives under the caps (it need not equal the target).
     """
-    coef = graph_polynomial_coefficient(cert.nvars, cert.pairs, cert.target)
-    witness = cn_witness(cert.nvars, cert.pairs, cert.caps)
+    coef = graph_polynomial_coefficient(cert.pairs, cert.target)
+    witness = cn_witness(cert.pairs, cert.caps)
     return coef, witness
 
 

@@ -161,6 +161,12 @@ def check(config: Configuration) -> CheckReport:
         if bad_edges:
             log("variable-edges", False, f"edge ids {bad_edges} not in host")
         return CheckReport(name=config.name, ok=False, steps=tuple(steps))
+    bad_dummies = [
+        x for i, x in enumerate(config.dummies)
+        if not 1 <= x <= nvars or x in config.dummies[:i]
+    ]
+    if bad_dummies:
+        log("dummies", False, f"dummy indices {bad_dummies} repeated or not in 1..{nvars}")
     free = set(config.free)
     bad_pairs = [
         p for p in config.conflicts
@@ -439,7 +445,7 @@ def _ring_assignment(
     rev_v = [ring.vertices[0]] + [ring.vertices[k - t] for t in range(1, k)]
     rev_e = [ring.edges[k - 1 - t] for t in range(k)]
     for verts, edges in (forward, (rev_v, rev_e)):
-        twos = [g.degree(v) == 2 for v in verts]
+        twos = [g.degrees[v] == 2 for v in verts]
         for r in range(k):
             if frozenset(
                 p for p in range(k) if twos[(r + p) % k]
@@ -642,10 +648,6 @@ def catalog() -> list[Configuration]:
     )
 
     return out
-
-
-def check_all() -> list[CheckReport]:
-    return [check(c) for c in catalog()]
 
 
 # -- JSON interchange -------------------------------------------------------

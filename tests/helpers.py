@@ -1,7 +1,9 @@
 """Shared graph builders for the test suite."""
 
+import sys
 from fractions import Fraction
 
+from facet import choosability
 from facet.choosability import ListColoringError, SearchBudgetError, blocks
 from facet.discharging import ChargeLedger, DischargingError, Transfer
 from facet.embedding import (
@@ -208,7 +210,7 @@ def _has_bridge(g: EmbeddedGraph) -> bool:
             for d in g.rotation[x]:
                 if (d >> 1) == e:
                     continue
-                y = g.dart_vertex(twin(d))
+                y = g._tails[twin(d)]
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -233,6 +235,24 @@ def _has_cut_vertex(g: EmbeddedGraph) -> bool:
         if len(seen) != g.n - 1:
             return True
     return False
+
+
+def count_blocks(monkeypatch) -> list:
+    """Count ``choosability.blocks`` calls through every ``facet`` module
+    that binds it; returns the list each call's graph is appended to."""
+    calls = []
+    real = choosability.blocks
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    for name, module in list(sys.modules.items()):
+        if name == "facet" or name.startswith("facet."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
 
 
 def brute_two_connected(g: EmbeddedGraph) -> bool:
@@ -265,7 +285,7 @@ def list_short_cycles(g: EmbeddedGraph, max_len: int = 7) -> list[list[int]]:
             e = d >> 1
             if e in used:
                 continue
-            w = g.dart_vertex(twin(d))
+            w = g._tails[twin(d)]
             if w == s:
                 key = frozenset(used | {e})
                 if key not in seen:
@@ -569,8 +589,8 @@ def reference_run_counts(two: list[bool]) -> tuple[int, int]:
 def reference_in_two_thread(g: EmbeddedGraph, v: int) -> bool:
     """Earlier per-call 2-thread test: a 2-vertex with a 2-valent neighbor
     other than itself, read off ``g.neighbors``."""
-    return g.degree(v) == 2 and any(
-        g.degree(u) == 2 and u != v for u in g.neighbors(v)
+    return g.degrees[v] == 2 and any(
+        g.degrees[u] == 2 and u != v for u in g.neighbors(v)
     )
 
 
@@ -653,23 +673,23 @@ def reference_apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedge
         transfers.append(Transfer(rule, src, dst, amount))
 
     for v in range(g.n):
-        if g.degree(v) == 2:
-            if all(h != v and g.degree(h) == 2 for h in g.neighbors(v)):
+        if g.degrees[v] == 2:
+            if all(h != v and g.degrees[h] == 2 for h in g.neighbors(v)):
                 notes.append(
                     f"3-thread present: vertex {v} has two 2-valent neighbors; "
                     "thread classification is local"
                 )
     for v in range(g.n):
-        if g.degree(v) < 4:
+        if g.degrees[v] < 4:
             continue
         for f in sorted(g.faces_at_vertex[v]):
             if prof[f].length == 5:
                 send("R1", ("v", v), ("f", f), Fraction(1, 5))
     for v in range(g.n):
-        if g.degree(v) < 4:
+        if g.degrees[v] < 4:
             continue
         for u in sorted(set(g.neighbors(v))):
-            if u == v or g.degree(u) != 2:
+            if u == v or g.degrees[u] != 2:
                 continue
             f1, f2 = (g.face_of_dart[d] for d in g.rotation[u])
             if f1 == f2:
@@ -702,7 +722,7 @@ def reference_apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedge
         f = walk.index
         length = prof[f].length
         for u in sorted(set(walk.vertices)):
-            if g.degree(u) != 2:
+            if g.degrees[u] != 2:
                 continue
             if not reference_in_two_thread(g, u):
                 send("R3", ("f", f), ("v", u), Fraction(1))
@@ -726,7 +746,7 @@ def reference_pair_predicates(g: EmbeddedGraph) -> dict[str, bool]:
     the oracle for the shared scans in ``discharging.structure_report``."""
     prof = face_profiles(g)
     walks = g.faces()
-    deg = g.degree
+    deg = g.degrees.__getitem__
     two_vertices = [v for v in range(g.n) if deg(v) == 2]
     threads = [
         e for e, (u, v) in enumerate(g.endpoints)

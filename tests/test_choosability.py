@@ -21,6 +21,7 @@ from facet.choosability import (
 )
 
 from helpers import (
+    count_blocks,
     reference_degree_feasible_colorable,
     reference_gallai_tree,
     reference_list_color,
@@ -48,7 +49,7 @@ class TestSimpleGraph:
     def test_from_edges_dedupes(self):
         g = SimpleGraph.from_edges(3, [(0, 1), (1, 0), (1, 2)])
         assert g.edges() == [(0, 1), (1, 2)]
-        assert g.degree(1) == 2
+        assert g.degrees[1] == 2
 
     def test_loop_rejected(self):
         with pytest.raises(ListColoringError, match="loop"):
@@ -195,7 +196,7 @@ class TestDegreeFeasible:
         rng = random.Random(9)
         for g in _small_atlas_graphs():
             for _ in range(10):
-                lists = [rng.choices(range(1, 5), k=g.degree(v) + 1) for v in range(g.n)]
+                lists = [rng.choices(range(1, 5), k=g.degrees[v] + 1) for v in range(g.n)]
                 assert _outcome(degree_feasible_colorable, g, lists) == _outcome(
                     reference_degree_feasible_colorable, g, lists
                 ), (g, lists)
@@ -203,7 +204,7 @@ class TestDegreeFeasible:
     def test_budget(self):
         g = path(26)
         with pytest.raises(SearchBudgetError, match="26 vertices"):
-            degree_feasible_colorable(g, [range(g.degree(v)) for v in range(g.n)])
+            degree_feasible_colorable(g, [range(g.degrees[v]) for v in range(g.n)])
 
 
 class TestDegreeGuarantee:
@@ -228,34 +229,22 @@ class TestDegreeGuarantee:
 
 
 class TestGraphFactCache:
-    @staticmethod
-    def count_blocks(monkeypatch):
-        calls = []
-        real = choosability.blocks
-
-        def counting(g):
-            calls.append(g)
-            return real(g)
-
-        monkeypatch.setattr(choosability, "blocks", counting)
-        return calls
-
     def test_tight_lists_decompose_the_graph_once(self, monkeypatch):
-        calls = self.count_blocks(monkeypatch)
+        calls = count_blocks(monkeypatch)
         g = bowtie()
         rng = random.Random(7)
         for _ in range(50):
-            lists = [rng.sample(range(1, 6), g.degree(v)) for v in range(g.n)]
+            lists = [rng.sample(range(1, 6), g.degrees[v]) for v in range(g.n)]
             guaranteed, _, _ = degree_feasible_colorable(g, lists)
             assert not guaranteed
         assert len(calls) == 1
 
     def test_slack_lists_never_decompose_the_graph(self, monkeypatch):
-        calls = self.count_blocks(monkeypatch)
+        calls = count_blocks(monkeypatch)
         g = bowtie()
         rng = random.Random(8)
         for _ in range(50):
-            lists = [rng.sample(range(1, 7), g.degree(v)) for v in range(g.n)]
+            lists = [rng.sample(range(1, 7), g.degrees[v]) for v in range(g.n)]
             lists[rng.randrange(g.n)].append(9)
             guaranteed, colorable, _ = degree_feasible_colorable(g, lists)
             assert guaranteed and colorable
@@ -299,7 +288,7 @@ def test_matches_uncached_reference_on_atlas(seed):
         assert _outcome(is_gallai_tree, g) == _outcome(reference_gallai_tree, g)
         for _ in range(30):
             lists = [
-                rng.sample(range(1, 7), max(0, g.degree(v) + rng.choice((-1, 0, 0, 1))))
+                rng.sample(range(1, 7), max(0, g.degrees[v] + rng.choice((-1, 0, 0, 1))))
                 for v in range(g.n)
             ]
             assert _outcome(degree_feasible_colorable, g, lists) == _outcome(
@@ -361,9 +350,9 @@ class TestSearchOrder:
         outcomes = set()
         graphs = [complete(n) for n in range(3, 9)] + [cycle(n) for n in (3, 5, 7)]
         for g in graphs:
-            palette = range(g.degree(0) + 2)
+            palette = range(g.degrees[0] + 2)
             for _ in range(40):
-                lists = [rng.sample(palette, g.degree(v)) for v in range(g.n)]
+                lists = [rng.sample(palette, g.degrees[v]) for v in range(g.n)]
                 outcomes.add(_same_search(g, lists) is None)
         assert outcomes == {True, False}
 
@@ -374,7 +363,7 @@ class TestSearchOrder:
                 g = random_connected(rng, n)
                 for _ in range(10):
                     lists = [
-                        rng.sample(range(1, 9), max(1, g.degree(v) + rng.choice((-1, 0, 1))))
+                        rng.sample(range(1, 9), max(1, g.degrees[v] + rng.choice((-1, 0, 1))))
                         for v in range(n)
                     ]
                     _same_search(g, lists)
@@ -415,7 +404,7 @@ def random_connected(rng, n):
 def test_guarantee_implies_colorable(seed, n):
     rng = random.Random(seed)
     g = random_connected(rng, n)
-    lists = [rng.sample(range(1, 7), g.degree(v)) for v in range(n)]
+    lists = [rng.sample(range(1, 7), g.degrees[v]) for v in range(n)]
     guaranteed, colorable, coloring = degree_feasible_colorable(g, lists)
     if guaranteed:
         assert colorable
@@ -433,7 +422,7 @@ def test_guarantee_flag_matches_degree_guarantee(seed, n):
     # checks; it must not drift from degree_guarantee on valid input.
     rng = random.Random(seed)
     g = random_connected(rng, n)
-    sizes = [g.degree(v) + rng.choice((0, 0, 0, 1)) for v in range(n)]
+    sizes = [g.degrees[v] + rng.choice((0, 0, 0, 1)) for v in range(n)]
     lists = [rng.sample(range(1, 9), k) for k in sizes]
     guaranteed, _, _ = degree_feasible_colorable(g, lists)
     assert guaranteed == degree_guarantee(g, sizes)

@@ -367,6 +367,33 @@ class TestReduce:
         assert main(["reduce", "--config-file", str(f)]) == 1
         assert lines(capsys) == [f"FAIL eight-face: {failure}", "all = fail"]
 
+    @pytest.mark.parametrize(
+        "dummies", [[99], [0], [-1], [0, 0]], ids=["past-count", "zero", "negative", "zero-twice"]
+    )
+    def test_bad_dummy_index_fails(self, dummies, tmp_path, capsys):
+        config = next(c for c in catalog() if c.name == "eight-face")
+        doc = json.loads(configuration_to_json(config))
+        doc["dummies"] = dummies
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main(["reduce", "--config-file", str(f)]) == 1
+        assert lines(capsys) == [
+            f"FAIL eight-face: dummies (dummy indices {dummies} repeated or not in 1..6)",
+            "all = fail",
+        ]
+
+    def test_repeated_dummy_index_fails(self, tmp_path, capsys):
+        config = next(c for c in catalog() if c.name == "ten-face-dist3")
+        doc = json.loads(configuration_to_json(config))
+        doc["dummies"] = [5, 9, 9]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main(["reduce", "--config-file", str(f), "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [(s["label"], s["detail"]) for s in doc["reports"][0]["steps"] if not s["ok"]] == [
+            ("dummies", "dummy indices [9] repeated or not in 1..10")
+        ]
+
     def test_identification_too_close_after_earlier_step_fails(self, tmp_path, capsys):
         config = next(c for c in catalog() if c.name == "eight-face")
         doc = json.loads(configuration_to_json(config))
@@ -493,6 +520,36 @@ class TestMedial:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: medial of an edgeless graph is undefined\n"
+
+
+# First 16 hex digits of the sha256 of stdout for `medial` and
+# `medial --json` on C7 and on each catalog host.
+MEDIAL_STDOUT = {
+    "c7": ("8c10dc10adf71f3e", "fa820ca1be0d9d46"),
+    "four-vertex": ("95b42968fde29474", "d0c8461e54bff2dd"),
+    "face-length-4": ("f0e88991366b7a5f", "64ddb7be0c54afd8"),
+    "three-thread": ("90227625e7fed05d", "ea61df47ccab5e27"),
+    "eight-face": ("f0587288d45fc378", "e44fe569a4a0df68"),
+    "nine-face": ("674f1616a598de03", "f70b5d106ca486d2"),
+    "ten-face-adjacent": ("75672f19cbf6c874", "c7aa9fd4bdecaa00"),
+    "ten-face-dist3": ("dce4f0cbe6b80f40", "b9a9c11abc0254e2"),
+    "ten-face-dist4": ("178b3d6a9c35fd61", "c0398bcee8e7c3b6"),
+}
+
+
+@pytest.mark.parametrize("name", MEDIAL_STDOUT)
+def test_medial_stdout_frozen(name, tmp_path, capsys):
+    peg = tmp_path / "g.peg"
+    if name == "c7":
+        peg.write_text(serialize_peg(generate("cycle", 7)))
+    else:
+        peg.write_text(serialize_peg(next(c.host for c in catalog() if c.name == name)))
+    digests = []
+    for extra in ([], ["--json"]):
+        assert main(["medial", "--graph", str(peg), *extra]) == 0
+        out = capsys.readouterr().out
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(digests) == MEDIAL_STDOUT[name]
 
 
 class TestStructure:

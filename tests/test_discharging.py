@@ -37,6 +37,7 @@ from helpers import (
     antiprism5,
     bipyramid5,
     brute_two_connected,
+    count_blocks,
     list_short_cycles,
     pendant_path_host,
     reference_apply_rules,
@@ -271,12 +272,12 @@ class TestSeparatingCycles:
     def test_bipyramid_rim_separates_the_hubs(self):
         g = bipyramid5()
         assert lengths(g) == [3] * 10
-        cycles = _short_cycles(g, 7)
+        cycles = _short_cycles(g)
         seps = [c for c in cycles if _cycle_separating(g, c)]
         assert seps
         rims = [
             c for c in seps
-            if sorted(g.dart_vertex(d) for d in c) == [0, 1, 2, 3, 4]
+            if sorted(g._tails[d] for d in c) == [0, 1, 2, 3, 4]
         ]
         assert rims
         assert not structure_report(g).no_short_separating_cycle
@@ -297,8 +298,8 @@ class TestSeparatingCycles:
 
     def test_lazy_enumeration_matches_full_list(self):
         for g in self.cycle_hosts():
-            full = list_short_cycles(g, 7)
-            lazy = _short_cycles(g, 7)
+            full = list_short_cycles(g)
+            lazy = _short_cycles(g)
             head = list(itertools.islice(lazy, 1))
             assert head == full[:1]
             assert head + list(lazy) == full
@@ -306,7 +307,7 @@ class TestSeparatingCycles:
     def test_predicate_matches_full_scan(self):
         seen = set()
         for g in self.cycle_hosts():
-            full = not any(_cycle_separating(g, c) for c in list_short_cycles(g, 7))
+            full = not any(_cycle_separating(g, c) for c in list_short_cycles(g))
             assert structure_report(g).no_short_separating_cycle == full
             seen.add(full)
         assert seen == {True, False}
@@ -337,6 +338,26 @@ class TestTwoConnected:
             ),
             (3, [(0, 1), (0, 1), (1, 2), (2, 0)], [[0, 2, 7], [3, 1, 4], [5, 6]], True),
             (3, [(0, 1), (1, 2), (2, 0), (0, 0)], [[0, 6, 7, 5], [1, 2], [3, 4]], True),
+            # A loop around a pendant block meets its base once on each
+            # face walk beside it, hiding the cut vertex from the walks.
+            (
+                5,
+                [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 0)],
+                [[0, 5, 12, 6, 11, 13], [1, 2], [3, 4], [7, 8], [9, 10]],
+                False,
+            ),
+            (
+                4,
+                [(0, 1), (1, 2), (2, 0), (0, 3), (0, 0)],
+                [[0, 5, 8, 6, 9], [1, 2], [3, 4], [7]],
+                False,
+            ),
+            (
+                6,
+                [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+                [[0, 5], [2, 1], [4, 3], [6, 11], [8, 7], [10, 9]],
+                False,
+            ),
         ],
         ids=[
             "single-loop",
@@ -347,6 +368,9 @@ class TestTwoConnected:
             "two-triangles-one-vertex",
             "triangle-with-parallel",
             "triangle-with-loop",
+            "loop-around-pendant-triangle",
+            "loop-around-pendant-edge",
+            "two-triangles-apart",
         ],
     )
     def test_hand_cases(self, n, endpoints, rotation, expected):
@@ -363,6 +387,18 @@ class TestTwoConnected:
                 assert _two_connected(h) == want
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+
+def test_audit_never_decomposes_into_blocks(monkeypatch):
+    # Predicate 1 reads the face walks, so the audit needs no block
+    # decomposition.
+    calls = count_blocks(monkeypatch)
+    hosts = [c.host for c in reduction_catalog()]
+    hosts += [random_plane_graph(seed, max_ops=3 + seed % 12) for seed in range(20)]
+    for g in hosts:
+        audit(g)
+        structure_report(g)
+    assert calls == []
 
 
 def test_pair_predicates_match_one_scan_each():

@@ -95,7 +95,7 @@ def test_coefficient_matches_dense_expansion(args):
     for _ in range(total):
         target[data.draw(st.integers(0, nvars - 1))] += 1
     target = tuple(target)
-    got = graph_polynomial_coefficient(nvars, pairs, target)
+    got = graph_polynomial_coefficient(pairs, target)
     assert got == dense_coefficient(nvars, pairs, target)
 
 
@@ -108,27 +108,27 @@ def test_sum_of_coefficients_vanishes():
 
 def test_triangle_coefficients():
     pairs = [(1, 2), (1, 3), (2, 3)]
-    assert graph_polynomial_coefficient(3, pairs, (2, 1, 0)) == 1
-    assert graph_polynomial_coefficient(3, pairs, (0, 1, 2)) == -1
-    assert graph_polynomial_coefficient(3, pairs, (1, 1, 1)) == 0
+    assert graph_polynomial_coefficient(pairs, (2, 1, 0)) == 1
+    assert graph_polynomial_coefficient(pairs, (0, 1, 2)) == -1
+    assert graph_polynomial_coefficient(pairs, (1, 1, 1)) == 0
 
 
 def test_triangle_not_two_choosable():
     # caps (2,2,2) allow exponents <= 1 only; X1X2X3 has coefficient 0
-    assert cn_witness(3, [(1, 2), (1, 3), (2, 3)], (2, 2, 2)) is None
+    assert cn_witness([(1, 2), (1, 3), (2, 3)], (2, 2, 2)) is None
 
 
 def test_even_cycle_witness_exists():
     pairs = [(1, 2), (2, 3), (3, 4), (1, 4)]
-    wit = cn_witness(4, pairs, (2, 2, 2, 2))
+    wit = cn_witness(pairs, (2, 2, 2, 2))
     assert wit is not None
     assert all(w <= 1 for w in wit)
-    assert graph_polynomial_coefficient(4, pairs, wit) != 0
+    assert graph_polynomial_coefficient(pairs, wit) != 0
 
 
 def test_witness_is_lex_smallest():
     pairs = [(1, 2)]
-    assert cn_witness(2, pairs, (2, 2)) == (0, 1)
+    assert cn_witness(pairs, (2, 2)) == (0, 1)
 
 
 class TestGoldenCertificates:
@@ -202,13 +202,13 @@ class TestOracles:
     def test_certificate_matches_reference_kernels(self, name):
         c = CERTIFICATES[name]
         assert graph_polynomial_coefficient(
-            c.nvars, c.pairs, c.target
+            c.pairs, c.target
         ) == reference_graph_polynomial_coefficient(c.nvars, c.pairs, c.target)
         assert _capped_expansion(c.pairs, c.caps) == reference_expand_polynomial(
             c.nvars, c.pairs, c.caps
         )
         assert cn_witness(
-            c.nvars, c.pairs, c.caps
+            c.pairs, c.caps
         ) == reference_cn_witness(c.nvars, c.pairs, c.caps)
 
     @settings(max_examples=150)
@@ -231,7 +231,7 @@ class TestOracles:
         want = dense_capped(nvars, pairs, caps)
         got = _capped_expansion(tuple(pairs), tuple(caps))
         assert {unpack(k, nvars): c for k, c in got.items()} == want
-        assert cn_witness(nvars, pairs, tuple(caps)) == min(want, default=None)
+        assert cn_witness(pairs, tuple(caps)) == min(want, default=None)
         uncapped = {e: c for e, c in dense_expansion(nvars, pairs).items() if c}
         got = uncapped_expansion(nvars, pairs)
         assert {unpack(k, nvars): c for k, c in got.items()} == uncapped
@@ -240,11 +240,11 @@ class TestOracles:
         # sum(cap - 1) = 2 < 3 factors: no monomial fits
         pairs = [(1, 2), (1, 3), (2, 3)]
         assert _capped_expansion(tuple(pairs), (2, 2, 1)) == {}
-        assert cn_witness(3, pairs, (2, 2, 1)) is None
+        assert cn_witness(pairs, (2, 2, 1)) is None
 
     def test_target_above_factor_count_is_zero(self):
         # variable 2 lies in one factor but the target asks for X2^2
-        assert graph_polynomial_coefficient(3, [(1, 2), (1, 3)], (0, 2, 0)) == 0
+        assert graph_polynomial_coefficient([(1, 2), (1, 3)], (0, 2, 0)) == 0
 
     def test_binomial_power_fifteen(self):
         poly = uncapped_expansion(2, [(1, 2)] * 15)
@@ -257,8 +257,8 @@ class TestOracles:
         with pytest.raises(ExponentOverflow):
             uncapped_expansion(2, [(1, 2)] * 16)
         with pytest.raises(ExponentOverflow):
-            cn_witness(2, [(1, 2)] * 16, (17, 17))
+            cn_witness([(1, 2)] * 16, (17, 17))
 
     def test_target_above_fifteen_keeps_pack_message(self):
         with pytest.raises(ExponentOverflow, match="exponent 16 of variable 1"):
-            graph_polynomial_coefficient(2, [(1, 2)] * 16, (16, 0))
+            graph_polynomial_coefficient([(1, 2)] * 16, (16, 0))

@@ -11,7 +11,6 @@ from facet.reducibility import (
     ConfigurationError,
     catalog,
     check,
-    check_all,
     configuration_from_json,
     configuration_to_json,
     neighborhood_audit,
@@ -221,7 +220,7 @@ def test_identify_check_caches_only_bounded_gap_tables(name):
 
 
 def test_all_configurations_check_out():
-    reports = check_all()
+    reports = [check(c) for c in catalog()]
     assert [r.name for r in reports] == EXPECTED_NAMES
     for r in reports:
         assert r.ok, (r.name, r.failures())
@@ -242,7 +241,7 @@ def test_every_step_logged_ok(configs, name):
 
 def test_check_steps_golden():
     assert {
-        r.name: [(s.label, s.ok, s.detail) for s in r.steps] for r in check_all()
+        r.name: [(s.label, s.ok, s.detail) for s in r.steps] for r in map(check, catalog())
     } == CHECK_STEPS
 
 
@@ -270,8 +269,9 @@ def test_each_certificate_expanded_once_per_process(monkeypatch):
 
     monkeypatch.setattr(nullstellensatz, "_capped_expansion", counted)
     check_certificate.cache_clear()
-    check_all()
-    check_all()
+    for _ in range(2):
+        for c in catalog():
+            check(c)
     named = {c.certificate for c in catalog() if c.certificate is not None}
     # one coefficient and one witness expansion per certificate
     assert len(named) == 5
@@ -383,6 +383,25 @@ class TestMalformedConfigs:
         report = check(bad)
         assert not report.ok
         assert any(s.label == "variable-edges" and not s.ok for s in report.steps)
+
+    @pytest.mark.parametrize(
+        "name, dummies, bad",
+        [
+            ("eight-face", (99,), [99]),
+            ("eight-face", (0,), [0]),
+            ("eight-face", (-1,), [-1]),
+            ("eight-face", (0, 0), [0, 0]),
+            ("ten-face-dist3", (5, 9, 9), [9]),
+        ],
+        ids=["past-count", "zero", "negative", "zero-twice", "repeated"],
+    )
+    def test_bad_dummy_index_fails_dummies(self, configs, name, dummies, bad):
+        config = configs[name]
+        report = check(dataclasses.replace(config, dummies=dummies))
+        n = len(config.variables)
+        assert [(s.label, s.detail) for s in report.failures()] == [
+            ("dummies", f"dummy indices {bad} repeated or not in 1..{n}")
+        ]
 
     def test_self_conflict_rejected_by_report(self, configs):
         doc = json.loads(configuration_to_json(configs["four-vertex"]))
