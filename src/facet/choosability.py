@@ -39,7 +39,7 @@ class SimpleGraph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise ListColoringError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ListColoringError(f"loop at {u} not allowed")

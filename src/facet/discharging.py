@@ -182,7 +182,8 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
     for v in range(g.n):
         if deg[v] < 4:
             continue
-        for f in sorted(g.faces_at_vertex[v]):
+        # a face walk visits v exactly at the darts based at v
+        for f in sorted({g.face_of_dart[d] for d in g.rotation[v]}):
             if prof[f].length == 5:
                 send("R1", ("v", v), ("f", f), _R1)
 

@@ -109,15 +109,17 @@ class EmbeddedGraph:
         Raises :class:`EmbeddingError` unless every dart appears exactly
         once, at the vertex its endpoint dictates, and every connected
         component satisfies V - E + F = 2 with F counted as face-walk
-        orbits (an isolated vertex counts one empty face).
+        orbits (an isolated vertex counts one empty face).  The vertex
+        count, endpoints and darts must be ``int`` itself: a bool, float
+        or numeric string is refused, not coerced.
         """
-        eps = tuple((int(u), int(v)) for u, v in endpoints)
-        rot = tuple(tuple(map(int, r)) for r in rotation)
-        g = EmbeddedGraph(int(n), eps, rot)
+        g = EmbeddedGraph(n, tuple(map(tuple, endpoints)), tuple(map(tuple, rotation)))
         g._validate()
         return g
 
     def _validate(self) -> None:
+        if type(self.n) is not int:
+            raise EmbeddingError(f"vertex count {self.n!r} is not an integer")
         if self.n < 0:
             raise EmbeddingError("negative vertex count")
         if len(self.rotation) != self.n:
@@ -125,7 +127,7 @@ class EmbeddedGraph:
                 f"expected {self.n} rotation lists, got {len(self.rotation)}"
             )
         for e, (u, v) in enumerate(self.endpoints):
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
                 raise EmbeddingError(f"edge {e} endpoint out of range")
         self.sigma  # checks every dart while it fills sigma
         # Per-component sphere check: V - E + F = 2, one empty face for a
@@ -227,8 +229,8 @@ class EmbeddedGraph:
     def sigma(self) -> tuple[int, ...]:
         """Clockwise-successor permutation on darts.
 
-        Raises :class:`EmbeddingError` for a dart out of range, listed
-        twice, listed at the wrong vertex, or not listed at all.
+        Raises :class:`EmbeddingError` for a dart that is not an int in
+        range, listed twice, listed at the wrong vertex, or not listed at all.
         """
         m2 = 2 * self.m
         # out[d] < 0 marks an unlisted dart; a bad successor is checked next.
@@ -236,8 +238,8 @@ class EmbeddedGraph:
         out = [-1] * m2
         for vtx, rot in enumerate(self.rotation):
             for d, nxt in zip(rot, rot[1:] + rot[:1]):
-                if not (0 <= d < m2):
-                    raise EmbeddingError(f"dart {d} out of range at vertex {vtx}")
+                if type(d) is not int or not 0 <= d < m2:
+                    raise EmbeddingError(f"dart {d!r} out of range at vertex {vtx}")
                 if out[d] >= 0:
                     raise EmbeddingError(f"dart {d} listed twice")
                 if tails[d] != vtx:
@@ -283,15 +285,6 @@ class EmbeddedGraph:
             for d in walk.darts:
                 lookup[d] = walk.index
         return lookup
-
-    @cached_attribute
-    def faces_at_vertex(self) -> list[frozenset[int]]:
-        """``faces_at_vertex[v]``: the indices of the face walks through ``v``."""
-        table = [set() for _ in range(self.n)]
-        for walk in self.faces():
-            for x in walk.vertices:
-                table[x].add(walk.index)
-        return [frozenset(s) for s in table]
 
     @cached_attribute
     def _face_profiles(self) -> tuple[FaceProfile, ...]:
@@ -852,18 +845,11 @@ def random_plane_graph(seed: int, max_ops: int = 9) -> EmbeddedGraph:
         walk = rng.choice(g.faces())
         spots = list(range(len(walk)))
         rng.shuffle(spots)
-        picked = None
-        for i in spots:
-            for j in spots:
-                if walk.vertices[i] != walk.vertices[j]:
-                    picked = (i, j)
-                    break
-            if picked:
-                break
-        if picked is None:
-            continue
+        # every face of a loopless 2-connected graph has two distinct vertices
+        i = spots[0]
+        j = next(j for j in spots if walk.vertices[j] != walk.vertices[i])
         length = rng.choice((1, 2, 2, 3, 3, 4))
-        g = _split_face(g, walk, picked[0], picked[1], length)
+        g = _split_face(g, walk, i, j, length)
     return g
 
 

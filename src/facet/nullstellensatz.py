@@ -58,20 +58,21 @@ class Certificate:
     ``pairs`` use 1-based variable indices.  ``target`` is the monomial
     whose coefficient is evaluated; ``caps[i]`` is the guaranteed list
     size for variable i+1 (so the certificate applies when every list
-    has at least that many admissible values).
+    has at least that many admissible values).  ``len(caps)`` is the
+    number of variables.
     """
 
     name: str
-    nvars: int
     pairs: tuple[tuple[int, int], ...]
     target: tuple[int, ...]
     caps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.target) != self.nvars or len(self.caps) != self.nvars:
-            raise ValueError("target/caps length must equal nvars")
+        nvars = len(self.caps)
+        if len(self.target) != nvars:
+            raise ValueError("target and caps lengths differ")
         for i, j in self.pairs:
-            if not (1 <= i <= self.nvars and 1 <= j <= self.nvars and i != j):
+            if not (1 <= i <= nvars and 1 <= j <= nvars and i != j):
                 raise ValueError(f"bad pair ({i}, {j})")
         if sum(self.target) != len(self.pairs):
             raise ValueError("target degree must equal the number of factors")
@@ -193,7 +194,6 @@ def check_certificate(cert: Certificate) -> tuple[int, Optional[tuple[int, ...]]
 
 FOUR_VERTEX = Certificate(
     name="four-vertex",
-    nvars=8,
     pairs=(
         (1, 2), (1, 4), (1, 5), (1, 6), (1, 8),
         (2, 3), (2, 5), (2, 6), (2, 7),
@@ -209,7 +209,6 @@ FOUR_VERTEX = Certificate(
 
 NINE_FACE = Certificate(
     name="nine-face",
-    nvars=7,
     pairs=(
         (1, 2), (1, 3), (1, 6), (1, 7),
         (2, 3), (2, 4), (2, 7),
@@ -224,7 +223,6 @@ NINE_FACE = Certificate(
 
 TEN_FACE_ADJACENT = Certificate(
     name="ten-face-adjacent",
-    nvars=10,
     pairs=(
         (1, 2), (1, 3), (1, 9), (1, 10),
         (2, 3), (2, 5), (2, 9), (2, 10),
@@ -240,7 +238,6 @@ TEN_FACE_ADJACENT = Certificate(
 
 TEN_FACE_DIST3 = Certificate(
     name="ten-face-dist3",
-    nvars=10,
     pairs=(
         (1, 2), (1, 3), (1, 4), (1, 8), (1, 10),
         (2, 3), (2, 4), (2, 10),
@@ -256,7 +253,6 @@ TEN_FACE_DIST3 = Certificate(
 
 TEN_FACE_DIST4 = Certificate(
     name="ten-face-dist4",
-    nvars=10,
     pairs=TEN_FACE_DIST3.pairs,
     target=TEN_FACE_DIST3.target,
     caps=(4, 3, 3, 4, 1, 3, 3, 3, 1, 4),

@@ -247,11 +247,7 @@ def check(config: Configuration) -> CheckReport:
         if cert is None:
             log("certificate", False, f"unknown certificate {config.certificate!r}")
         else:
-            agree = (
-                cert.nvars == nvars
-                and set(cert.pairs) == set(config.conflicts)
-                and cert.caps == config.caps
-            )
+            agree = set(cert.pairs) == set(config.conflicts) and cert.caps == config.caps
             log("certificate-transcription", agree, "pairs and caps agree")
             coef, wit = check_certificate(cert)
             want = EXPECTED_COEFFICIENTS[cert.name]
@@ -260,9 +256,7 @@ def check(config: Configuration) -> CheckReport:
                 coef == want and coef != 0,
                 f"coefficient {coef}, pinned {want}",
             )
-            room = all(
-                cert.target[i] + 1 <= cert.caps[i] for i in range(cert.nvars)
-            )
+            room = all(t + 1 <= c for t, c in zip(cert.target, cert.caps))
             log("certificate-room", room, "target exponents fit below caps")
             log(
                 "certificate-witness",
@@ -405,25 +399,17 @@ def _despoked_prism(n: int, bare: tuple[int, ...]) -> tuple[EmbeddedGraph, list[
     surviving ids of the inner ring edges, index i for the edge between
     inner positions i and i+1."""
     g = generate("prism", n)
-    inner = list(range(n, 2 * n))
-    outer = list(range(n))
-    spokes = list(range(2 * n, 3 * n))
-
-    def apply(res) -> None:
-        nonlocal g
+    # prism edge id -> its id in g, None once deleted
+    emap: list[Optional[int]] = list(range(3 * n))
+    steps = [(delete_edge, 2 * n + p) for p in sorted(bare)]
+    # The outer vertex at position p is then 2-valent; contracting its
+    # outgoing ring edge suppresses it.
+    steps += [(contract_edge, p) for p in sorted(bare)]
+    for surgery, e in steps:
+        res = surgery(g, emap[e])
         g = res.graph
-        for lst in (inner, outer, spokes):
-            for k, eid in enumerate(lst):
-                if eid is not None:
-                    lst[k] = res.edge_map[eid]
-
-    for p in sorted(bare):
-        apply(delete_edge(g, spokes[p]))
-    for p in sorted(bare):
-        # The outer vertex at position p is now 2-valent; contracting
-        # its outgoing ring edge suppresses it.
-        apply(contract_edge(g, outer[p]))
-    return g, inner
+        emap = [None if x is None else res.edge_map[x] for x in emap]
+    return g, emap[n:2 * n]
 
 
 def _ring_assignment(

@@ -682,7 +682,7 @@ def reference_apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedge
     for v in range(g.n):
         if g.degrees[v] < 4:
             continue
-        for f in sorted(g.faces_at_vertex[v]):
+        for f in sorted(w.index for w in g.faces() if v in w.vertices):
             if prof[f].length == 5:
                 send("R1", ("v", v), ("f", f), Fraction(1, 5))
     for v in range(g.n):

@@ -1,0 +1,97 @@
+"""Mutation check: flip one comparison at a time and see that a test fails.
+
+Usage, from the root of a checkout:
+
+    python3 tests/mutate.py
+
+Each entry of ``FLIPS`` replaces one piece of text, which must occur
+exactly once, in one file of ``src/facet``.  The script first runs the
+suite on an unchanged copy of the checkout as a control, which must
+pass.  Then, for each flip, it runs ``pytest -x -q tests`` on a fresh
+temporary copy carrying that one change.  A flip the suite fails on is
+killed; one it passes survives.  Copies hold no ``__pycache__`` and the
+runs write no bytecode, so no stale module can mask a flip.
+
+Prints one line per flip and exits 1 if the control fails or any flip
+survives.  Standard library only; pytest does not collect this file.
+A full run takes several minutes, so it is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/facet, old text, new text): each flip moves one range
+# or size check by one, so only a test at exactly the boundary kills it.
+FLIPS = [
+    ("reducibility.py", "not 0 <= e < g.m]", "not 0 <= e <= g.m]"),
+    ("reducibility.py", "reduced.m) < (g.n", "reduced.m) <= (g.n"),
+    ("reducibility.py", "d > config.ell,", "d >= config.ell,"),
+    ("reducibility.py", '_int(doc["ell"], "ell") < 1', '_int(doc["ell"], "ell") <= 1'),
+    ("embedding.py", "not 0 <= d < m2", "not 0 <= d <= m2"),
+    ("embedding.py", "if not (0 <= e < g.m):", "if not (0 <= e <= g.m):"),
+    ("embedding.py", "if not (0 <= v < g.n):", "if not (0 <= v <= g.n):"),
+    ("choosability.py", "0 <= u < n and", "0 <= u <= n and"),
+    ("choosability.py", "if g.n > max_nodes:", "if g.n >= max_nodes:"),
+    ("choosability.py", "0 <= i < len(bounds)", "0 <= i <= len(bounds)"),
+    ("facial_coloring.py", "not 0 <= key < count", "not 0 <= key <= count"),
+    ("facial_coloring.py", "if n > max_nodes:", "if n >= max_nodes:"),
+]
+
+
+def _copy(dst: Path) -> None:
+    """The checkout without its caches; the tests read bench/ as well."""
+    skip = shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", ".out"
+    )
+    shutil.copytree(ROOT, dst, ignore=skip, dirs_exist_ok=True)
+
+
+def _suite_passes(tree: Path) -> bool:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
+    done = subprocess.run(
+        argv, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    return done.returncode == 0
+
+
+def _run(flip: tuple[str, str, str] | None) -> bool:
+    """Whether the suite passes on a fresh copy carrying ``flip``."""
+    with tempfile.TemporaryDirectory(prefix="facet-mutate-") as tmp:
+        tree = Path(tmp)
+        _copy(tree)
+        if flip is not None:
+            name, old, new = flip
+            path = tree / "src" / "facet" / name
+            text = path.read_text()
+            if text.count(old) != 1:
+                raise SystemExit(f"{name}: {old!r} occurs {text.count(old)} times, not once")
+            path.write_text(text.replace(old, new))
+        return _suite_passes(tree)
+
+
+def main() -> int:
+    if not _run(None):
+        print("control: the suite fails on the unchanged copy")
+        return 1
+    print("control: passed", flush=True)
+    survived = 0
+    for flip in FLIPS:
+        name, old, new = flip
+        alive = _run(flip)
+        survived += alive
+        print(f"{'survived' if alive else 'killed':8}  {name}: {old} -> {new}", flush=True)
+    print(f"{len(FLIPS) - survived} of {len(FLIPS)} flips killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -55,9 +56,14 @@ class TestSimpleGraph:
         with pytest.raises(ListColoringError, match="loop"):
             SimpleGraph.from_edges(2, [(1, 1)])
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ListColoringError, match="range"):
-            SimpleGraph.from_edges(2, [(0, 2)])
+    @pytest.mark.parametrize(
+        "n, edge",
+        [(2, (0, 2)), (2, (2, 0)), (3, (0, True)), (3, (0, 1.0))],
+        ids=["second-at-end", "first-at-end", "bool", "float"],
+    )
+    def test_out_of_range_rejected(self, n, edge):
+        with pytest.raises(ListColoringError, match=f"^{re.escape(f'edge {edge} out of range')}$"):
+            SimpleGraph.from_edges(n, [edge])
 
     def test_connectivity(self):
         assert cycle(4).is_connected
@@ -128,6 +134,8 @@ class TestListColor:
     def test_budget(self):
         with pytest.raises(SearchBudgetError):
             list_color(path(30), [{1, 2}] * 30)
+        # exactly at the budget the search runs
+        assert len(list_color(path(30), [{1, 2}] * 30, max_nodes=30)) == 30
 
     @pytest.mark.parametrize("fn", [list_color, degree_feasible_colorable])
     def test_one_shot_iterators_refused(self, fn):
@@ -389,6 +397,8 @@ class TestHallBounds:
             subset_hall_lower_bounds([1, 1], [(0, 0)])
         with pytest.raises(ValueError, match="bad disjoint pair"):
             subset_hall_lower_bounds([1, 1], [(0, 9)])
+        with pytest.raises(ValueError, match="bad disjoint pair"):
+            subset_hall_lower_bounds([1, 1], [(0, 2)])
 
 
 def random_connected(rng, n):

@@ -89,6 +89,20 @@ class TestVerify:
         assert main(["verify", "--graph", str(c7), "--coloring", str(col)]) == 0
         assert lines(capsys) == ["verdict = accept"]
 
+    def test_dot_export_beside_the_verdict(self, c7, tmp_path, capsys):
+        col, dot = tmp_path / "bad.col", tmp_path / "g.dot"
+        col.write_text("".join(f"c {e} {e % 4 + 1}\n" for e in range(7)))
+        argv = ["verify", "--graph", str(c7), "--coloring", str(col), "--dot", str(dot)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "violation e=0 f=4 color=1 face=0 gap=3\n"
+            "violation e=1 f=5 color=2 face=0 gap=3\n"
+            "violation e=2 f=6 color=3 face=0 gap=3\n"
+            "verdict = reject\n",
+            "",
+        )
+        assert dot.read_bytes() == C7_DOT.encode()
+
     def test_reject_lists_every_violation(self, c7, tmp_path, capsys):
         col = tmp_path / "bad.col"
         col.write_text("".join(f"c {e} {e % 4 + 1}\n" for e in range(7)))
@@ -656,10 +670,27 @@ class TestGen:
         assert main(["gen", "cycle"]) == 2
         assert "bad parameters" in capsys.readouterr().err
 
-    def test_empty_cycle_is_input_error(self, capsys):
-        assert main(["gen", "cycle", "0"]) == 2
-        assert capsys.readouterr().err == (
-            "error: bad parameters for family 'cycle': cycle needs n >= 1\n"
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["cycle", "0"], "'cycle': cycle needs n >= 1"),
+            (["prism", "2"], "'prism': prism needs n >= 3"),
+            (["theta", "0", "1", "1"], "'theta': theta path lengths must be >= 1"),
+            (["subdivided_k4", "0"], "'subdivided_k4': subdivided_k4 needs ell >= 1"),
+            (["k4", "1"], "'k4': k4 takes no parameters"),
+        ],
+        ids=["cycle-0", "prism-2", "theta-0", "subdivided-k4-0", "k4-param"],
+    )
+    def test_bad_parameters_are_input_errors(self, args, reason, capsys):
+        assert main(["gen", *args]) == 2
+        assert capsys.readouterr() == ("", f"error: bad parameters for family {reason}\n")
+
+    def test_json_wraps_the_peg(self, capsys):
+        assert main(["gen", "cycle", "3", "--json"]) == 0
+        assert capsys.readouterr() == (
+            '{\n  "peg": "peg 1\\nvertices 3\\nedges 3\\ne 0 0 1\\ne 1 1 2\\ne 2 2 0'
+            '\\nrot 0 0 5\\nrot 1 2 1\\nrot 2 4 3\\n"\n}\n',
+            "",
         )
 
     def test_unknown_family(self):

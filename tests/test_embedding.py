@@ -96,7 +96,7 @@ class TestFaces:
         before = repr(g)
         assert g.faces() is g.faces()
         assert g.edge_gap_table(3) is g.edge_gap_table(3)
-        g.vertex_gap_table(3), g.face_of_dart[0], g.faces_at_vertex[0]
+        g.vertex_gap_table(3), g.face_of_dart[0]
         assert g.two_thread is g.two_thread
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == before
 
@@ -207,6 +207,7 @@ class TestPeg:
             (2, [], [[]], "expected 2 rotation lists, got 1"),
             (2, [(0, 2)], [[0], [1]], "edge 0 endpoint out of range"),
             (2, [(0, 1)], [[0], [3]], "dart 3 out of range at vertex 1"),
+            (2, [(0, 1)], [[0], [2]], "dart 2 out of range at vertex 1"),
             (2, [(0, 1)], [[0], [-1]], "dart -1 out of range at vertex 1"),
             (2, [(0, 1)], [[0, 0], [1]], "dart 0 listed twice"),
             (2, [(0, 1)], [[1], [0]], "dart 1 listed at vertex 0, belongs to 1"),
@@ -232,6 +233,44 @@ class TestPeg:
             )
             with pytest.raises(PegParseError, match=f"^{re.escape(message)}$"):
                 parse_peg(text)
+
+    @pytest.mark.parametrize(
+        "n, endpoints, rotation, message",
+        [
+            (2.0, [(0, 1)], [[0], [1]], "vertex count 2.0 is not an integer"),
+            ("2", [(0, 1)], [[0], [1]], "vertex count '2' is not an integer"),
+            (True, [], [[]], "vertex count True is not an integer"),
+            (2, [(0, 1.0)], [[0], [1]], "edge 0 endpoint out of range"),
+            (2, [(0, "1")], [[0], [1]], "edge 0 endpoint out of range"),
+            (2, [(0, True)], [[0], [1]], "edge 0 endpoint out of range"),
+            (2, [(0, 1)], [[0], [1.0]], "dart 1.0 out of range at vertex 1"),
+            (2, [(0, 1)], [[0], ["1"]], "dart '1' out of range at vertex 1"),
+            (2, [(0, 1)], [[0], [True]], "dart True out of range at vertex 1"),
+            (2, [(0, 1.9)], [[0], [1.2]], "edge 0 endpoint out of range"),
+        ],
+        ids=[
+            "n-float", "n-str", "n-bool", "endpoint-float", "endpoint-str",
+            "endpoint-bool", "dart-float", "dart-str", "dart-bool", "fractional",
+        ],
+    )
+    def test_non_int_ids_refused_not_coerced(self, n, endpoints, rotation, message):
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            EmbeddedGraph.build(n, endpoints, rotation)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: facial_distance(g, 0, g.m), "edge id 6 out of range"),
+        (lambda g: facial_distance(g, g.m, 0), "edge id 6 out of range"),
+        (lambda g: delete_edge(g, g.m), "edge id 6 out of range"),
+        (lambda g: delete_vertex(g, g.n), "vertex id 4 out of range"),
+    ],
+    ids=["distance-f", "distance-e", "delete-edge", "delete-vertex"],
+)
+def test_id_at_the_end_of_its_range_refused(call, message):
+    with pytest.raises(EmbeddingError, match=f"^{message}$"):
+        call(generate("k4"))
 
 
 class TestSurgery:

@@ -69,6 +69,12 @@ class TestVerify:
         got = [(w.e, w.f, w.color, w.face, w.gap) for w in v.violations]
         assert got == [(0, 4, 1, 0, 3), (1, 5, 2, 0, 3), (2, 6, 3, 0, 3)]
 
+    def test_id_at_the_end_of_its_range_rejected(self, catalog):
+        g = catalog["cycle-7"]
+        for check, kind, count in ((verify, "edge", g.m), (verify_vertex, "vertex", g.n)):
+            with pytest.raises(ColoringError, match=f"^{kind} id {count} out of range$"):
+                check(g, 3, {count: 1}, require_total=False)
+
     def test_bool_ids_and_colors_rejected(self, catalog):
         # bool is an int subclass: True must not pass as id 1 or color 1
         g = catalog["cycle-7"]
@@ -182,6 +188,8 @@ class TestChromaticIndex:
     def test_budget_gate(self, catalog):
         with pytest.raises(SearchBudgetError, match="conflict graph has 7 nodes"):
             chromatic_index(catalog["cycle-7"], 3, max_nodes=5)
+        # exactly at the budget the solver runs
+        assert chromatic_index(catalog["cycle-7"], 3, max_nodes=7)[0] == 7
 
     @staticmethod
     def _assert_matches_reference(label, g, ell, *cap):

@@ -202,6 +202,13 @@ def test_surgery_id_out_of_range_fails_the_surgery_step(configs, name, step, det
     assert "identify-distance" not in [s.label for s in report.steps]
 
 
+def test_empty_surgery_fails_the_surgery_step(configs):
+    report = check(dataclasses.replace(configs["three-thread"], surgery=()))
+    assert [(s.label, s.detail) for s in report.failures()] == [
+        ("surgery", "host (11v,12e) -> reduced (11v,12e)")
+    ]
+
+
 def test_ell_zero_config_rejected(configs):
     # ell = 0 would leave no close pair, so every step would pass
     with pytest.raises(ValueError, match="ell must be >= 1"):
@@ -256,6 +263,16 @@ def test_identify_distance_measured_on_the_graph_the_step_acts_on(configs):
     report = check(config)
     assert [(s.label, s.detail) for s in report.failures()] == [
         ("identify-distance", "edges 1,16 at facial distance 2")
+    ]
+
+
+def test_identification_exactly_ell_apart_fails(configs):
+    # eight-face joins edges at facial distance 4; at ell = 4 that is too close
+    doc = json.loads(configuration_to_json(configs["eight-face"]))
+    doc["ell"] = 4
+    steps = check(configuration_from_json(json.dumps(doc))).steps
+    assert [(s.ok, s.detail) for s in steps if s.label == "identify-distance"] == [
+        (False, "edges 8,12 at facial distance 4")
     ]
 
 
@@ -358,6 +375,11 @@ class TestJson:
         with pytest.raises(ConfigurationError, match="bad configuration"):
             configuration_from_json(json.dumps(doc))
 
+    def test_ell_one_accepted(self, configs):
+        doc = json.loads(configuration_to_json(configs["four-vertex"]))
+        doc["ell"] = 1
+        assert configuration_from_json(json.dumps(doc)).ell == 1
+
     def test_garbage_rejected(self):
         with pytest.raises(ConfigurationError):
             configuration_from_json("[]")
@@ -377,12 +399,16 @@ class TestMalformedConfigs:
         assert report.steps[0].label == "shape"
         assert not report.steps[0].ok
 
-    def test_variable_edge_out_of_host(self, configs):
+    @pytest.mark.parametrize("edge", [12, 999], ids=["at-end", "far"])
+    def test_variable_edge_out_of_host(self, configs, edge):
         doc = json.loads(configuration_to_json(configs["four-vertex"]))
-        bad = self.mutate(configs, variables=[999] + doc["variables"][1:])
+        assert configs["four-vertex"].host.m == 12
+        bad = self.mutate(configs, variables=[edge] + doc["variables"][1:])
         report = check(bad)
         assert not report.ok
-        assert any(s.label == "variable-edges" and not s.ok for s in report.steps)
+        assert ("variable-edges", f"edge ids [{edge}] not in host") in [
+            (s.label, s.detail) for s in report.failures()
+        ]
 
     @pytest.mark.parametrize(
         "name, dummies, bad",
