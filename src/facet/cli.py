@@ -9,6 +9,7 @@ success or an accepting verdict, 1 for a rejecting or negative verdict,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -21,6 +22,7 @@ from facet.discharging import (
     VERDICT_ANOMALY,
     AuditReport,
     StructureReport,
+    Transfer,
     audit,
     structure_report,
 )
@@ -70,10 +72,11 @@ def _json_text(doc: object) -> str:
 
 
 def _write_json(x: object, pad: str, put) -> None:
-    """Strings, ints and bools are written here; other scalars (``None``,
-    floats with ``NaN`` and ``Infinity``) go through ``json.dumps``
-    itself.  A key that is not a ``str`` raises ``TypeError``, as the
-    escaper does.  Module-level, so that no closure cycle keeps a
+    """Strings, ints and bools are written here, and a ledger ``Fraction``
+    or ``Transfer`` as its sorted-key row from one f-string; other scalars
+    (``None``, floats with ``NaN`` and ``Infinity``) go through
+    ``json.dumps`` itself.  A key that is not a ``str`` raises ``TypeError``,
+    as the escaper does.  Module-level, so that no closure cycle keeps a
     finished document's pieces alive until the next collection."""
     if isinstance(x, str):
         put(_escape(x))
@@ -99,6 +102,13 @@ def _write_json(x: object, pad: str, put) -> None:
             _write_json(x[key], inner, put)
             sep = "," + inner
         put(pad + "}" if x else "{}")
+    elif isinstance(x, Fraction):
+        i = pad + "  "
+        put(f'{{{i}"den": {x.denominator},{i}"num": {x.numerator}{pad}}}')
+    elif isinstance(x, Transfer):
+        i, q = pad + "  ", x.amount
+        put(f'{{{i}"den": {q.denominator},{i}"dst": {_escape(_elt(x.dst))},{i}"num": '
+            f'{q.numerator},{i}"rule": {_escape(x.rule)},{i}"src": {_escape(_elt(x.src))}{pad}}}')
     else:
         put(json.dumps(x))
 
@@ -117,10 +127,6 @@ def _write_out(args: argparse.Namespace, payload: str) -> None:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _frac(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
 
 
 def _elt(e: tuple[str, int]) -> str:
@@ -158,16 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "ok": v.ok,
         "chi": None,
-        "violations": [
-            {
-                "e": w.e,
-                "f": w.f,
-                "color": w.color,
-                "face": w.face,
-                "gap": w.gap,
-            }
-            for w in v.violations
-        ],
+        "violations": [dataclasses.asdict(w) for w in v.violations],
         "missing": list(v.missing),
     }
     lines = [
@@ -285,25 +282,10 @@ def _structure_doc(rep: StructureReport) -> dict:
 def _discharge_doc(rep: AuditReport) -> dict:
     led = rep.ledger
     return {
-        "initial": {
-            "vertices": [_frac(x) for x in led.vertex_initial],
-            "faces": [_frac(x) for x in led.face_initial],
-        },
-        "transfers": [
-            {
-                "rule": t.rule,
-                "src": _elt(t.src),
-                "dst": _elt(t.dst),
-                "num": t.amount.numerator,
-                "den": t.amount.denominator,
-            }
-            for t in led.transfers
-        ],
-        "final": {
-            "vertices": [_frac(x) for x in led.vertex_final],
-            "faces": [_frac(x) for x in led.face_final],
-        },
-        "total": _frac(rep.total),
+        "initial": {"vertices": led.vertex_initial, "faces": led.face_initial},
+        "transfers": led.transfers,
+        "final": {"vertices": led.vertex_final, "faces": led.face_final},
+        "total": rep.total,
         "gaps": list(led.gaps),
         "notes": list(led.notes),
         "negative": [

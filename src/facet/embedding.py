@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from facet._cached import cached_attribute
 
@@ -41,6 +41,15 @@ class SurgeryError(EmbeddingError):
 GapTable = dict[tuple[int, int], tuple[int, int]]
 
 
+def _unshaped(endpoints: object, rotation: object) -> str:
+    """Names the first edge or rotation list that is not a sequence."""
+    for what, rows in (("edge", endpoints), ("rotation of vertex", rotation)):
+        for i, row in enumerate(rows if isinstance(rows, Sequence) else ()):
+            if not isinstance(row, Iterable):
+                return f"{what} {i} is {row!r}, not a sequence"
+    return "endpoints and rotation must be sequences of sequences"
+
+
 def twin(dart: int) -> int:
     return dart ^ 1
 
@@ -49,12 +58,12 @@ def edge_of(dart: int) -> int:
     return dart >> 1
 
 
-@dataclass(frozen=True)
-class FaceWalk:
+class FaceWalk(NamedTuple):
     """One orbit of the face permutation.
 
     ``darts[i]`` is based at ``vertices[i]`` and runs along
-    ``edges[i]`` toward ``vertices[(i + 1) % len]``.
+    ``edges[i]`` toward ``vertices[(i + 1) % len]``; ``len`` is the walk's
+    length, so ``_make`` and ``_replace``, which check it, do not apply.
     """
 
     index: int
@@ -111,9 +120,13 @@ class EmbeddedGraph:
         component satisfies V - E + F = 2 with F counted as face-walk
         orbits (an isolated vertex counts one empty face).  The vertex
         count, endpoints and darts must be ``int`` itself: a bool, float
-        or numeric string is refused, not coerced.
+        or numeric string is refused, not coerced, and so is an edge or a
+        rotation list that is not a sequence.
         """
-        g = EmbeddedGraph(n, tuple(map(tuple, endpoints)), tuple(map(tuple, rotation)))
+        try:
+            g = EmbeddedGraph(n, tuple(map(tuple, endpoints)), tuple(map(tuple, rotation)))
+        except TypeError:
+            raise EmbeddingError(_unshaped(endpoints, rotation)) from None
         g._validate()
         return g
 
@@ -126,7 +139,11 @@ class EmbeddedGraph:
             raise EmbeddingError(
                 f"expected {self.n} rotation lists, got {len(self.rotation)}"
             )
-        for e, (u, v) in enumerate(self.endpoints):
+        for e, uv in enumerate(self.endpoints):
+            try:
+                u, v = uv
+            except ValueError:
+                raise EmbeddingError(f"edge {e} has {len(uv)} endpoints, not 2") from None
             if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
                 raise EmbeddingError(f"edge {e} endpoint out of range")
         self.sigma  # checks every dart while it fills sigma

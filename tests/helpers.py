@@ -821,3 +821,50 @@ def reference_pair_predicates(g: EmbeddedGraph) -> dict[str, bool]:
         for v, p, q in both_seven
     )
     return out
+
+
+def plain(x):
+    """``json.dumps`` ``default=`` hook: a ledger ``Fraction`` or
+    ``Transfer`` as the plain dict that ``facet discharge --json`` writes
+    for it.  The shapes are stated here, not read from ``facet.cli``."""
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, Transfer):
+        return {
+            "rule": x.rule,
+            "src": f"{x.src[0]}:{x.src[1]}",
+            "dst": f"{x.dst[0]}:{x.dst[1]}",
+            "num": x.amount.numerator,
+            "den": x.amount.denominator,
+        }
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def reference_discharge_doc(rep) -> dict:
+    """The ``discharge --json`` document of an ``AuditReport`` as plain
+    dicts, lists, strings and ints, one dict per charge and transfer."""
+    led = rep.ledger
+    return {
+        "initial": {
+            "vertices": [plain(x) for x in led.vertex_initial],
+            "faces": [plain(x) for x in led.face_initial],
+        },
+        "transfers": [plain(t) for t in led.transfers],
+        "final": {
+            "vertices": [plain(x) for x in led.vertex_final],
+            "faces": [plain(x) for x in led.face_final],
+        },
+        "total": plain(rep.total),
+        "gaps": list(led.gaps),
+        "notes": list(led.notes),
+        "negative": [
+            {"element": f"{e[0]}:{e[1]}", "num": ch.numerator, "den": ch.denominator}
+            for e, ch in led.negatives()
+        ],
+        "structure": {
+            "predicates": rep.structure.as_dict(),
+            "all_pass": rep.structure.all_pass,
+            "failing": list(rep.structure.failing()),
+        },
+        "verdict": rep.verdict,
+    }

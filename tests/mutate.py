@@ -43,6 +43,8 @@ FLIPS = [
     ("choosability.py", "0 <= i < len(bounds)", "0 <= i <= len(bounds)"),
     ("facial_coloring.py", "not 0 <= key < count", "not 0 <= key <= count"),
     ("facial_coloring.py", "if n > max_nodes:", "if n >= max_nodes:"),
+    ("nullstellensatz.py", "(1 <= i <= nvars and", "(1 <= i < nvars and"),
+    ("nullstellensatz.py", "and 1 <= j <= nvars and", "and 1 < j <= nvars and"),
 ]
 
 

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 import facet
 from facet import cli
 from facet.cli import main
-from facet.embedding import generate, parse_peg, serialize_peg
+from facet.discharging import Transfer, audit
+from facet.embedding import generate, parse_peg, random_plane_graph, serialize_peg
 from facet.facial_coloring import parse_coloring
 from facet.nullstellensatz import CERTIFICATES
 from facet.reducibility import (
@@ -25,7 +26,7 @@ from facet.reducibility import (
     configuration_to_json,
 )
 
-from helpers import reference_gap_table
+from helpers import plain, reference_discharge_doc, reference_gap_table
 
 DISCONNECTED_PEG = (
     "peg 1\nvertices 6\nedges 6\n"
@@ -825,6 +826,23 @@ _DOCS = st.recursive(
     ),
     max_leaves=30,
 )
+# The ledger values ``discharge`` hands to the writer as they are.
+_LEDGER_LEAVES = st.fractions() | st.builds(
+    Transfer,
+    st.text(max_size=4),
+    st.tuples(st.text(max_size=2), st.integers()),
+    st.tuples(st.text(max_size=2), st.integers()),
+    st.fractions(),
+)
+_LEDGER_DOCS = st.recursive(
+    _SCALARS | _LEDGER_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=30,
+)
 
 
 # Each file reader: a valid document and the command that reads it.  The
@@ -908,6 +926,11 @@ class TestJsonWriter:
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._json_text({"a": {1, 2}})
 
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_LEDGER_DOCS)
+    def test_ledger_leaves_match_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, default=plain)
+
     def test_emitted_documents_match_json_dumps(self, c7, catalog, tmp_path, monkeypatch, capsys):
         docs = []
         writer = cli._json_text
@@ -936,7 +959,24 @@ class TestJsonWriter:
             out = capsys.readouterr().out
             if docs:
                 subcommands.add(argv[0])
-                assert out == json.dumps(docs[0], indent=2, sort_keys=True) + "\n", argv
+                expected = json.dumps(docs[0], indent=2, sort_keys=True, default=plain)
+                assert out == expected + "\n", argv
         assert subcommands == {
             "verify", "chi", "cn", "reduce", "discharge", "structure", "distance"
         }
+
+    def test_discharge_matches_plain_dict_document(self, catalog, tmp_path, capsys):
+        graphs = [random_plane_graph(seed) for seed in range(100)]
+        graphs += [generate("prism", n) for n in range(3, 31)]
+        graphs += [c.host for c in facet.reducibility.catalog()]
+        graphs += catalog.values()
+        peg = tmp_path / "g.peg"
+        filled = {"gaps": 0, "notes": 0, "negative": 0}
+        for g in graphs:
+            peg.write_text(serialize_peg(g))
+            main(["discharge", "--graph", str(peg), "--json"])
+            doc = reference_discharge_doc(audit(g))
+            assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            for key in filled:
+                filled[key] += bool(doc[key])
+        assert all(filled.values()), filled

@@ -80,6 +80,12 @@ class TestFaces:
         assert len(walks) == 1
         assert len(walks[0].darts) == 2
 
+    def test_len_is_the_dart_count(self):
+        # FaceWalk is a 4-field tuple; its len must still be the walk's.
+        g = generate("theta", 1, 2, 4)
+        assert sorted(len(w) for w in g.faces()) == [3, 5, 6]
+        assert all(len(w) == len(w.darts) for w in g.faces())
+
     def test_loop_two_unit_faces(self):
         g = generate("cycle", 1)
         assert face_lengths(g) == [1, 1]
@@ -256,6 +262,21 @@ class TestPeg:
     def test_non_int_ids_refused_not_coerced(self, n, endpoints, rotation, message):
         with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
             EmbeddedGraph.build(n, endpoints, rotation)
+
+    @pytest.mark.parametrize(
+        "endpoints, rotation, message",
+        [
+            ([(0, 1, 1)], [[0], [1]], "edge 0 has 3 endpoints, not 2"),
+            ([(0, 1)], [0, [1]], "rotation of vertex 0 is 0, not a sequence"),
+            ([(0, 1), (1,)], [[0, 2], [1, 3]], "edge 1 has 1 endpoints, not 2"),
+            ([(0, 1), 1], [[0], [1]], "edge 1 is 1, not a sequence"),
+            ([(0, 1)], None, "endpoints and rotation must be sequences of sequences"),
+        ],
+        ids=["three-ends", "int-rotation", "one-end", "int-edge", "no-rotation"],
+    )
+    def test_malformed_shape_refused(self, endpoints, rotation, message):
+        with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+            EmbeddedGraph.build(2, endpoints, rotation)
 
 
 @pytest.mark.parametrize(

@@ -157,12 +157,26 @@ class TestGoldenCertificates:
         (((1, 3),), (1, 0), (2, 2), r"bad pair \(1, 3\)"),
         (((2, 2),), (1, 0), (2, 2), r"bad pair \(2, 2\)"),
         (((1, 2),), (1, 1), (2, 2), r"target degree must equal the number of factors"),
+        # each index one past either end of 1..nvars
+        (((0, 2),), (1, 0, 0), (2, 2, 2), r"bad pair \(0, 2\)"),
+        (((4, 2),), (1, 0, 0), (2, 2, 2), r"bad pair \(4, 2\)"),
+        (((2, 0),), (1, 0, 0), (2, 2, 2), r"bad pair \(2, 0\)"),
+        (((2, 4),), (1, 0, 0), (2, 2, 2), r"bad pair \(2, 4\)"),
     ],
-    ids=["short-target", "short-caps", "pair-out-of-range", "pair-self", "target-degree"],
+    ids=[
+        "short-target", "short-caps", "pair-out-of-range", "pair-self", "target-degree",
+        "i-zero", "i-past-nvars", "j-zero", "j-past-nvars",
+    ],
 )
 def test_certificate_validation(pairs, target, caps, detail):
     with pytest.raises(ValueError, match=f"^{detail}$"):
         Certificate("bad", pairs, target, caps)
+
+
+@pytest.mark.parametrize("pair", [(1, 3), (3, 1)])
+def test_pair_index_at_either_end_accepted(pair):
+    # i and j each take the values 1 and nvars = 3
+    assert Certificate("ends", (pair,), (1, 0, 0), (2, 2, 2)).pairs == (pair,)
 
 
 def test_coefficient_wrapper_degree_mismatch_is_zero():
