@@ -156,12 +156,16 @@ def degree_guarantee(g: SimpleGraph, sizes: Sequence[int]) -> bool:
     degrees = g.degrees
     if len(sizes) != len(degrees):
         raise ValueError(f"{len(sizes)} sizes for {len(degrees)} vertices")
-    # with every size >= its degree, some size > its degree iff sums differ
     return (
         all(map(operator.ge, sizes, degrees))
         and g.is_connected
-        and (sum(sizes) > sum(degrees) or not is_gallai_tree(g))
+        and _slack_or_not_gallai(g, sizes)
     )
+
+
+def _slack_or_not_gallai(g: SimpleGraph, sizes: Sequence[int]) -> bool:
+    # with every size >= its degree, some size > its degree iff sums differ
+    return sum(sizes) > sum(g.degrees) or not is_gallai_tree(g)
 
 
 # The colors sorted by repr and color i's bit 1 << i (shared; never changed),
@@ -284,7 +288,7 @@ def degree_feasible_colorable(
         raise ListColoringError(f"list at vertex {v} smaller than its degree")
     coloring = _search(g, colors, domains, _MAX_NODES)
     # the checks above are degree_guarantee's first two conditions
-    guaranteed = sum(sizes) > sum(g.degrees) or not is_gallai_tree(g)
+    guaranteed = _slack_or_not_gallai(g, sizes)
     return guaranteed, coloring is not None, coloring
 
 

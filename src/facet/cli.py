@@ -9,7 +9,6 @@ success or an accepting verdict, 1 for a rejecting or negative verdict,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -28,6 +27,7 @@ from facet.discharging import (
 )
 from facet.embedding import (
     EmbeddedGraph,
+    _decimal,
     facial_distance,
     generate,
     medial,
@@ -84,6 +84,10 @@ def _write_json(x: object, pad: str, put) -> None:
         put(int.__repr__(x))
     elif type(x) is bool:
         put("true" if x else "false")
+    elif type(x) is Transfer:  # a tuple, so tested before the sequences
+        i, q = pad + "  ", x.amount
+        put(f'{{{i}"den": {q.denominator},{i}"dst": {_escape(_elt(x.dst))},{i}"num": '
+            f'{q.numerator},{i}"rule": {_escape(x.rule)},{i}"src": {_escape(_elt(x.src))}{pad}}}')
     elif isinstance(x, (list, tuple)):
         inner = pad + "  "
         sep = "[" + inner
@@ -105,10 +109,6 @@ def _write_json(x: object, pad: str, put) -> None:
     elif isinstance(x, Fraction):
         i = pad + "  "
         put(f'{{{i}"den": {x.denominator},{i}"num": {x.numerator}{pad}}}')
-    elif isinstance(x, Transfer):
-        i, q = pad + "  ", x.amount
-        put(f'{{{i}"den": {q.denominator},{i}"dst": {_escape(_elt(x.dst))},{i}"num": '
-            f'{q.numerator},{i}"rule": {_escape(x.rule)},{i}"src": {_escape(_elt(x.src))}{pad}}}')
     else:
         put(json.dumps(x))
 
@@ -164,7 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "ok": v.ok,
         "chi": None,
-        "violations": [dataclasses.asdict(w) for w in v.violations],
+        "violations": [w._asdict() for w in v.violations],
         "missing": list(v.missing),
     }
     lines = [
@@ -205,11 +205,11 @@ def _parse_pairs_file(text: str) -> tuple[list[tuple[int, int]], tuple[int, ...]
             continue
         fields = stripped.split()
         if fields[0] == "p" and len(fields) == 3:
-            pairs.append((int(fields[1]), int(fields[2])))
+            pairs.append((_decimal(fields[1]), _decimal(fields[2])))
         elif fields[0] == "t":
             if target is not None:
                 raise ValueError(f"line {ln}: duplicate target line")
-            target = tuple(int(x) for x in fields[1:])
+            target = tuple(map(_decimal, fields[1:]))
         else:
             raise ValueError(f"line {ln}: expected 'p i j' or 't k1 ... kn'")
     if target is None:

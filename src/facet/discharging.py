@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from facet._cached import cached_attribute
 from facet.embedding import (
@@ -38,8 +38,7 @@ class DischargingError(ValueError):
 Element = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     rule: str
     src: Element
     dst: Element
@@ -372,8 +371,7 @@ def _no_short_separating_cycle(g: EmbeddedGraph) -> bool:
     return not any(_cycle_separating(g, c) for c in _short_cycles(g))
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """One boolean per structural conclusion, in a fixed field order.
 
     Every entry states a property that must hold in a minimal
@@ -406,17 +404,14 @@ class StructureReport:
     section_count_bounds: bool  # 23
 
     def as_dict(self) -> dict[str, bool]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
     @property
     def all_pass(self) -> bool:
-        return all(self.as_dict().values())
+        return all(self)
 
     def failing(self) -> tuple[str, ...]:
-        return tuple(name for name, ok in self.as_dict().items() if not ok)
-
-
-_PREDICATES = tuple(f.name for f in fields(StructureReport))
+        return tuple(name for name, ok in zip(self._fields, self) if not ok)
 
 
 def structure_report(g: EmbeddedGraph) -> StructureReport:
@@ -430,7 +425,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
     walks = g.faces()
     prof = face_profiles(g)
     deg, thread = g.degrees, g.two_thread
-    ok = dict.fromkeys(_PREDICATES, True)
+    ok = dict.fromkeys(StructureReport._fields, True)
     ok["two_connected"] = _two_connected(g)
     ok["loopless"] = all(u != v for u, v in g.endpoints)
     ok["min_degree_two"] = all(d >= 2 for d in deg)
@@ -442,8 +437,8 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
     )
     ok["no_short_separating_cycle"] = _no_short_separating_cycle(g)
 
-    for walk, p in zip(walks, prof):
-        k, n2, verts = p.length, p.n2, walk.vertices
+    for walk, (k, n2, s1, s2) in zip(walks, prof):
+        verts = walk.vertices
         # A walk through a thread vertex passes its 2-valent neighbor
         # next to it, so it holds a 2-thread exactly when it holds a
         # thread vertex.
@@ -484,8 +479,8 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
             # 23: section bounds on 8+ faces holding 2-vertices
             if n2 and (
                 n2 > k // 2
-                or p.s2 > (k - 2 * p.s1) // 5
-                or (k == 11 and p.s2 and n2 > 4)
+                or s2 > (k - 2 * s1) // 5
+                or (k == 11 and s2 and n2 > 4)
             ):
                 ok["section_count_bounds"] = False
             # 9: within facial distance 3 of a thread at walk positions
@@ -550,8 +545,7 @@ VERDICT_VIOLATES = "violates-structure"
 VERDICT_ANOMALY = "discharging-anomaly"
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Discharging outcome for one connected plane graph.
 
     ``verdict`` is "violates-structure" when at least one structural

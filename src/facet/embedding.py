@@ -75,8 +75,7 @@ class FaceWalk(NamedTuple):
         return len(self.darts)
 
 
-@dataclass(frozen=True)
-class FaceProfile:
+class FaceProfile(NamedTuple):
     """Per-face counts used by the charge rules.
 
     ``n2`` counts distinct 2-vertices on the walk.  ``s1`` and ``s2``
@@ -424,6 +423,9 @@ def parse_peg(text: str) -> EmbeddedGraph:
         raise PegParseError("empty input")
     if rows[0] != ["peg", "1"]:
         raise PegParseError(f"expected header 'peg 1', got {_peg_line(lines, 0)!r}")
+    # int() also takes "+1", "1_0" and non-ASCII digits; scans of the whole
+    # text, not a test per token, pick the strict reader where one may occur
+    num = int if text.isascii() and "_" not in text and "+" not in text else _decimal
 
     counts: dict[str, int] = {}
     edges: dict[int, tuple[int, int]] = {}
@@ -433,20 +435,20 @@ def parse_peg(text: str) -> EmbeddedGraph:
         try:
             if kind == "e":
                 _, eid, u, v = parts
-                eid, u, v = int(eid), int(u), int(v)
+                eid, u, v = num(eid), num(u), num(v)
                 if eid in edges:
                     raise PegParseError(f"edge {eid} declared twice")
                 edges[eid] = (u, v)
             elif kind == "rot":
-                v = int(parts[1])
+                v = num(parts[1])
                 if v in rots:
                     raise PegParseError(f"rotation of vertex {v} declared twice")
-                rots[v] = tuple(map(int, parts[2:]))
+                rots[v] = tuple(map(num, parts[2:]))
             elif kind == "vertices" or kind == "edges":
                 _, count = parts
                 if kind in counts:
                     raise PegParseError(f"{kind!r} declared twice")
-                counts[kind] = int(count)
+                counts[kind] = num(count)
             else:
                 raise PegParseError(f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -470,6 +472,13 @@ def parse_peg(text: str) -> EmbeddedGraph:
         raise PegParseError(str(exc)) from exc
 
 
+def _decimal(token: str) -> int:
+    """``int(token)`` for an ASCII ``-?[0-9]+`` token only."""
+    if not token.isascii() or "_" in token or "+" in token:
+        raise ValueError(f"{token!r} is not a decimal integer")
+    return int(token)
+
+
 def _peg_line(lines: list[str], k: int) -> str:
     """The ``k``-th non-blank line, comment cut and stripped, for errors."""
     return [ln.strip() for ln in lines if ln.strip()][k]
@@ -489,8 +498,7 @@ def serialize_peg(g: EmbeddedGraph) -> str:
 # -- surgeries -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurgeryResult:
+class SurgeryResult(NamedTuple):
     """Surgery output: the new graph plus the edge id re-mapping.
 
     ``edge_map[e]`` gives the new id, or ``None`` for a removed edge;

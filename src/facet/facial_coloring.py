@@ -10,8 +10,7 @@ problems on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from facet.choosability import SearchBudgetError, SimpleGraph, list_color
 from facet.embedding import EmbeddedGraph
@@ -21,8 +20,7 @@ class ColoringError(ValueError):
     """Malformed or improper coloring input."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One conflicting pair sharing a color, with its witness walk."""
 
     e: int
@@ -32,8 +30,7 @@ class Violation:
     gap: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...] = ()
     # ids left uncolored when a total coloring was required
@@ -205,7 +202,7 @@ def chromatic_index(
 
 # -- coloring text format --------------------------------------------------
 
-_COLOR_LINE = re.compile(r"^c\s+(\d+)\s+(\d+)$")
+_COLOR_LINE = re.compile(r"^c\s+([0-9]+)\s+([0-9]+)$")
 
 
 def parse_coloring(text: str) -> dict[int, int]:

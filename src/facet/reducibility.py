@@ -18,8 +18,7 @@ reduction step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from facet.choosability import (
     SimpleGraph,
@@ -48,8 +47,7 @@ class ConfigurationError(ValueError):
     """Catalog entry is internally inconsistent."""
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """One reducible configuration.
 
     ``variables[i]`` is the host edge id playing certificate variable
@@ -87,15 +85,13 @@ class Configuration:
         return tuple(self.variables[v - 1] for v in self.free)
 
 
-@dataclass(frozen=True)
-class CheckStep:
+class CheckStep(NamedTuple):
     label: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     ok: bool
     steps: tuple[CheckStep, ...]

@@ -840,6 +840,20 @@ def plain(x):
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
+def expand_transfers(x):
+    """``x`` with each ``Transfer`` in it replaced by its ``plain`` dict.
+
+    ``json.dumps`` writes a ``Transfer``, a NamedTuple, as an array and
+    never passes it to ``default``, so an oracle expands it first."""
+    if type(x) is Transfer:
+        return plain(x)
+    if isinstance(x, dict):
+        return {k: expand_transfers(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [expand_transfers(v) for v in x]
+    return x
+
+
 def reference_discharge_doc(rep) -> dict:
     """The ``discharge --json`` document of an ``AuditReport`` as plain
     dicts, lists, strings and ints, one dict per charge and transfer."""

@@ -428,8 +428,8 @@ def test_guarantee_implies_colorable(seed, n):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 7))
 def test_guarantee_flag_matches_degree_guarantee(seed, n):
-    # degree_feasible_colorable computes the flag itself after its own
-    # checks; it must not drift from degree_guarantee on valid input.
+    # degree_feasible_colorable runs its own checks, then only the
+    # guarantee's last condition; on valid input the flags must agree.
     rng = random.Random(seed)
     g = random_connected(rng, n)
     sizes = [g.degrees[v] + rng.choice((0, 0, 0, 1)) for v in range(n)]

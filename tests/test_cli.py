@@ -26,7 +26,7 @@ from facet.reducibility import (
     configuration_to_json,
 )
 
-from helpers import plain, reference_discharge_doc, reference_gap_table
+from helpers import expand_transfers, plain, reference_discharge_doc, reference_gap_table
 
 DISCONNECTED_PEG = (
     "peg 1\nvertices 6\nedges 6\n"
@@ -243,6 +243,15 @@ class TestCn:
         assert main(["cn", "--pairs", str(f)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {detail}\n"
+
+    @pytest.mark.parametrize(
+        "old, token", [("t 1 0", "1_0"), ("t 1 0", "+1"), ("p 1 2", "\u0661")]
+    )
+    def test_ids_are_ascii_decimal(self, old, token, tmp_path, capsys):
+        f = tmp_path / "bad.cn"
+        f.write_text("p 1 2\nt 1 0\n".replace(old, old.replace("1", token, 1)))
+        assert main(["cn", "--pairs", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {token!r} is not a decimal integer\n"
 
     def test_target_exponent_past_fifteen(self, tmp_path, capsys):
         f = tmp_path / "big.cn"
@@ -929,7 +938,9 @@ class TestJsonWriter:
     @settings(max_examples=400, deadline=None)
     @given(doc=_LEDGER_DOCS)
     def test_ledger_leaves_match_json_dumps(self, doc):
-        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, default=plain)
+        assert cli._json_text(doc) == json.dumps(
+            expand_transfers(doc), indent=2, sort_keys=True, default=plain
+        )
 
     def test_emitted_documents_match_json_dumps(self, c7, catalog, tmp_path, monkeypatch, capsys):
         docs = []
@@ -959,7 +970,9 @@ class TestJsonWriter:
             out = capsys.readouterr().out
             if docs:
                 subcommands.add(argv[0])
-                expected = json.dumps(docs[0], indent=2, sort_keys=True, default=plain)
+                expected = json.dumps(
+                    expand_transfers(docs[0]), indent=2, sort_keys=True, default=plain
+                )
                 assert out == expected + "\n", argv
         assert subcommands == {
             "verify", "chi", "cn", "reduce", "discharge", "structure", "distance"

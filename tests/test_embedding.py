@@ -195,6 +195,23 @@ class TestPeg:
         with pytest.raises(PegParseError, match=f"^{re.escape(message)}$"):
             parse_peg(K2_PEG.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("e 0 0 1", "e 0_0 0 1"),
+            ("e 0 0 1", "e 0 0 +1"),
+            ("e 0 0 1", "e \u0660 0 1"),
+            ("vertices 2", "vertices +2"),
+            ("rot 1 1", "rot 1 \uff11"),
+        ],
+        ids=["underscore", "plus", "arabic-indic", "count", "fullwidth-dart"],
+    )
+    def test_ids_are_ascii_decimal(self, old, new):
+        # int() takes each of these tokens; in a comment they are harmless
+        with pytest.raises(PegParseError, match=f"^malformed line {re.escape(repr(new))}$"):
+            parse_peg(K2_PEG.replace(old, new))
+        assert parse_peg(K2_PEG.replace(old, f"{old} # {new}")) == parse_peg(K2_PEG)
+
     def test_nonplanar_rotation_rejected(self):
         # K4 with two darts swapped at vertex 0 embeds on the torus only
         endpoints = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

@@ -318,6 +318,12 @@ class TestColoringFiles:
         with pytest.raises(ColoringError, match="malformed"):
             parse_coloring("c 0\n")
 
+    @pytest.mark.parametrize("line", ["c 0 \u0663", "c \u0660 1", "c 0 \uff13"])
+    def test_parse_ids_are_ascii_decimal(self, line):
+        # a regex \d would take these digits, as int() would
+        with pytest.raises(ColoringError, match="^malformed coloring line"):
+            parse_coloring(f"c 1 2\n{line}\n")
+
     def test_parse_duplicate_edge(self):
         with pytest.raises(ColoringError, match="twice"):
             parse_coloring("c 0 1\nc 0 2\n")

@@ -1,6 +1,5 @@
 """The reducible-configuration catalog and its replay checker."""
 
-import dataclasses
 import json
 import math
 import random
@@ -180,7 +179,7 @@ def test_catalog_names(configs):
     "step", [(), ("contract_edge",), ("contract_edge", 1, 2), ("fold_face", 0), None, 5]
 )
 def test_malformed_surgery_step_fails_the_surgery_step(configs, step):
-    config = dataclasses.replace(configs["three-thread"], surgery=(step,))
+    config = configs["three-thread"]._replace(surgery=(step,))
     report = check(config)
     assert not report.ok
     assert report.failures()[0].label == "surgery"
@@ -195,7 +194,7 @@ def test_malformed_surgery_step_fails_the_surgery_step(configs, step):
     ],
 )
 def test_surgery_id_out_of_range_fails_the_surgery_step(configs, name, step, detail):
-    report = check(dataclasses.replace(configs[name], surgery=(step,)))
+    report = check(configs[name]._replace(surgery=(step,)))
     assert not report.ok
     assert [(s.label, s.detail) for s in report.failures()] == [("surgery", detail)]
     # the failed surgery step names the bad id; no distance is asked of it
@@ -203,7 +202,7 @@ def test_surgery_id_out_of_range_fails_the_surgery_step(configs, name, step, det
 
 
 def test_empty_surgery_fails_the_surgery_step(configs):
-    report = check(dataclasses.replace(configs["three-thread"], surgery=()))
+    report = check(configs["three-thread"]._replace(surgery=()))
     assert [(s.label, s.detail) for s in report.failures()] == [
         ("surgery", "host (11v,12e) -> reduced (11v,12e)")
     ]
@@ -212,7 +211,7 @@ def test_empty_surgery_fails_the_surgery_step(configs):
 def test_ell_zero_config_rejected(configs):
     # ell = 0 would leave no close pair, so every step would pass
     with pytest.raises(ValueError, match="ell must be >= 1"):
-        check(dataclasses.replace(configs["eight-face"], ell=0))
+        check(configs["eight-face"]._replace(ell=0))
 
 
 @pytest.mark.parametrize(
@@ -222,7 +221,7 @@ def test_identify_check_caches_only_bounded_gap_tables(name):
     config = next(c for c in catalog() if c.name == name)
     g = config.host
     host = EmbeddedGraph(g.n, g.endpoints, g.rotation)
-    assert check(dataclasses.replace(config, host=host)).ok
+    assert check(config._replace(host=host)).ok
     assert sorted(host._gap_tables) == [("edges", config.ell)]
 
 
@@ -255,8 +254,7 @@ def test_check_steps_golden():
 def test_identify_distance_measured_on_the_graph_the_step_acts_on(configs):
     # Edges 1 and 16 share no face of the host; once edge 0 is deleted
     # they lie 2 apart on the merged face, too close to identify at ell = 3.
-    config = dataclasses.replace(
-        configs["eight-face"],
+    config = configs["eight-face"]._replace(
         surgery=(("delete_edge", 0), ("identify_edges", 1, 16, 0)),
     )
     assert facial_distance(config.host, 1, 16) == math.inf
@@ -423,7 +421,7 @@ class TestMalformedConfigs:
     )
     def test_bad_dummy_index_fails_dummies(self, configs, name, dummies, bad):
         config = configs[name]
-        report = check(dataclasses.replace(config, dummies=dummies))
+        report = check(config._replace(dummies=dummies))
         n = len(config.variables)
         assert [(s.label, s.detail) for s in report.failures()] == [
             ("dummies", f"dummy indices {bad} repeated or not in 1..{n}")
@@ -444,7 +442,7 @@ class TestMalformedConfigs:
     def test_dropped_conflict_caught_by_coverage(self, configs, name, dropped):
         config = configs[name]
         kept = tuple(p for p in config.conflicts if sorted(p) != sorted(dropped))
-        bad = dataclasses.replace(config, conflicts=kept)
+        bad = config._replace(conflicts=kept)
         report = check(bad)
         assert not report.ok
         step = next(s for s in report.steps if s.label == "conflicts-covered")
@@ -468,7 +466,7 @@ class TestMalformedConfigs:
 def test_configuration_without_extension_argument_fails(configs, name):
     # with no certificate and no obligation nothing says a coloring of
     # the reduced graph extends, however well the rest replays
-    bare = dataclasses.replace(configs[name], certificate=None, obligations=())
+    bare = configs[name]._replace(certificate=None, obligations=())
     assert [(s.label, s.detail) for s in check(bare).failures()] == [
         ("extension", "no certificate or obligation")
     ]
@@ -489,7 +487,7 @@ def test_identify_on_a_wrong_face_fails_the_surgery(configs, name, index, face):
     surgery = list(config.surgery)
     kind, e, f, _ = surgery[index]
     surgery[index] = (kind, e, f, face)
-    report = check(dataclasses.replace(config, surgery=tuple(surgery)))
+    report = check(config._replace(surgery=tuple(surgery)))
     assert [(s.label, s.detail) for s in report.failures()] == [
         ("surgery", f"edges {e} and {f} must each occur exactly once on face {face}")
     ]
@@ -503,5 +501,5 @@ def test_cap_above_colors_fails_availability(configs, name, index):
     config = configs[name]
     caps = list(config.caps)
     caps[index] = config.colors + 1
-    report = check(dataclasses.replace(config, caps=tuple(caps)))
+    report = check(config._replace(caps=tuple(caps)))
     assert report.failures()[0].label == "availability"

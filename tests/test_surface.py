@@ -1,6 +1,6 @@
 """Every public name and every function the bench tracer wraps resolves,
-no module imports a name it never reads, and no private helper goes
-unread.
+no module imports a name it never reads, no private helper goes
+unread, and only the records that need to be are dataclasses.
 
 ``bench/tracer.py`` replaces the functions it names to time them, so a
 rename or deletion in facet would otherwise surface only as a failed
@@ -92,3 +92,23 @@ def test_no_unread_private_helpers():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert {name: p for name, p in defined.items() if name not in read} == {}
+
+
+def _decorator_name(node: ast.expr) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_only_stateful_records_are_dataclasses():
+    # ``@dataclass`` generates and compiles code for each class when
+    # facet is imported, which every CLI call pays; a plain record is a
+    # NamedTuple instead.  These four keep cached attributes in an
+    # instance __dict__ or validate in __post_init__, which a tuple cannot.
+    found = {
+        node.name
+        for path in (ROOT / "src" / "facet").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)
+    }
+    assert found == {"EmbeddedGraph", "SimpleGraph", "ChargeLedger", "Certificate"}
