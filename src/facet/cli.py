@@ -60,12 +60,13 @@ def _load_graph(path: str) -> EmbeddedGraph:
 
 
 def _json_text(doc: object) -> str:
-    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``.
-
-    With ``indent`` set, ``json`` falls back to its generator-based
-    pure-Python encoder; this writes the same bytes with one recursive
-    call per container, appending to a list joined once.
-    """
+    """``json.dumps(doc, indent=2, sort_keys=True)``, except that a ledger
+    ``Fraction`` or ``Transfer`` is its ``{den, num}`` or ``{den, dst, num,
+    rule, src}`` object, where ``json.dumps`` raises on the first and writes
+    the second, a tuple, as an array.  With ``indent`` set, ``json`` falls
+    back to its generator-based pure-Python encoder; this writes the same
+    bytes with one recursive call per container, appending to a list
+    joined once."""
     parts: list[str] = []
     _write_json(doc, "\n", parts.append)
     return "".join(parts)

@@ -2,13 +2,12 @@
 
 Usage, from the root of a checkout:
 
-    python3 tests/import_cost.py [--repeats 15] [--json]
+    python3 tests/import_cost.py [--json]
 
-Re-imports facet from ``src/`` the way ``bench/run.py``'s set-up does:
-every ``facet`` module is dropped from ``sys.modules``, then
-``facet.cli``, ``facet.embedding``, ``facet.choosability`` and
-``facet.reducibility`` are imported.  Per module it prints the median
-over the repeats of the module's own load time: finding it, reading or
+Re-imports facet from ``src/`` through ``bench/run.py``'s ``load_facet``,
+as many times as that benchmark's set-up does (``SETUP_REPEATS``).  Per
+module it prints the median over the repeats of the module's own load
+time: finding it, reading or
 compiling its source, and running its body, less the time of the facet
 modules it imports in turn.  Then it prints the median time of a whole
 import, the part of that spent processing ``@dataclass`` classes and
@@ -29,7 +28,6 @@ import argparse
 import collections
 import dataclasses
 import gc
-import importlib
 import importlib.machinery
 import json
 import os
@@ -41,9 +39,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
-# What bench/run.py's load_facet imports.
-ENTRY = ("facet.cli", "facet.embedding", "facet.choosability", "facet.reducibility")
+sys.path.insert(0, str(ROOT / "bench"))
+
+import run  # bench/run.py: load_facet, SETUP_REPEATS, SRC
 
 
 class _TimedFinder:
@@ -97,21 +95,14 @@ class _Stopwatch:
         setattr(self.owner, self.attr, self.inner)
 
 
-def _drop_facet() -> None:
-    for name in [n for n in sys.modules if n == "facet" or n.startswith("facet.")]:
-        del sys.modules[name]
-
-
-def measure(repeats: int) -> dict:
-    """Median times over ``repeats`` fresh imports, in seconds."""
-    sys.path.insert(0, str(SRC))
+def measure() -> dict:
+    """Median times over ``run.SETUP_REPEATS`` fresh imports, in seconds."""
     finder = _TimedFinder()
     sys.meta_path.insert(0, finder)
     per_module: dict[str, list[float]] = collections.defaultdict(list)
     totals, records = [], []
     try:
-        for _ in range(repeats):
-            _drop_facet()
+        for _ in range(run.SETUP_REPEATS):
             finder.self_s.clear()
             # typing.NamedTuple builds its class through collections.namedtuple
             watches = [
@@ -120,8 +111,7 @@ def measure(repeats: int) -> dict:
             ]
             t0 = time.perf_counter()
             try:
-                for name in ENTRY:
-                    importlib.import_module(name)
+                run.load_facet()
             finally:
                 totals.append(time.perf_counter() - t0)
                 for w in watches:
@@ -132,11 +122,8 @@ def measure(repeats: int) -> dict:
         gc_objects = len(gc.get_objects())
     finally:
         sys.meta_path.remove(finder)
-    origin = Path(sys.modules["facet"].__file__).resolve()
-    if SRC.resolve() not in origin.parents:
-        raise ImportError(f"facet imported from {origin}, not from {SRC}")
     return {
-        "repeats": repeats,
+        "repeats": run.SETUP_REPEATS,
         "modules_s": {n: statistics.median(t) for n, t in sorted(per_module.items())},
         "import_s": statistics.median(totals),
         "dataclass_s": statistics.median(r[0] for r in records),
@@ -145,13 +132,13 @@ def measure(repeats: int) -> dict:
     }
 
 
-def _child(repeats: int) -> dict:
+def _child() -> dict:
     """``measure`` in a fresh interpreter with a bytecode cache."""
     with tempfile.TemporaryDirectory() as cache:
         env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
         env["PYTHONPYCACHEPREFIX"] = cache
         out = subprocess.run(
-            [sys.executable, __file__, "--repeats", str(repeats), "--child"],
+            [sys.executable, __file__, "--child"],
             env=env, capture_output=True, text=True, check=True,
         ).stdout
     return json.loads(out)
@@ -169,20 +156,16 @@ def _report(title: str, result: dict) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=15, help="fresh imports per measurement")
     parser.add_argument("--json", action="store_true", help="print one JSON document")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    sys.path.insert(0, str(run.SRC))
     if args.child:
-        _drop_facet()
-        sys.path.insert(0, str(SRC))
-        for name in ENTRY:  # the untimed import that fills the cache
-            importlib.import_module(name)
-        sys.path.remove(str(SRC))
-        print(json.dumps(measure(args.repeats)))
+        run.load_facet()  # the untimed import that fills the cache
+        print(json.dumps(measure()))
         return 0
-    here = measure(args.repeats)
-    cached = _child(args.repeats)
+    here = measure()
+    cached = _child()
     if args.json:
         print(json.dumps({"current_env": here, "bytecode_cache": cached}, indent=2))
     else:
