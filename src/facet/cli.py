@@ -205,14 +205,17 @@ def _parse_pairs_file(text: str) -> tuple[list[tuple[int, int]], tuple[int, ...]
         if not stripped:
             continue
         fields = stripped.split()
-        if fields[0] == "p" and len(fields) == 3:
-            pairs.append((_decimal(fields[1]), _decimal(fields[2])))
-        elif fields[0] == "t":
-            if target is not None:
-                raise ValueError(f"line {ln}: duplicate target line")
-            target = tuple(map(_decimal, fields[1:]))
-        else:
-            raise ValueError(f"line {ln}: expected 'p i j' or 't k1 ... kn'")
+        try:
+            if fields[0] == "p" and len(fields) == 3:
+                pairs.append((_decimal(fields[1]), _decimal(fields[2])))
+            elif fields[0] == "t":
+                if target is not None:
+                    raise ValueError("duplicate target line")
+                target = tuple(map(_decimal, fields[1:]))
+            else:
+                raise ValueError("expected 'p i j' or 't k1 ... kn'")
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
     if target is None:
         raise ValueError("pairs file has no target line")
     return pairs, target

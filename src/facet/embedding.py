@@ -338,37 +338,45 @@ class EmbeddedGraph:
         return {}
 
     def _gap_table(self, key: str, ell: int) -> GapTable:
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
+        """:func:`_close_pairs` over every face walk, cached: the one
+        definition of closeness.  ``facial_coloring.verify`` passes the
+        same kernel only the walks that repeat a color."""
         tables = self._gap_tables
-        if (key, ell) in tables:
-            return tables[key, ell]
-        # Steps j - i > 0 at cyclic gap <= r, ascending: each pair keeps
-        # its least gap and the first walk, in face order, that realises it.
-        best: GapTable = {}
-        steps_by_length: dict[int, list[tuple[int, int]]] = {}
-        for walk in self.faces():
-            seq = walk.edges if key == "edges" else walk.vertices
-            k = len(seq)
-            steps = steps_by_length.get(k)
-            if steps is None:
-                r = min(ell, k // 2)
-                steps = [*range(1, r + 1), *range(max(k - r, r + 1), k)]
-                steps = steps_by_length[k] = [(t, min(t, k - t)) for t in steps]
-            for i, x in enumerate(seq):
-                for t, gap in steps:
-                    j = i + t
-                    if j >= k:
-                        break
-                    y = seq[j]
-                    if x == y:
-                        continue
-                    pair = (x, y) if x < y else (y, x)
-                    cur = best.get(pair)
-                    if cur is None or gap < cur[0]:
-                        best[pair] = (gap, walk.index)
-        tables[key, ell] = best
-        return best
+        if (key, ell) not in tables:
+            tables[key, ell] = _close_pairs(self.faces(), key, ell)
+        return tables[key, ell]
+
+
+def _close_pairs(walks: Iterable[FaceWalk], key: str, ell: int) -> GapTable:
+    """Gap table of ``walks`` between their ``key`` ids (``"edges"`` or
+    ``"vertices"``), for the pairs at cyclic gap at most ``ell``."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    # Steps j - i > 0 at cyclic gap <= r, ascending: each pair keeps
+    # its least gap and the first walk, in face order, that realises it.
+    best: GapTable = {}
+    steps_by_length: dict[int, list[tuple[int, int]]] = {}
+    for walk in walks:
+        seq = getattr(walk, key)
+        k = len(seq)
+        steps = steps_by_length.get(k)
+        if steps is None:
+            r = min(ell, k // 2)
+            steps = [*range(1, r + 1), *range(max(k - r, r + 1), k)]
+            steps = steps_by_length[k] = [(t, min(t, k - t)) for t in steps]
+        for i, x in enumerate(seq):
+            for t, gap in steps:
+                j = i + t
+                if j >= k:
+                    break
+                y = seq[j]
+                if x == y:
+                    continue
+                pair = (x, y) if x < y else (y, x)
+                cur = best.get(pair)
+                if cur is None or gap < cur[0]:
+                    best[pair] = (gap, walk.index)
+    return best
 
 
 def facial_distance(g: EmbeddedGraph, e: int, f: int) -> float:
@@ -474,7 +482,8 @@ def parse_peg(text: str) -> EmbeddedGraph:
 
 def _decimal(token: str) -> int:
     """``int(token)`` for an ASCII ``-?[0-9]+`` token only."""
-    if not token.isascii() or "_" in token or "+" in token:
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{token!r} is not a decimal integer")
     return int(token)
 

@@ -9,11 +9,12 @@ problems on it.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, NamedTuple
 
 from facet.choosability import SearchBudgetError, SimpleGraph, list_color
-from facet.embedding import EmbeddedGraph
+from facet.embedding import EmbeddedGraph, _close_pairs
 
 
 class ColoringError(ValueError):
@@ -76,6 +77,25 @@ def _verdict(
     return Verdict(ok=not bad and not missing, violations=bad, missing=missing)
 
 
+def _judge(
+    g: EmbeddedGraph, key: str, ell: int, coloring: dict[int, int], require_total: bool
+) -> Verdict:
+    """:func:`_verdict` on the close pairs of the face walks whose
+    ``key`` ids, read as colors, repeat a color; an uncolored id ``x``
+    reads as ``~x``, which no color equals.  A pair sharing a color lies
+    on such a walk at each of its gaps, so its least gap and first
+    witness face are those of the full gap table."""
+    count, kind = (g.m, "edge") if key == "edges" else (g.n, "vertex")
+    _check_ids(coloring, count, kind)
+    get = coloring.get
+    walks = []
+    for walk in g.faces():
+        seq = getattr(walk, key)
+        if len(set(map(get, seq, map(operator.invert, seq)))) < len(seq):
+            walks.append(walk)
+    return _verdict(_close_pairs(walks, key, ell).items(), coloring, count, require_total)
+
+
 def verify(
     g: EmbeddedGraph,
     ell: int,
@@ -86,10 +106,10 @@ def verify(
 
     With ``require_total`` any uncolored edge is reported in ``missing``
     and fails the verdict; without it the coloring is judged on its
-    colored support alone.
+    colored support alone.  The edge gap table defines closeness, but
+    only the face walks that repeat a color are scanned (:func:`_judge`).
     """
-    _check_ids(coloring, g.m, "edge")
-    return _verdict(g.edge_gap_table(ell).items(), coloring, g.m, require_total)
+    return _judge(g, "edges", ell, coloring, require_total)
 
 
 def verify_vertex(
@@ -99,9 +119,9 @@ def verify_vertex(
     require_total: bool = True,
 ) -> Verdict:
     """Vertex analogue: vertices at facial distance <= ell along a face
-    walk must differ.  Violation fields name vertices instead of edges."""
-    _check_ids(coloring, g.n, "vertex")
-    return _verdict(g.vertex_gap_table(ell).items(), coloring, g.n, require_total)
+    walk must differ.  Violation fields name vertices instead of edges;
+    as in :func:`verify`, only the walks that repeat a color are scanned."""
+    return _judge(g, "vertices", ell, coloring, require_total)
 
 
 def _degree_order(masks: list[int]) -> list[int]:

@@ -14,6 +14,7 @@ from facet.embedding import (
     generate,
     twin,
 )
+from facet.facial_coloring import Verdict, _check_ids, _verdict
 from facet.nullstellensatz import pack, unpack
 
 
@@ -648,6 +649,21 @@ def reference_gap_table(g: EmbeddedGraph, key: str) -> dict:
                 if cur is None or gap < cur[0]:
                     best[(min(a, b), max(a, b))] = (gap, walk.index)
     return best
+
+
+def reference_verify(g: EmbeddedGraph, ell: int, coloring, require_total=True) -> Verdict:
+    """``facial_coloring.verify`` by its definition: every close pair of
+    the full edge gap table, filtered by color."""
+    _check_ids(coloring, g.m, "edge")
+    return _verdict(g.edge_gap_table(ell).items(), coloring, g.m, require_total)
+
+
+def reference_verify_vertex(
+    g: EmbeddedGraph, ell: int, coloring, require_total=True
+) -> Verdict:
+    """``facial_coloring.verify_vertex`` over the full vertex gap table."""
+    _check_ids(coloring, g.n, "vertex")
+    return _verdict(g.vertex_gap_table(ell).items(), coloring, g.n, require_total)
 
 
 def reference_apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:

@@ -30,6 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (file under src/facet, old text, new text): each flip moves one range
 # or size check by one, so only a test at exactly the boundary kills it.
+# The last two are the verifier's walk filter (with <= every walk is
+# scanned, so only a test that watches the scan kills it) and the gap
+# kernel's tie rule (with <= a later walk at equal gap takes the witness).
 FLIPS = [
     ("reducibility.py", "not 0 <= e < g.m]", "not 0 <= e <= g.m]"),
     ("reducibility.py", "reduced.m) < (g.n", "reduced.m) <= (g.n"),
@@ -45,6 +48,8 @@ FLIPS = [
     ("facial_coloring.py", "if n > max_nodes:", "if n >= max_nodes:"),
     ("nullstellensatz.py", "(1 <= i <= nvars and", "(1 <= i < nvars and"),
     ("nullstellensatz.py", "and 1 <= j <= nvars and", "and 1 < j <= nvars and"),
+    ("facial_coloring.py", "))) < len(seq):", "))) <= len(seq):"),
+    ("embedding.py", "gap < cur[0]:", "gap <= cur[0]:"),
 ]
 
 

@@ -16,7 +16,13 @@ import facet
 from facet import cli
 from facet.cli import main
 from facet.discharging import Transfer, audit
-from facet.embedding import generate, parse_peg, random_plane_graph, serialize_peg
+from facet.embedding import (
+    EmbeddedGraph,
+    generate,
+    parse_peg,
+    random_plane_graph,
+    serialize_peg,
+)
 from facet.facial_coloring import parse_coloring
 from facet.nullstellensatz import CERTIFICATES
 from facet.reducibility import (
@@ -26,7 +32,13 @@ from facet.reducibility import (
     configuration_to_json,
 )
 
-from helpers import expand_transfers, plain, reference_discharge_doc, reference_gap_table
+from helpers import (
+    expand_transfers,
+    pendant_path_host,
+    plain,
+    reference_discharge_doc,
+    reference_gap_table,
+)
 
 DISCONNECTED_PEG = (
     "peg 1\nvertices 6\nedges 6\n"
@@ -245,13 +257,37 @@ class TestCn:
         assert captured.out == "" and captured.err == f"error: {detail}\n"
 
     @pytest.mark.parametrize(
-        "old, token", [("t 1 0", "1_0"), ("t 1 0", "+1"), ("p 1 2", "\u0661")]
+        "old, token, ln",
+        [
+            ("t 1 0", "1_0", 2),
+            ("t 1 0", "+1", 2),
+            ("p 1 2", "\u0661", 1),
+            ("p 1 2", "x", 1),
+            ("t 1 0", "-", 2),
+            ("t 1 0", "1-", 2),
+        ],
     )
-    def test_ids_are_ascii_decimal(self, old, token, tmp_path, capsys):
+    def test_ids_are_ascii_decimal(self, old, token, ln, tmp_path, capsys):
         f = tmp_path / "bad.cn"
         f.write_text("p 1 2\nt 1 0\n".replace(old, old.replace("1", token, 1)))
         assert main(["cn", "--pairs", str(f)]) == 2
-        assert capsys.readouterr().err == f"error: {token!r} is not a decimal integer\n"
+        assert capsys.readouterr() == (
+            "", f"error: line {ln}: {token!r} is not a decimal integer\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("p 1 2\np x 2\nt 1 0\n", "line 2: 'x' is not a decimal integer"),
+            ("p 1 2\nt 1_0 0\n", "line 2: '1_0' is not a decimal integer"),
+        ],
+        ids=["letter", "underscore"],
+    )
+    def test_bad_number_names_its_line(self, text, detail, tmp_path, capsys):
+        f = tmp_path / "bad.cn"
+        f.write_text(text)
+        assert main(["cn", "--pairs", str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: {detail}\n")
 
     def test_target_exponent_past_fifteen(self, tmp_path, capsys):
         f = tmp_path / "big.cn"
@@ -574,6 +610,123 @@ def test_medial_stdout_frozen(name, tmp_path, capsys):
         out = capsys.readouterr().out
         digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
     assert tuple(digests) == MEDIAL_STDOUT[name]
+
+
+# First 16 hex digits of the sha256 of `verify` stdout at --ell 3 per
+# host and coloring, for text, --json, --partial and --partial --json,
+# and of the --dot file per host; see _verify_hosts and _verify_colorings.
+# ACCEPT is "verdict = accept" and its --json document, twice.
+ACCEPT = ("d20d39de7cb4f0e5", "6a51a984d98b3676") * 2
+VERIFY_STDOUT = {
+    "loop-and-bridge": {
+        "distinct": ACCEPT,
+        "planted": ACCEPT,
+        "one": ("7774daf909bb1cd7", "a775de9b1ce6c944", "7774daf909bb1cd7", "a775de9b1ce6c944"),
+        "mod3": ACCEPT,
+        "half": ("1810156970af5e13", "15ee39ae62bb1723", "d20d39de7cb4f0e5", "6a51a984d98b3676"),
+    },
+    "pendant-path": {
+        "distinct": ACCEPT,
+        "planted": (
+            "383d7de8b9303334", "df5935ed0f6f1621", "383d7de8b9303334", "df5935ed0f6f1621",
+        ),
+        "one": ("d8b5cd6868361340", "c73a17c3a9728914", "d8b5cd6868361340", "c73a17c3a9728914"),
+        "mod3": ("86dc0ae6a01ea442", "ca4e8646db1df5d3", "86dc0ae6a01ea442", "ca4e8646db1df5d3"),
+        "half": ("a17224027ce62cf6", "0e3039a2f21fcc72", "d20d39de7cb4f0e5", "6a51a984d98b3676"),
+    },
+    "prism-13": {
+        "distinct": ACCEPT,
+        "planted": (
+            "fbf185876b3d607d", "3cc222a1ddd13d99", "fbf185876b3d607d", "3cc222a1ddd13d99",
+        ),
+        "one": ("42f633905b9f4355", "78c0ef05e7999aa8", "42f633905b9f4355", "78c0ef05e7999aa8"),
+        "mod3": ("7fc79de2cd5840fe", "c7dcc2ddbc48de44", "7fc79de2cd5840fe", "c7dcc2ddbc48de44"),
+        "half": ("51d6b42627792d62", "d46418ebb82586aa", "12b90785cc247642", "1704184101cb76f8"),
+    },
+    "prism-5": {
+        "distinct": ACCEPT,
+        "planted": (
+            "fbf185876b3d607d", "3cc222a1ddd13d99", "fbf185876b3d607d", "3cc222a1ddd13d99",
+        ),
+        "one": ("4b295d13a50495ea", "7c70a395689976c4", "4b295d13a50495ea", "7c70a395689976c4"),
+        "mod3": ("725b5c78af0a01d8", "528954757f894a5f", "725b5c78af0a01d8", "528954757f894a5f"),
+        "half": ("a85bce94c858e26a", "613765b2e5254855", "8d1b83c24afdc04a", "701f62b4d7ea56bb"),
+    },
+    "random-34-30": {
+        "distinct": ACCEPT,
+        "planted": (
+            "33be5332d1fb2928", "98d5d49dd3c5c722", "33be5332d1fb2928", "98d5d49dd3c5c722",
+        ),
+        "one": ("7a5e8d14d7cd376c", "a2e7042b786080ec", "7a5e8d14d7cd376c", "a2e7042b786080ec"),
+        "mod3": ("190a629baceaf6c4", "bf1b8c9e49099689", "190a629baceaf6c4", "bf1b8c9e49099689"),
+        "half": ("6efdd0a827406d3b", "8f8a892b5f5e7825", "dfee1864232ca5b6", "cb1c236a03ee0a4a"),
+    },
+    "random-7": {
+        "distinct": ACCEPT,
+        "planted": (
+            "1b988a5cb4cd8223", "fe065a704ad6bed7", "1b988a5cb4cd8223", "fe065a704ad6bed7",
+        ),
+        "one": ("a065a477f71456df", "56eb9fa9d918ffbb", "a065a477f71456df", "56eb9fa9d918ffbb"),
+        "mod3": ("9bc6aab640f74b63", "bbd36f1bbd0c2443", "9bc6aab640f74b63", "bbd36f1bbd0c2443"),
+        "half": ("d58fc019fb3a4686", "f89e6380005b9c5a", "67a010745cd8fd32", "7acf2f323309caf5"),
+    },
+}
+VERIFY_DOT = {
+    "loop-and-bridge": "e269fc09a887f5cb",
+    "pendant-path": "e9d8ff2195620771",
+    "prism-13": "bdd3558ec946b46c",
+    "prism-5": "305a98c18e3adaae",
+    "random-34-30": "ceb5cf0b5497da90",
+    "random-7": "8eebbc1202d5fa72",
+}
+
+
+def _verify_hosts() -> dict:
+    return {
+        "prism-5": generate("prism", 5),
+        "prism-13": generate("prism", 13),
+        "random-7": random_plane_graph(7),
+        "random-34-30": random_plane_graph(34, max_ops=30),
+        "pendant-path": pendant_path_host(),
+        "loop-and-bridge": EmbeddedGraph.build(2, [(0, 1), (1, 1)], [[0], [1, 2, 3]]),
+    }
+
+
+def _verify_colorings(g) -> dict:
+    """All distinct, one clash planted on face 0, one color, three
+    colors, and three colors on the even edges only."""
+    planted = {e: e + 1 for e in range(g.m)}
+    walk = g.faces()[0].edges
+    planted[walk[2 % len(walk)]] = planted[walk[0]]
+    return {
+        "distinct": {e: e + 1 for e in range(g.m)},
+        "planted": planted,
+        "one": dict.fromkeys(range(g.m), 1),
+        "mod3": {e: e % 3 + 1 for e in range(g.m)},
+        "half": {e: e % 3 + 1 for e in range(0, g.m, 2)},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_verify_hosts()))
+def test_verify_stdout_frozen(name, tmp_path, capsys):
+    g = _verify_hosts()[name]
+    peg, dot = tmp_path / "g.peg", tmp_path / "g.dot"
+    peg.write_text(serialize_peg(g))
+    got = {}
+    for label, coloring in _verify_colorings(g).items():
+        col = tmp_path / f"{label}.col"
+        col.write_text("".join(f"c {e} {c}\n" for e, c in coloring.items()))
+        digests = []
+        for extra in ([], ["--json"], ["--partial"], ["--partial", "--json"]):
+            code = main(["verify", "--graph", str(peg), "--coloring", str(col), *extra])
+            out = capsys.readouterr().out
+            assert code == (0 if out.endswith("accept\n") or '"ok": true' in out else 1)
+            digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+        got[label] = tuple(digests)
+    assert main(["verify", "--graph", str(peg), "--coloring", str(col), "--dot", str(dot)]) == 1
+    capsys.readouterr()
+    assert got == VERIFY_STDOUT[name]
+    assert hashlib.sha256(dot.read_bytes()).hexdigest()[:16] == VERIFY_DOT[name]
 
 
 class TestStructure:

@@ -6,8 +6,10 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from facet import facial_coloring
 from facet.choosability import SearchBudgetError
 from facet.embedding import (
+    EmbeddedGraph,
     facial_distance,
     generate,
     random_plane_graph,
@@ -29,8 +31,17 @@ from facet.facial_coloring import (
     _first_fit,
     _greedy_clique,
 )
+from facet.reducibility import catalog as reduction_catalog
 
-from helpers import brute_chromatic, reference_chromatic_index, reference_gap_table
+from helpers import (
+    brute_chromatic,
+    pendant_path_host,
+    reference_chromatic_index,
+    reference_gap_table,
+    reference_verify,
+    reference_verify_vertex,
+    standard_catalog,
+)
 
 
 def _random_graphs_up_to_24_edges(count=300):
@@ -153,6 +164,122 @@ class TestVerify:
     def test_noninteger_color_rejected(self, catalog):
         with pytest.raises(ColoringError):
             verify(catalog["cycle-3"], 3, {0: "red"})
+
+
+def _oracle_hosts():
+    """The standard catalog, the reduction hosts, seeded random graphs
+    (two with faces far longer than 2*ell+1), and walks that repeat an
+    edge or a vertex: a bridge path, a lone loop and a loop beside a
+    pendant edge."""
+    hosts = [g for _, g in standard_catalog()]
+    hosts += [config.host for config in reduction_catalog()]
+    hosts += [random_plane_graph(seed) for seed in range(30)]
+    hosts += [random_plane_graph(seed, max_ops=30) for seed in (5, 34)]
+    hosts.append(pendant_path_host())
+    hosts.append(generate("cycle", 1))
+    hosts.append(EmbeddedGraph.build(2, [(0, 1), (1, 1)], [[0], [1, 2, 3]]))
+    return hosts
+
+
+def _oracle_colorings(rng, count, pairs):
+    """Colorings of ids ``0..count-1``: 1-4 random colors, all distinct,
+    one clash planted on a pair of ``pairs`` (any gap), and a random
+    partial coloring."""
+    out = [{x: rng.randint(1, k) for x in range(count)} for k in (1, 2, 3, 4)]
+    out.append({x: x + 1 for x in range(count)})
+    planted = {x: x + 1 for x in range(count)}
+    if pairs:
+        a, b = rng.choice(pairs)
+        planted[b] = planted[a]
+    out.append(planted)
+    out.append({x: rng.randint(1, 3) for x in range(count) if rng.random() < 0.6})
+    return out
+
+
+class TestVerifyAgainstOracle:
+    """``verify`` and ``verify_vertex`` scan only the walks that repeat a
+    color; the oracles judge the same coloring on the full gap table."""
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    def test_verdict_equals_full_table_verdict(self, ell):
+        rng = random.Random(2500 + ell)
+        for g in _oracle_hosts():
+            for check, ref, key, count in (
+                (verify, reference_verify, "edges", g.m),
+                (verify_vertex, reference_verify_vertex, "vertices", g.n),
+            ):
+                pairs = sorted(reference_gap_table(g, key))
+                for coloring in _oracle_colorings(rng, count, pairs):
+                    for total in (True, False):
+                        got = check(g, ell, coloring, require_total=total)
+                        assert got == ref(g, ell, coloring, require_total=total), (
+                            key, g.n, g.m, ell, coloring, total,
+                        )
+
+    def test_equal_gap_on_two_faces_names_the_first(self, catalog):
+        # (a, b) lies at its least gap on two walks: the witness is the
+        # first of them in face order, as in the full table
+        ties = 0
+        for name in ("cycle-7", "theta-2-2-3", "theta-1-3-4", "prism-4", "k4"):
+            g = catalog[name]
+            for (a, b), (gap, face) in reference_gap_table(g, "edges").items():
+                at = [
+                    w.index
+                    for w in g.faces()
+                    if a in w.edges and b in w.edges
+                    and min(_walk_gaps(w.edges, a, b)) == gap
+                ]
+                if gap > 3 or len(at) < 2:
+                    continue
+                ties += 1
+                coloring = {e: e + 1 for e in range(g.m)}
+                coloring[b] = coloring[a]
+                want = (Violation(a, b, coloring[a], at[0], gap),)
+                assert face == at[0]
+                assert verify(g, 3, coloring).violations == want
+                assert verify(g, 3, coloring) == reference_verify(g, 3, coloring)
+        assert ties >= 10
+
+    def test_only_walks_that_repeat_a_color_are_scanned(self, catalog, monkeypatch):
+        scanned = []
+
+        def spy(walks, key, ell):
+            scanned.append(sorted(w.index for w in walks))
+            return real(walks, key, ell)
+
+        real = facial_coloring._close_pairs
+        monkeypatch.setattr(facial_coloring, "_close_pairs", spy)
+        g = catalog["prism-5"]
+        assert verify(g, 3, {e: e + 1 for e in range(g.m)}).ok
+        assert verify_vertex(g, 3, {v: v + 1 for v in range(g.n)}).ok
+        assert scanned == [[], []]
+        for walk in g.faces():
+            a, b = walk.edges[0], walk.edges[2]
+            coloring = {e: e + 1 for e in range(g.m)}
+            coloring[b] = coloring[a]
+            verify(g, 3, coloring)
+            assert scanned[-1] == [
+                w.index for w in g.faces() if a in w.edges and b in w.edges
+            ]
+
+    def test_ell_zero_rejected_when_no_walk_repeats_a_color(self, catalog):
+        g = catalog["prism-5"]
+        for check, count in ((verify, g.m), (verify_vertex, g.n)):
+            for coloring in ({x: x + 1 for x in range(count)}, {}):
+                with pytest.raises(ValueError, match="^ell must be >= 1$"):
+                    check(g, 0, coloring)
+
+
+def _walk_gaps(seq, a, b):
+    """Cyclic gaps between the occurrences of ``a`` and ``b`` in ``seq``."""
+    k = len(seq)
+    return [
+        min(abs(i - j), k - abs(i - j))
+        for i, x in enumerate(seq)
+        if x == a
+        for j, y in enumerate(seq)
+        if y == b
+    ]
 
 
 class TestChromaticIndex:
