@@ -1,4 +1,4 @@
-"""List-coloring tools: Gallai trees, degree-feasible choosability, Hall bounds.
+"""List-coloring tools: Gallai trees and degree-feasible choosability.
 
 The degree-feasibility guarantee: a connected graph with lists of size
 at least the degree at every vertex is list-colorable unless every list
@@ -149,25 +149,6 @@ def is_gallai_tree(g: SimpleGraph) -> bool:
     return g._gallai_tree
 
 
-def degree_guarantee(g: SimpleGraph, sizes: Sequence[int]) -> bool:
-    """Whether lists of these sizes are guaranteed colorable: every size
-    at least its degree, the graph connected, and some size above its
-    degree or the graph not a Gallai tree."""
-    degrees = g.degrees
-    if len(sizes) != len(degrees):
-        raise ValueError(f"{len(sizes)} sizes for {len(degrees)} vertices")
-    return (
-        all(map(operator.ge, sizes, degrees))
-        and g.is_connected
-        and _slack_or_not_gallai(g, sizes)
-    )
-
-
-def _slack_or_not_gallai(g: SimpleGraph, sizes: Sequence[int]) -> bool:
-    # with every size >= its degree, some size > its degree iff sums differ
-    return sum(sizes) > sum(g.degrees) or not is_gallai_tree(g)
-
-
 # The colors sorted by repr and color i's bit 1 << i (shared; never changed),
 # memoized for plain ints only: {True, 2} equals {1, 2} yet sorts apart.
 @functools.lru_cache(maxsize=256)
@@ -287,42 +268,8 @@ def degree_feasible_colorable(
         v = next(v for v, d in enumerate(g.degrees) if sizes[v] < d)
         raise ListColoringError(f"list at vertex {v} smaller than its degree")
     coloring = _search(g, colors, domains, _MAX_NODES)
-    # the checks above are degree_guarantee's first two conditions
-    guaranteed = _slack_or_not_gallai(g, sizes)
+    # past the checks above, every size is at least its degree, so some
+    # size is above its degree exactly when the sums differ
+    guaranteed = sum(sizes) > sum(g.degrees) or not is_gallai_tree(g)
     return guaranteed, coloring is not None, coloring
 
-
-def subset_hall_lower_bounds(
-    bounds: Sequence[int],
-    disjoint_pairs: Iterable[tuple[int, int]] = (),
-) -> tuple[bool, Optional[frozenset[int]]]:
-    """Hall's condition from size information alone.
-
-    ``bounds[i]`` is a lower bound on ``|L_i|``; a pair in
-    ``disjoint_pairs`` marks two lists known to share no element.  For
-    every index subset S the union is at least the largest single bound
-    in S, and at least ``bounds[i] + bounds[j]`` for a marked pair inside
-    S.  Returns ``(True, None)`` when every subset passes, otherwise
-    ``(False, S)`` for the smallest failing subset.
-
-    Exponential in the number of lists; meant for the handful-sized
-    systems that appear in recoloring arguments.
-    """
-    idx = range(len(bounds))
-    pairs = [frozenset(p) for p in disjoint_pairs]
-    for p in pairs:
-        if len(p) != 2 or not all(0 <= i < len(bounds) for i in p):
-            raise ValueError(f"bad disjoint pair {sorted(p)}")
-    from itertools import combinations
-
-    for size in range(1, len(bounds) + 1):
-        for combo in combinations(idx, size):
-            s = frozenset(combo)
-            lb = max(bounds[i] for i in combo)
-            for p in pairs:
-                if p <= s:
-                    a, b = sorted(p)
-                    lb = max(lb, bounds[a] + bounds[b])
-            if lb < size:
-                return False, s
-    return True, None

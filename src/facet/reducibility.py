@@ -4,27 +4,26 @@ Each :class:`Configuration` packages a concrete host graph exhibiting a
 local structure, a surgery producing a strictly smaller graph, the set
 of edges whose colors are forgotten, and the bookkeeping needed to
 re-extend a coloring of the smaller graph: transcribed conflicts among
-the forgotten edges, guaranteed list sizes, and either a polynomial
-certificate or a set of mechanized extension arguments.
+the forgotten edges, guaranteed list sizes, and optionally the name of
+a bundled polynomial certificate.
 
 :func:`check` replays the whole argument on the host: the surgery runs
 and shrinks, the actual facial conflicts are covered by the transcribed
 ones, the geometric availability counts meet the promised list sizes,
-and the certificate or extension obligations hold; a configuration with
-neither fails.  A catalog entry passing ``check`` is a machine-verified
-reduction step.
+and a named certificate matches the transcription and keeps its pinned
+coefficient.  One ``extension`` step, run on every configuration, then
+derives the extension argument from the transcription itself: a
+monomial of the graph polynomial of the conflicts with a nonzero
+coefficient and every exponent below its cap (Combinatorial
+Nullstellensatz), so every coloring of the reduced graph extends.  A
+catalog entry passing ``check`` is a machine-verified reduction step.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from facet.choosability import (
-    SimpleGraph,
-    degree_guarantee,
-    subset_hall_lower_bounds,
-)
 from facet import embedding
 from facet.embedding import (
     EmbeddedGraph,
@@ -39,7 +38,9 @@ from facet.embedding import (
 from facet.nullstellensatz import (
     CERTIFICATES,
     EXPECTED_COEFFICIENTS,
+    ExponentOverflow,
     check_certificate,
+    cn_witness,
 )
 
 
@@ -72,7 +73,6 @@ class Configuration(NamedTuple):
     conflicts: tuple[tuple[int, int], ...]
     caps: tuple[int, ...]
     certificate: Optional[str]
-    obligations: tuple[str, ...]
 
     @property
     def free(self) -> tuple[int, ...]:
@@ -245,7 +245,7 @@ def check(config: Configuration) -> CheckReport:
         else:
             agree = set(cert.pairs) == set(config.conflicts) and cert.caps == config.caps
             log("certificate-transcription", agree, "pairs and caps agree")
-            coef, wit = check_certificate(cert)
+            coef = check_certificate(cert)
             want = EXPECTED_COEFFICIENTS[cert.name]
             log(
                 "certificate-coefficient",
@@ -254,114 +254,26 @@ def check(config: Configuration) -> CheckReport:
             )
             room = all(t + 1 <= c for t, c in zip(cert.target, cert.caps))
             log("certificate-room", room, "target exponents fit below caps")
-            log(
-                "certificate-witness",
-                wit is not None,
-                f"witness monomial {wit}",
-            )
 
-    # Obligations build graphs on the conflicts, so they need valid ones.
+    # Every coloring of the reduced graph leaves each variable its cap of
+    # colors, so a witness monomial shows the lists can be colored.  It
+    # is built on the conflicts, so it needs valid ones.
     if not bad_pairs:
-        for ob in config.obligations:
-            _check_obligation(config, ob, log)
-    # Without a certificate or an obligation nothing argues that a
-    # coloring of the reduced graph extends.
-    if config.certificate is None and not config.obligations:
-        log("extension", False, "no certificate or obligation")
+        try:
+            wit = cn_witness(config.conflicts, config.caps)
+        except ExponentOverflow as exc:
+            log("extension", False, str(exc))
+        else:
+            log(
+                "extension",
+                wit is not None,
+                f"witness monomial {wit}" if wit is not None
+                else "no monomial below the caps has a nonzero coefficient",
+            )
 
     return CheckReport(
         name=config.name, ok=all(s.ok for s in steps), steps=tuple(steps)
     )
-
-
-def _conflict_subgraph(config: Configuration, nodes: list[int]) -> SimpleGraph:
-    """Transcribed conflicts among the 1-based variables ``nodes``, as a
-    SimpleGraph whose vertex k is ``nodes[k]``."""
-    index = {v: k for k, v in enumerate(nodes)}
-    edges = [
-        (index[p], index[q])
-        for p, q in config.conflicts
-        if p in index and q in index
-    ]
-    return SimpleGraph.from_edges(len(nodes), edges)
-
-
-def _check_obligation(
-    config: Configuration, ob: str, log: Callable[[str, bool, str], None]
-) -> None:
-    """Check one extension obligation, logging each step through ``log``."""
-    free = list(config.free)
-    sg = _conflict_subgraph(config, free)
-    caps = {v: config.caps[v - 1] for v in free}
-
-    if ob == "forced-extension":
-        ok = len(free) == 1 and not config.conflicts and caps[free[0]] >= 1
-        log(
-            "forced-extension",
-            ok,
-            "single conflict-free edge with a spare color",
-        )
-
-    elif ob == "slack-list-extension":
-        # Degree-feasible guarantee on the conflict graph.
-        sizes = [caps[v] for v in free]
-        log(
-            "slack-list-extension",
-            degree_guarantee(sg, sizes),
-            f"sizes {sizes} vs degrees {list(sg.degrees)}",
-        )
-
-    elif ob == "pair-merge-or-disjoint":
-        # The non-conflicting variable pairs must form a perfect
-        # matching; an adversary either leaves some pair a common color
-        # (case A) or separates all pairs (case B).
-        all_pairs = {
-            (a, b)
-            for ai, a in enumerate(free)
-            for b in free[ai + 1:]
-        }
-        non_edges = sorted(
-            all_pairs - {tuple(sorted(p)) for p in config.conflicts}
-        )
-        seen: set[int] = set()
-        matching = True
-        for a, b in non_edges:
-            if a in seen or b in seen:
-                matching = False
-            seen.update((a, b))
-        matching = matching and seen == set(free)
-        log(
-            "non-conflict-matching",
-            matching,
-            f"non-conflicting pairs {non_edges}",
-        )
-
-        node_of = {v: k for k, v in enumerate(free)}
-        for a, b in non_edges:
-            # Case A: the pair reuses one common color; the residual
-            # graph keeps at least cap-1 colors per edge.
-            rest = [v for v in free if v not in (a, b)]
-            rg = _conflict_subgraph(config, rest)
-            sizes = [caps[v] - 1 for v in rest]
-            log(
-                f"common-color-{a}-{b}",
-                degree_guarantee(rg, sizes),
-                f"residual sizes {sizes}, degrees {list(rg.degrees)}",
-            )
-        # Case B: all pairs separated; size-level Hall gives distinct
-        # representatives, and all-distinct colors satisfy any conflict.
-        bounds = [caps[v] for v in free]
-        dpairs = [(node_of[a], node_of[b]) for a, b in non_edges]
-        ok, violator = subset_hall_lower_bounds(bounds, dpairs)
-        log(
-            "disjoint-representatives",
-            ok,
-            "size-level Hall condition holds" if ok
-            else f"violating subset {sorted(violator)}",
-        )
-
-    else:
-        log("obligation", False, f"unknown obligation {ob!r}")
 
 
 # -- catalog ---------------------------------------------------------------
@@ -451,7 +363,6 @@ def _identified_ring_config(
     conflicts: tuple[tuple[int, int], ...],
     caps: tuple[int, ...],
     certificate: Optional[str],
-    obligations: tuple[str, ...] = (),
 ) -> Configuration:
     host, inner = _despoked_prism(n, bare)
     face, by_pos = _ring_assignment(host, inner, two_positions)
@@ -471,7 +382,6 @@ def _identified_ring_config(
         conflicts=conflicts,
         caps=caps,
         certificate=certificate,
-        obligations=obligations,
     )
 
 
@@ -495,7 +405,6 @@ def catalog() -> list[Configuration]:
             conflicts=CERTIFICATES["four-vertex"].pairs,
             caps=CERTIFICATES["four-vertex"].caps,
             certificate="four-vertex",
-            obligations=(),
         )
     )
 
@@ -514,7 +423,6 @@ def catalog() -> list[Configuration]:
             conflicts=((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
             caps=(4, 4, 4, 4),
             certificate=None,
-            obligations=("slack-list-extension",),
         )
     )
 
@@ -532,7 +440,6 @@ def catalog() -> list[Configuration]:
             conflicts=(),
             caps=(1,),
             certificate=None,
-            obligations=("forced-extension",),
         )
     )
 
@@ -556,7 +463,6 @@ def catalog() -> list[Configuration]:
             ),
             caps=(3, 3, 3, 3, 3, 3),
             certificate=None,
-            obligations=("pair-merge-or-disjoint",),
         )
     )
 
@@ -648,7 +554,6 @@ def configuration_to_json(config: Configuration) -> str:
         "conflicts": [list(p) for p in config.conflicts],
         "caps": list(config.caps),
         "certificate": config.certificate,
-        "obligations": list(config.obligations),
     }
     return json.dumps(doc, indent=2)
 
@@ -679,9 +584,6 @@ def configuration_from_json(text: str) -> Configuration:
             raise ConfigurationError(
                 f"certificate must be null or a string, got {certificate!r}"
             )
-        obligations = doc.get("obligations", [])
-        if not isinstance(obligations, list) or not all(isinstance(x, str) for x in obligations):
-            raise ConfigurationError(f"obligations must be a list of strings, got {obligations!r}")
         return Configuration(
             name=doc["name"],
             description=str(doc.get("description", "")),
@@ -697,7 +599,6 @@ def configuration_from_json(text: str) -> Configuration:
             ),
             caps=tuple(_int(x, "caps") for x in doc["caps"]),
             certificate=certificate,
-            obligations=tuple(obligations),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigurationError):

@@ -413,6 +413,20 @@ def reference_degree_feasible_colorable(g, lists):
     return guaranteed, coloring is not None, coloring
 
 
+def reference_degree_guarantee(g, sizes) -> bool:
+    """Whether lists of these sizes are guaranteed colorable, as three
+    conditions: every size at least its degree, the graph connected, and
+    some size above its degree or the graph not a Gallai tree."""
+    degrees = [len(a) for a in g.adjacency]
+    if len(sizes) != len(degrees):
+        raise ValueError(f"{len(sizes)} sizes for {len(degrees)} vertices")
+    return (
+        all(k >= d for k, d in zip(sizes, degrees))
+        and reference_connected(g)
+        and (any(k > d for k, d in zip(sizes, degrees)) or not reference_gallai_tree(g))
+    )
+
+
 def reference_graph_polynomial_coefficient(nvars, pairs, target) -> int:
     """Target coefficient of ``prod (X_i - X_j)`` by the earlier kernel:
     nibble-packed monomials, pruned only where an exponent passes the

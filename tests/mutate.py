@@ -43,7 +43,7 @@ FLIPS = [
     ("embedding.py", "if not (0 <= v < g.n):", "if not (0 <= v <= g.n):"),
     ("choosability.py", "0 <= u < n and", "0 <= u <= n and"),
     ("choosability.py", "if g.n > max_nodes:", "if g.n >= max_nodes:"),
-    ("choosability.py", "0 <= i < len(bounds)", "0 <= i <= len(bounds)"),
+    ("nullstellensatz.py", "min(c - 1, r)", "min(c, r)"),
     ("facial_coloring.py", "not 0 <= key < count", "not 0 <= key <= count"),
     ("facial_coloring.py", "if n > max_nodes:", "if n >= max_nodes:"),
     ("nullstellensatz.py", "(1 <= i <= nvars and", "(1 <= i < nvars and"),

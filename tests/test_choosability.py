@@ -1,4 +1,4 @@
-"""List coloring, Gallai trees, and Hall-style size bounds."""
+"""List coloring and Gallai trees."""
 
 import itertools
 import random
@@ -15,15 +15,14 @@ from facet.choosability import (
     SimpleGraph,
     blocks,
     degree_feasible_colorable,
-    degree_guarantee,
     is_gallai_tree,
     list_color,
-    subset_hall_lower_bounds,
 )
 
 from helpers import (
     count_blocks,
     reference_degree_feasible_colorable,
+    reference_degree_guarantee,
     reference_gallai_tree,
     reference_list_color,
 )
@@ -229,11 +228,21 @@ class TestDegreeGuarantee:
         ids=["k3-tight", "k3-slack", "c4-tight", "bowtie-tight", "unfit", "disconnected"],
     )
     def test_verdict(self, g, sizes, expect):
-        assert degree_guarantee(g, sizes) is expect
+        # the oracle, then the flag on lists of these sizes where the
+        # flag's own checks accept them
+        assert reference_degree_guarantee(g, sizes) is expect
+        lists = [range(k) for k in sizes]
+        if g.is_connected and all(k >= d for k, d in zip(sizes, g.degrees)):
+            assert degree_feasible_colorable(g, lists)[0] is expect
+        else:
+            with pytest.raises(ListColoringError):
+                degree_feasible_colorable(g, lists)
 
     def test_size_count_must_match(self):
         with pytest.raises(ValueError):
-            degree_guarantee(path(3), [2, 2])
+            reference_degree_guarantee(path(3), [2, 2])
+        with pytest.raises(ListColoringError, match="one list per vertex"):
+            degree_feasible_colorable(path(3), [range(2), range(2)])
 
 
 class TestGraphFactCache:
@@ -377,30 +386,6 @@ class TestSearchOrder:
                     _same_search(g, lists)
 
 
-class TestHallBounds:
-    def test_single_lists_fail_in_pairs(self):
-        ok, s = subset_hall_lower_bounds([1, 1, 1])
-        assert not ok
-        assert len(s) == 2
-
-    def test_disjoint_pair_rescues(self):
-        assert subset_hall_lower_bounds([1, 1], [(0, 1)]) == (True, None)
-
-    def test_three_lists_of_two(self):
-        ok, s = subset_hall_lower_bounds([2, 2, 2])
-        assert not ok and s == {0, 1, 2}
-        ok, s = subset_hall_lower_bounds([2, 2, 2], [(0, 1)])
-        assert ok and s is None
-
-    def test_bad_pair(self):
-        with pytest.raises(ValueError, match="bad disjoint pair"):
-            subset_hall_lower_bounds([1, 1], [(0, 0)])
-        with pytest.raises(ValueError, match="bad disjoint pair"):
-            subset_hall_lower_bounds([1, 1], [(0, 9)])
-        with pytest.raises(ValueError, match="bad disjoint pair"):
-            subset_hall_lower_bounds([1, 1], [(0, 2)])
-
-
 def random_connected(rng, n):
     edges = [(i, rng.randrange(i)) for i in range(1, n)]
     for u, v in itertools.combinations(range(n), 2):
@@ -429,10 +414,11 @@ def test_guarantee_implies_colorable(seed, n):
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 7))
 def test_guarantee_flag_matches_degree_guarantee(seed, n):
     # degree_feasible_colorable runs its own checks, then only the
-    # guarantee's last condition; on valid input the flags must agree.
+    # guarantee's last condition; on valid input it must agree with the
+    # three-condition oracle.
     rng = random.Random(seed)
     g = random_connected(rng, n)
     sizes = [g.degrees[v] + rng.choice((0, 0, 0, 1)) for v in range(n)]
     lists = [rng.sample(range(1, 9), k) for k in sizes]
     guaranteed, _, _ = degree_feasible_colorable(g, lists)
-    assert guaranteed == degree_guarantee(g, sizes)
+    assert guaranteed == reference_degree_guarantee(g, sizes)

@@ -344,9 +344,6 @@ class TestReduce:
             ("caps", [True]),
             ("colors", 10.5),
             ("colors", "10"),
-            # a string is not read as a list of one-character obligations
-            ("obligations", "forced-extension"),
-            ("obligations", [1]),
         ],
         ids=[
             "empty-step",
@@ -363,8 +360,6 @@ class TestReduce:
             "cap-bool",
             "colors-float",
             "colors-string",
-            "obligations-string",
-            "obligation-not-string",
         ],
     )
     def test_malformed_config_file_is_input_error(self, key, value, tmp_path, capsys):
@@ -412,11 +407,10 @@ class TestReduce:
             ("surgery", [["contract_face", 99]], "surgery (face id 99 out of range)"),
             ("surgery", [["identify_edges", 8, 12, 99]], "surgery (face id 99 out of range)"),
             ("certificate", "nope", "certificate (unknown certificate 'nope')"),
-            ("obligations", ["nope"], "obligation (unknown obligation 'nope')"),
         ],
-        ids=["contract-face", "identify-edges", "certificate", "obligation"],
+        ids=["contract-face", "identify-edges", "certificate"],
     )
-    def test_unknown_face_certificate_or_obligation_fails(
+    def test_unknown_face_or_certificate_fails(
         self, key, value, failure, tmp_path, capsys
     ):
         config = next(c for c in catalog() if c.name == "eight-face")
@@ -466,18 +460,33 @@ class TestReduce:
             "all = fail",
         ]
 
-    def test_configuration_without_extension_argument_fails(self, tmp_path, capsys):
+    def test_caps_without_a_witness_fail_extension(self, tmp_path, capsys):
         config = next(c for c in catalog() if c.name == "eight-face")
         doc = json.loads(configuration_to_json(config))
-        doc["certificate"] = None
-        doc["obligations"] = []
-        f = tmp_path / "bare.json"
+        doc["caps"] = [2] * 6
+        f = tmp_path / "two.json"
         f.write_text(json.dumps(doc))
         assert main(["reduce", "--config-file", str(f)]) == 1
         assert lines(capsys) == [
-            "FAIL eight-face: extension (no certificate or obligation)",
+            "FAIL eight-face: extension (no monomial below the caps has a nonzero coefficient)",
             "all = fail",
         ]
+
+    def test_exponent_overflow_fails_extension(self, tmp_path, capsys):
+        # variable 1 in 16 conflicts with cap 17: a failing step, exit 1
+        config = next(c for c in catalog() if c.name == "face-length-4")
+        doc = json.loads(configuration_to_json(config))
+        doc["conflicts"] += [[1, 2]] * 13
+        doc["caps"][0] = 17
+        f = tmp_path / "deep.json"
+        f.write_text(json.dumps(doc))
+        assert main(["reduce", "--config-file", str(f), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        steps = json.loads(captured.out)["reports"][0]["steps"]
+        assert steps[-1] == {
+            "label": "extension", "ok": False, "detail": "variable 1 is in 16 factors, past 15"
+        }
 
     def test_unknown_config_name(self, capsys):
         assert main(["reduce", "--config", "nope"]) == 2
@@ -485,9 +494,9 @@ class TestReduce:
     @pytest.mark.parametrize(
         "name, pair",
         [("three-thread", [1, 2]), ("face-length-4", [1, 1]), ("eight-face", [1, 99])],
-        ids=["forced-extension", "slack-list-extension", "pair-merge-or-disjoint"],
+        ids=["three-thread", "face-length-4", "eight-face"],
     )
-    def test_bad_conflict_fails_before_obligations(self, name, pair, tmp_path, capsys):
+    def test_bad_conflict_fails_before_extension(self, name, pair, tmp_path, capsys):
         config = next(c for c in catalog() if c.name == name)
         doc = json.loads(configuration_to_json(config))
         doc["conflicts"].append(pair)

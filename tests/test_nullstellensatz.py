@@ -18,6 +18,7 @@ from facet.nullstellensatz import (
     pack,
     unpack,
 )
+from facet import nullstellensatz
 from facet.nullstellensatz import _capped_expansion
 
 from helpers import (
@@ -131,12 +132,44 @@ def test_witness_is_lex_smallest():
     assert cn_witness(pairs, (2, 2)) == (0, 1)
 
 
+def test_witness_memoized_on_tuples(monkeypatch):
+    calls = []
+    kernel = nullstellensatz._capped_expansion
+
+    def counted(pairs, caps):
+        calls.append((pairs, caps))
+        return kernel(pairs, caps)
+
+    monkeypatch.setattr(nullstellensatz, "_capped_expansion", counted)
+    nullstellensatz._witness.cache_clear()
+    # lists and tuples of the same pairs and caps share one expansion
+    for pairs, caps in [([[1, 2], [2, 3]], [2, 2, 2]), (((1, 2), (2, 3)), (2, 2, 2))]:
+        assert cn_witness(pairs, caps) == (0, 1, 1)
+    assert calls == [(((1, 2), (2, 3)), (2, 2, 2))]
+
+
+@pytest.mark.parametrize(
+    "pairs, caps, want",
+    [
+        # a variable with cap 0 has no color, so nothing extends
+        ((), (0,), None),
+        (((1, 2),), (2, 0, 1), None),
+        # 16 factors on each variable fit when the caps keep them below 16
+        (((1, 2),) * 16, (16, 16), (1, 15)),
+    ],
+    ids=["lone-cap-zero", "idle-cap-zero", "cap-sixteen"],
+)
+def test_witness_at_the_cap_boundaries(pairs, caps, want):
+    assert cn_witness(pairs, caps) == want
+
+
 class TestGoldenCertificates:
     @pytest.mark.parametrize("name", sorted(CERTIFICATES))
     def test_certificate(self, name):
         cert = CERTIFICATES[name]
         start = time.perf_counter()
-        coeff, witness = check_certificate(cert)
+        coeff = check_certificate(cert)
+        witness = cn_witness(cert.pairs, cert.caps)
         elapsed = time.perf_counter() - start
         assert coeff == EXPECTED_COEFFICIENTS[name]
         assert witness is not None

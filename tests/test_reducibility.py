@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,7 @@ from facet.embedding import (
     generate,
     random_plane_graph,
 )
-from facet.nullstellensatz import check_certificate
+from facet.nullstellensatz import check_certificate, cn_witness
 
 from helpers import reference_neighborhood_audit, reference_uncovered_pairs
 
@@ -77,7 +78,7 @@ CHECK_STEPS = {
         ("certificate-transcription", True, "pairs and caps agree"),
         ("certificate-coefficient", True, "coefficient 6, pinned 6"),
         ("certificate-room", True, "target exponents fit below caps"),
-        ("certificate-witness", True, "witness monomial (3, 3, 3, 3, 2, 2, 2, 2)"),
+        ("extension", True, "witness monomial (3, 3, 3, 3, 2, 2, 2, 2)"),
     ],
     "face-length-4": [
         ("shape", True, "4 variables, 4 caps"),
@@ -86,7 +87,7 @@ CHECK_STEPS = {
         ("surgery", True, "host (8v,12e) -> reduced (5v,8e)"),
         ("conflicts-covered", True, "derived conflicts covered by transcription"),
         ("availability", True, "all caps met"),
-        ("slack-list-extension", True, "sizes [4, 4, 4, 4] vs degrees [3, 3, 3, 3]"),
+        ("extension", True, "witness monomial (0, 1, 2, 3)"),
     ],
     "three-thread": [
         ("shape", True, "1 variables, 1 caps"),
@@ -95,7 +96,7 @@ CHECK_STEPS = {
         ("surgery", True, "host (11v,12e) -> reduced (10v,11e)"),
         ("conflicts-covered", True, "derived conflicts covered by transcription"),
         ("availability", True, "all caps met"),
-        ("forced-extension", True, "single conflict-free edge with a spare color"),
+        ("extension", True, "witness monomial (0,)"),
     ],
     "eight-face": [
         ("shape", True, "6 variables, 6 caps"),
@@ -105,11 +106,7 @@ CHECK_STEPS = {
         ("identify-distance", True, "edges 8,12 at facial distance 4"),
         ("conflicts-covered", True, "derived conflicts covered by transcription"),
         ("availability", True, "all caps met"),
-        ("non-conflict-matching", True, "non-conflicting pairs [(1, 4), (2, 5), (3, 6)]"),
-        ("common-color-1-4", True, "residual sizes [2, 2, 2, 2], degrees [2, 2, 2, 2]"),
-        ("common-color-2-5", True, "residual sizes [2, 2, 2, 2], degrees [2, 2, 2, 2]"),
-        ("common-color-3-6", True, "residual sizes [2, 2, 2, 2], degrees [2, 2, 2, 2]"),
-        ("disjoint-representatives", True, "size-level Hall condition holds"),
+        ("extension", True, "witness monomial (2, 2, 2, 2, 2, 2)"),
     ],
     "nine-face": [
         ("shape", True, "7 variables, 7 caps"),
@@ -122,7 +119,7 @@ CHECK_STEPS = {
         ("certificate-transcription", True, "pairs and caps agree"),
         ("certificate-coefficient", True, "coefficient -3, pinned -3"),
         ("certificate-room", True, "target exponents fit below caps"),
-        ("certificate-witness", True, "witness monomial (1, 2, 2, 2, 3, 3, 2)"),
+        ("extension", True, "witness monomial (1, 2, 2, 2, 3, 3, 2)"),
     ],
     "ten-face-adjacent": [
         ("shape", True, "10 variables, 10 caps"),
@@ -135,7 +132,7 @@ CHECK_STEPS = {
         ("certificate-transcription", True, "pairs and caps agree"),
         ("certificate-coefficient", True, "coefficient 1, pinned 1"),
         ("certificate-room", True, "target exponents fit below caps"),
-        ("certificate-witness", True, "witness monomial (0, 4, 2, 0, 2, 2, 2, 0, 2, 4)"),
+        ("extension", True, "witness monomial (0, 4, 2, 0, 2, 2, 2, 0, 2, 4)"),
     ],
     "ten-face-dist3": [
         ("shape", True, "10 variables, 10 caps"),
@@ -148,7 +145,7 @@ CHECK_STEPS = {
         ("certificate-transcription", True, "pairs and caps agree"),
         ("certificate-coefficient", True, "coefficient -1, pinned -1"),
         ("certificate-room", True, "target exponents fit below caps"),
-        ("certificate-witness", True, "witness monomial (2, 2, 3, 3, 0, 1, 2, 2, 0, 3)"),
+        ("extension", True, "witness monomial (2, 2, 3, 3, 0, 1, 2, 2, 0, 3)"),
     ],
     "ten-face-dist4": [
         ("shape", True, "10 variables, 10 caps"),
@@ -161,7 +158,7 @@ CHECK_STEPS = {
         ("certificate-transcription", True, "pairs and caps agree"),
         ("certificate-coefficient", True, "coefficient -1, pinned -1"),
         ("certificate-room", True, "target exponents fit below caps"),
-        ("certificate-witness", True, "witness monomial (3, 2, 2, 3, 0, 2, 1, 2, 0, 3)"),
+        ("extension", True, "witness monomial (3, 2, 2, 3, 0, 2, 1, 2, 0, 3)"),
     ],
 }
 
@@ -274,23 +271,29 @@ def test_identification_exactly_ell_apart_fails(configs):
     ]
 
 
-def test_each_certificate_expanded_once_per_process(monkeypatch):
+def test_each_expansion_made_once_per_process(monkeypatch):
     calls = []
     kernel = nullstellensatz._capped_expansion
 
     def counted(pairs, caps):
-        calls.append(pairs)
+        calls.append((pairs, caps))
         return kernel(pairs, caps)
 
     monkeypatch.setattr(nullstellensatz, "_capped_expansion", counted)
     check_certificate.cache_clear()
+    nullstellensatz._witness.cache_clear()
     for _ in range(2):
         for c in catalog():
             check(c)
     named = {c.certificate for c in catalog() if c.certificate is not None}
-    # one coefficient and one witness expansion per certificate
+    # one coefficient expansion per certificate, at its target, and one
+    # witness expansion per configuration, on its own conflicts and caps
     assert len(named) == 5
-    assert len(calls) == 2 * len(named)
+    certs = [nullstellensatz.CERTIFICATES[n] for n in sorted(named)]
+    coefficients = [(c.pairs, tuple(t + 1 for t in c.target)) for c in certs]
+    witnesses = [(c.conflicts, c.caps) for c in catalog()]
+    assert sorted(calls) == sorted(coefficients + witnesses)
+    assert len(calls) == 5 + 8
 
 
 def test_certified_configs_replay_their_certificates(configs):
@@ -298,8 +301,12 @@ def test_certified_configs_replay_their_certificates(configs):
         if c.certificate is None:
             continue
         labels = [s.label for s in check(c).steps]
-        assert "certificate-coefficient" in labels, name
-        assert "certificate-witness" in labels, name
+        assert labels[-4:] == [
+            "certificate-transcription",
+            "certificate-coefficient",
+            "certificate-room",
+            "extension",
+        ], name
 
 
 def test_three_thread_middle_edge_neighborhood(configs):
@@ -363,9 +370,16 @@ class TestJson:
         doc = json.loads(configuration_to_json(configs["four-vertex"]))
         assert sorted(doc) == [
             "caps", "certificate", "colors", "conflicts", "description",
-            "dummies", "ell", "host", "name", "obligations", "surgery",
-            "variables",
+            "dummies", "ell", "host", "name", "surgery", "variables",
         ]
+
+    def test_unread_keys_ignored(self, configs):
+        # files written before the extension step carry an obligations
+        # list; it and any other unread key are ignored
+        doc = json.loads(configuration_to_json(configs["eight-face"]))
+        for extra in (["pair-merge-or-disjoint"], "nope", [1], None):
+            loaded = configuration_from_json(json.dumps({**doc, "obligations": extra, "x": 1}))
+            assert loaded == configs["eight-face"]
 
     def test_missing_key_rejected(self, configs):
         doc = json.loads(configuration_to_json(configs["four-vertex"]))
@@ -463,13 +477,64 @@ class TestMalformedConfigs:
 
 
 @pytest.mark.parametrize("name", EXPECTED_NAMES)
-def test_configuration_without_extension_argument_fails(configs, name):
-    # with no certificate and no obligation nothing says a coloring of
-    # the reduced graph extends, however well the rest replays
-    bare = configs[name]._replace(certificate=None, obligations=())
-    assert [(s.label, s.detail) for s in check(bare).failures()] == [
-        ("extension", "no certificate or obligation")
+def test_extension_derived_without_a_certificate(configs, name):
+    # the extension step reads the transcription, not the certificate,
+    # so dropping the name drops only the certificate's own steps
+    bare = check(configs[name]._replace(certificate=None))
+    assert bare.ok
+    assert [(s.label, s.ok, s.detail) for s in bare.steps] == [
+        step for step in CHECK_STEPS[name] if not step[0].startswith("certificate")
     ]
+
+
+@pytest.mark.parametrize(
+    "name, caps",
+    [("face-length-4", (3, 3, 3, 3)), ("eight-face", (2,) * 6)],
+    ids=["k4-three-colors", "eight-face-two-colors"],
+)
+def test_caps_without_a_witness_fail_only_extension(configs, name, caps):
+    # K4 is not 3-choosable, and six variables in twelve conflicts need
+    # degree 12 from exponents of at most 1; the caps are still available
+    config = configs[name]._replace(caps=caps)
+    assert cn_witness(config.conflicts, caps) is None
+    assert [(s.label, s.detail) for s in check(config).failures()] == [
+        ("extension", "no monomial below the caps has a nonzero coefficient")
+    ]
+
+
+def test_exponent_overflow_fails_extension(configs):
+    # variable 1 in 3 + 13 = 16 conflicts with cap 17 could reach X1^16,
+    # past the nibble: a failing step, not a traceback
+    config = configs["face-length-4"]
+    config = config._replace(
+        conflicts=config.conflicts + ((1, 2),) * 13, caps=(17, 4, 4, 4)
+    )
+    failures = [(s.label, s.detail) for s in check(config).failures()]
+    assert failures[0][0] == "availability"
+    assert failures[1:] == [("extension", "variable 1 is in 16 factors, past 15")]
+
+
+def test_bad_conflict_skips_extension(configs):
+    config = configs["eight-face"]
+    report = check(config._replace(conflicts=config.conflicts + ((1, 99),)))
+    assert "extension" not in [s.label for s in report.steps]
+    assert [s.label for s in report.failures()] == ["conflict-indices"]
+
+
+# The catalog files the benchmark replays, written before the extension
+# step: each must load, unchanged, and replay exactly as its twin.
+BENCH_CATALOG = sorted((Path(__file__).resolve().parents[1] / "bench" / "catalog").glob("*.json"))
+
+
+def test_bench_catalog_files_cover_the_catalog():
+    assert sorted(p.stem for p in BENCH_CATALOG) == sorted(EXPECTED_NAMES)
+
+
+@pytest.mark.parametrize("path", BENCH_CATALOG, ids=[p.stem for p in BENCH_CATALOG])
+def test_bench_catalog_file_replays_as_its_twin(configs, path):
+    report = check(configuration_from_json(path.read_text()))
+    assert report.ok
+    assert report == check(configs[path.stem])
 
 
 def test_wrong_face_cases_cover_every_identify_entry():
