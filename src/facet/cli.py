@@ -20,6 +20,7 @@ from facet.choosability import SearchBudgetError
 from facet.discharging import (
     VERDICT_ANOMALY,
     AuditReport,
+    Negative,
     StructureReport,
     Transfer,
     audit,
@@ -61,65 +62,85 @@ def _load_graph(path: str) -> EmbeddedGraph:
 
 def _json_text(doc: object) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, except that a ledger
-    ``Fraction`` or ``Transfer`` is its ``{den, num}`` or ``{den, dst, num,
-    rule, src}`` object, where ``json.dumps`` raises on the first and writes
-    the second, a tuple, as an array.  With ``indent`` set, ``json`` falls
-    back to its generator-based pure-Python encoder; this writes the same
-    bytes with one recursive call per container, appending to a list
-    joined once."""
+    ``Fraction``, ``Transfer`` or ``Negative`` is its ``{den, num}``,
+    ``{den, dst, num, rule, src}`` or ``{den, element, num}`` object, where
+    ``json.dumps`` raises on the first and writes the others, tuples, as
+    arrays.  With ``indent`` set, ``json`` falls back to its slow
+    pure-Python encoder; this writes the same bytes with one recursive
+    call per container, appending to a list joined once.  The rules share
+    a few dozen ``Fraction`` objects among a few hundred rows, so ``rows``
+    keeps each one's text per depth under its identity, which is sound
+    while the document keeps every value alive."""
     parts: list[str] = []
-    _write_json(doc, "\n", parts.append)
+    _write_json(doc, "\n", parts.append, {})
     return "".join(parts)
 
 
-def _write_json(x: object, pad: str, put) -> None:
-    """Strings, ints and bools are written here, and a ledger ``Fraction``
-    or ``Transfer`` as its sorted-key row from one f-string; other scalars
-    (``None``, floats with ``NaN`` and ``Infinity``) go through
-    ``json.dumps`` itself.  A key that is not a ``str`` raises ``TypeError``,
-    as the escaper does.  Module-level, so that no closure cycle keeps a
-    finished document's pieces alive until the next collection."""
-    if isinstance(x, str):
-        put(_escape(x))
-    elif type(x) is int:
-        put(int.__repr__(x))
-    elif type(x) is bool:
-        put("true" if x else "false")
-    elif type(x) is Transfer:  # a tuple, so tested before the sequences
-        i, q = pad + "  ", x.amount
-        put(f'{{{i}"den": {q.denominator},{i}"dst": {_escape(_elt(x.dst))},{i}"num": '
-            f'{q.numerator},{i}"rule": {_escape(x.rule)},{i}"src": {_escape(_elt(x.src))}{pad}}}')
-    elif isinstance(x, (list, tuple)):
-        inner = pad + "  "
-        sep = "[" + inner
-        for item in x:
+def _write_json(x: object, pad: str, put, rows: dict) -> None:
+    """A container writes its ``str``, ``int``, ``bool`` and ledger items
+    inline; other scalars (``None``, floats with ``NaN`` and ``Infinity``,
+    subclasses) go through ``json.dumps`` itself.  A key that is not a
+    ``str`` raises ``TypeError``, as the escaper does.  Module-level, so
+    that no closure cycle keeps a finished document alive until the next
+    collection."""
+    keyed = isinstance(x, dict)
+    if not (keyed or isinstance(x, (list, tuple)) and type(x) not in (Transfer, Negative)):
+        # a scalar, or a Transfer or Negative
+        put(_row(x, pad, rows) if isinstance(x, (Fraction, tuple)) else json.dumps(x))
+        return
+    if not x:
+        put("{}" if keyed else "[]")
+        return
+    inner = pad + "  "
+    sep = ("{" if keyed else "[") + inner
+    for k in sorted(x) if keyed else x:
+        if keyed:
+            put(sep + _escape(k) + ": ")
+            v = x[k]
+        else:
             put(sep)
-            _write_json(item, inner, put)
-            sep = "," + inner
-        put(pad + "]" if x else "[]")
-    elif isinstance(x, dict):
-        inner = pad + "  "
-        sep = "{" + inner
-        for key in sorted(x):
-            put(sep)
-            put(_escape(key))
-            put(": ")
-            _write_json(x[key], inner, put)
-            sep = "," + inner
-        put(pad + "}" if x else "{}")
-    elif isinstance(x, Fraction):
-        i = pad + "  "
-        put(f'{{{i}"den": {x.denominator},{i}"num": {x.numerator}{pad}}}')
-    else:
-        put(json.dumps(x))
+            v = k
+        t = type(v)
+        if t is str:
+            put(_escape(v))
+        elif t is int:
+            put(int.__repr__(v))
+        elif t is bool:
+            put("true" if v else "false")
+        elif t is Fraction or t is Transfer or t is Negative:
+            put(_row(v, inner, rows))
+        else:
+            _write_json(v, inner, put, rows)
+        sep = "," + inner
+    put(pad + ("}" if keyed else "]"))
+
+
+def _row(x: Fraction | Transfer | Negative, pad: str, rows: dict) -> str:
+    """A ledger value's sorted-key object.  A ``Fraction``'s text goes
+    into ``rows``; a ``Negative`` is its charge's text with the element
+    put in after ``den``; a ``Transfer`` reads its amount once."""
+    i = pad + "  "
+    if type(x) is Transfer:
+        num, den = x.amount.as_integer_ratio()
+        return (f'{{{i}"den": {den},{i}"dst": {_escape(_elt(x.dst))},{i}"num": {num},'
+                f'{i}"rule": {_escape(x.rule)},{i}"src": {_escape(_elt(x.src))}{pad}}}')
+    if type(x) is Negative:
+        den, num = _row(x.charge, pad, rows).split(",", 1)
+        return f'{den},{i}"element": {_escape(_elt(x.element))},{num}'
+    key = id(x), pad
+    text = rows.get(key)
+    if text is None:
+        num, den = x.as_integer_ratio()
+        text = rows[key] = f'{{{i}"den": {den},{i}"num": {num}{pad}}}'
+    return text
 
 
 def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
+    """``doc`` on stdout with ``--json``, else the lines (to ``--out`` if given)."""
     if args.json:
         print(_json_text(doc))
     else:
-        for line in text_lines:
-            print(line)
+        _write_out(args, "".join(line + "\n" for line in text_lines))
 
 
 def _write_out(args: argparse.Namespace, payload: str) -> None:
@@ -292,10 +313,7 @@ def _discharge_doc(rep: AuditReport) -> dict:
         "total": rep.total,
         "gaps": list(led.gaps),
         "notes": list(led.notes),
-        "negative": [
-            {"element": _elt(e), "num": ch.numerator, "den": ch.denominator}
-            for e, ch in led.negatives()
-        ],
+        "negative": led.negatives(),
         "structure": _structure_doc(rep.structure),
         "verdict": rep.verdict,
     }
@@ -304,23 +322,18 @@ def _discharge_doc(rep: AuditReport) -> dict:
 def _cmd_discharge(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     rep = audit(g)
-    led = rep.ledger
-    lines = [
+    led, doc = rep.ledger, _discharge_doc(rep)
+    lines = [] if args.json else [
         f"initial total = {led.total_initial}",
         f"final total = {led.total_final}",
         f"transfers = {len(led.transfers)}",
         f"gaps = {len(led.gaps)}",
         f"notes = {len(led.notes)}",
+        *(f"negative {_elt(e)} = {ch}" for e, ch in doc["negative"]),
+        "structure failing: " + (", ".join(rep.structure.failing()) or "none"),
+        f"verdict = {rep.verdict}",
     ]
-    for e, ch in led.negatives():
-        lines.append(f"negative {_elt(e)} = {ch}")
-    failing = rep.structure.failing()
-    if failing:
-        lines.append("structure failing: " + ", ".join(failing))
-    else:
-        lines.append("structure failing: none")
-    lines.append(f"verdict = {rep.verdict}")
-    _emit(args, _discharge_doc(rep), lines)
+    _emit(args, doc, lines)
     return 1 if rep.verdict == VERDICT_ANOMALY else 0
 
 
@@ -343,19 +356,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         g = generate(args.family, *args.params)
     peg = serialize_peg(g)
-    if args.json:
-        print(json.dumps({"peg": peg}, indent=2))
-    else:
-        _write_out(args, peg)
+    _emit(args, {"peg": peg}, peg.splitlines())
     return 0
 
 
 def _cmd_structure(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     doc = _structure_doc(structure_report(g))
-    lines = [
-        ("ok " if ok else "FAIL ") + name for name, ok in doc["predicates"].items()
-    ]
+    lines = [("ok " if ok else "FAIL ") + name for name, ok in doc["predicates"].items()]
     lines.append("all = pass" if doc["all_pass"] else "all = fail")
     _emit(args, doc, lines)
     return 0 if doc["all_pass"] else 1

@@ -45,6 +45,13 @@ class Transfer(NamedTuple):
     amount: Fraction
 
 
+class Negative(NamedTuple):
+    """An element whose final charge is below zero."""
+
+    element: Element
+    charge: Fraction
+
+
 @dataclass(frozen=True)
 class ChargeLedger:
     """Initial and final charges plus the transfer log between them."""
@@ -65,22 +72,21 @@ class ChargeLedger:
     def total_final(self) -> Fraction:
         return _exact_sum(self.vertex_final + self.face_final)
 
-    def negatives(self) -> tuple[tuple[Element, Fraction], ...]:
-        """Elements whose final charge is below zero."""
-        out: list[tuple[Element, Fraction]] = []
-        for v, ch in enumerate(self.vertex_final):
-            if ch.numerator < 0:
-                out.append((("v", v), ch))
-        for f, ch in enumerate(self.face_final):
-            if ch.numerator < 0:
-                out.append((("f", f), ch))
-        return tuple(out)
+    def negatives(self) -> tuple[Negative, ...]:
+        """Elements whose final charge is below zero, vertices first."""
+        return tuple(
+            Negative((kind, i), ch)
+            for kind, charges in (("v", self.vertex_final), ("f", self.face_final))
+            for i, ch in enumerate(charges)
+            if ch.numerator < 0
+        )
 
 
 def _exact_sum(charges: tuple[Fraction, ...]) -> Fraction:
     """Sum over the common denominator, in integers."""
-    den = math.lcm(*{ch.denominator for ch in charges})
-    return Fraction(sum(ch.numerator * (den // ch.denominator) for ch in charges), den)
+    ratios = [ch.as_integer_ratio() for ch in charges]
+    den = math.lcm(*{d for _, d in ratios})
+    return Fraction(sum(n * (den // d) for n, d in ratios), den)
 
 
 def initial_charges(g: EmbeddedGraph) -> ChargeLedger:
@@ -107,12 +113,6 @@ def initial_charges(g: EmbeddedGraph) -> ChargeLedger:
         vertex_final=vch,
         face_final=fch,
     )
-
-
-def _faces_at_two_vertex(g: EmbeddedGraph, u: int) -> tuple[int, int]:
-    """Face indices on the two sides of a 2-vertex, in dart order."""
-    d1, d2 = g.rotation[u]
-    return g.face_of_dart[d1], g.face_of_dart[d2]
 
 
 # Rule amounts in units of 1/30.
@@ -144,9 +144,7 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
     neighbor.  A 3-thread makes that test coarser than the notion the
     rules were designed for, so its presence is noted.
     """
-    if len(ledger.vertex_initial) != g.n or len(ledger.face_initial) != len(
-        g.faces()
-    ):
+    if (len(ledger.vertex_initial), len(ledger.face_initial)) != (g.n, len(g.faces())):
         raise DischargingError("ledger does not match the graph")
 
     prof = face_profiles(g)
@@ -169,9 +167,12 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
         (vch if kind == "v" else fch)[i] += units
         transfers.append(Transfer(rule, src, dst, frac(units)))
 
+    heads = g._heads
     for v in range(g.n):
         if deg[v] == 2:
-            if all(h != v and deg[h] == 2 for h in g.neighbors(v)):
+            d1, d2 = g.rotation[v]
+            a, b = heads[d1], heads[d2]
+            if a != v and b != v and deg[a] == deg[b] == 2:
                 notes.append(
                     f"3-thread present: vertex {v} has two 2-valent neighbors; "
                     "thread classification is local"
@@ -193,16 +194,15 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
         for u in sorted(set(g.neighbors(v))):
             if u == v or deg[u] != 2:
                 continue
-            f1, f2 = _faces_at_two_vertex(g, u)
+            d1, d2 = g.rotation[u]  # the faces on u's two sides
+            f1, f2 = g.face_of_dart[d1], g.face_of_dart[d2]
             if f1 == f2:
                 gaps.append(
                     f"R2 gap: 2-vertex {u} (next to {v}) is incident with "
                     f"face {f1} on both sides"
                 )
                 continue
-            a1, a2 = sorted(
-                (f1, f2), key=lambda f: (prof[f].length, -prof[f].n2, f)
-            )
+            a1, a2 = sorted((f1, f2), key=lambda f: (prof[f].length, -prof[f].n2, f))
             l1, l2 = prof[a1].length, prof[a2].length
             n1, n2 = prof[a1].n2, prof[a2].n2
             if l1 == 6:
@@ -494,14 +494,17 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
                 ):
                     ok["thread_far_from_2vertices_on_big_faces"] = False
 
+    heads, side = g._heads, g.face_of_dart
     for v in range(g.n):
         if deg[v] != 2:
             continue
-        nbrs = g.neighbors(v)
-        # 8: every 2-vertex has a 3+ neighbor
-        if not any(u != v and deg[u] >= 3 for u in nbrs):
+        # v's two neighbors and the faces on its two sides, by its darts
+        d1, d2 = g.rotation[v]
+        a, b, f1, f2 = heads[d1], heads[d2], side[d1], side[d2]
+        # 8: every 2-vertex has a 3+ neighbor (on a loop, v is its own
+        # neighbor and 2-valent)
+        if deg[a] < 3 and deg[b] < 3:
             ok["no_three_thread"] = False
-        f1, f2 = _faces_at_two_vertex(g, v)
         p1, p2 = prof[f1], prof[f2]
         # 13: every 2-vertex touches a 7+ face
         if max(p1.length, p2.length) < 7:
@@ -517,7 +520,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
             if any(w != v and deg[w] < 3 for w in seven.vertices):
                 ok["six_seven_shared_2vertex"] = False
         elif p1.length == p2.length == 7:
-            if min(p1.n2, p2.n2) >= 2 and len({w for w in nbrs if deg[w] >= 4}) < 2:
+            if min(p1.n2, p2.n2) >= 2 and (a == b or min(deg[a], deg[b]) < 4):
                 ok["seven_seven_shared_2vertex_4plus"] = False
             if (p1.n2 >= 3 and p2.n2 != 1) or (p2.n2 >= 3 and p1.n2 != 1):
                 ok["seven_face_three_2verts_isolation"] = False
@@ -531,9 +534,7 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
         sevens = sum(prof[f].length == 7 for f in sides)
         if sevens > 1:
             ok["thread_at_most_one_seven_face"] = False
-        if sevens and not any(
-            deg[w] >= 4 for w in g.neighbors(u) + g.neighbors(v) if w != u and w != v
-        ):
+        if sevens and not any(deg[w] >= 4 for w in g.neighbors(u) + g.neighbors(v)):
             ok["seven_face_thread_4plus_neighbor"] = False
 
     return StructureReport(**ok)

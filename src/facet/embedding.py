@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from facet._cached import cached_attribute
@@ -307,13 +306,24 @@ class EmbeddedGraph:
         profiles = []
         deg = self.degrees
         for walk in self.faces():
-            verts = walk.vertices
-            two = [deg[x] == 2 for x in verts]
-            n2 = len({x for x, t in zip(verts, two) if t})
-            # Maximal cyclic runs of 2-vertices: read from a non-2-vertex on.
-            cut = two.index(False) if False in two else 0
-            runs = [len(list(r)) for t, r in groupby(two[cut:] + two[:cut]) if t]
-            profiles.append(FaceProfile(len(walk), n2, runs.count(1), runs.count(2)))
+            # One pass: a run of 2-vertices is tallied (runs[r] counts the
+            # runs of r, for r up to the walk's length and at least 2) at
+            # the vertex that ends it; the run before the first other
+            # vertex joins the walk's last run, and a walk of 2-vertices
+            # only is one run of its full length.
+            twos, runs = set(), [0] * (len(walk.darts) + 2)
+            run, lead = 0, -1
+            for x in walk.vertices:
+                if deg[x] == 2:
+                    twos.add(x)
+                    run += 1
+                elif lead < 0:
+                    lead, run = run, 0
+                else:
+                    runs[run] += 1
+                    run = 0
+            runs[run + max(lead, 0)] += 1
+            profiles.append(FaceProfile(len(walk.darts), len(twos), runs[1], runs[2]))
         return tuple(profiles)
 
     # -- facial distance -------------------------------------------------

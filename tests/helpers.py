@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from facet import choosability
 from facet.choosability import ListColoringError, SearchBudgetError, blocks
-from facet.discharging import ChargeLedger, DischargingError, Transfer
+from facet.discharging import ChargeLedger, DischargingError, Negative, Transfer
 from facet.embedding import (
     EmbeddedGraph,
     face_profiles,
@@ -854,9 +854,10 @@ def reference_pair_predicates(g: EmbeddedGraph) -> dict[str, bool]:
 
 
 def plain(x):
-    """``json.dumps`` ``default=`` hook: a ledger ``Fraction`` or
-    ``Transfer`` as the plain dict that ``facet discharge --json`` writes
-    for it.  The shapes are stated here, not read from ``facet.cli``."""
+    """``json.dumps`` ``default=`` hook: a ledger ``Fraction``, ``Transfer``
+    or ``Negative`` as the plain dict that ``facet discharge --json``
+    writes for it.  The shapes are stated here, not read from
+    ``facet.cli``."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
     if isinstance(x, Transfer):
@@ -867,15 +868,22 @@ def plain(x):
             "num": x.amount.numerator,
             "den": x.amount.denominator,
         }
+    if isinstance(x, Negative):
+        return {
+            "element": f"{x.element[0]}:{x.element[1]}",
+            "num": x.charge.numerator,
+            "den": x.charge.denominator,
+        }
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def expand_transfers(x):
-    """``x`` with each ``Transfer`` in it replaced by its ``plain`` dict.
+    """``x`` with each ``Transfer`` and ``Negative`` in it replaced by its
+    ``plain`` dict.
 
-    ``json.dumps`` writes a ``Transfer``, a NamedTuple, as an array and
-    never passes it to ``default``, so an oracle expands it first."""
-    if type(x) is Transfer:
+    ``json.dumps`` writes these NamedTuples as arrays and never passes
+    them to ``default``, so an oracle expands them first."""
+    if type(x) in (Transfer, Negative):
         return plain(x)
     if isinstance(x, dict):
         return {k: expand_transfers(v) for k, v in x.items()}

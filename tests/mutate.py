@@ -30,9 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (file under src/facet, old text, new text): each flip moves one range
 # or size check by one, so only a test at exactly the boundary kills it.
-# The last two are the verifier's walk filter (with <= every walk is
-# scanned, so only a test that watches the scan kills it) and the gap
-# kernel's tie rule (with <= a later walk at equal gap takes the witness).
+# Then the verifier's walk filter (with <= every walk is scanned, so only
+# a test that watches the scan kills it) and the gap kernel's tie rule
+# (with <= a later walk at equal gap takes the witness).  The last six:
+# the JSON writer's row key without its depth, the face profile's first
+# run and table size, the 3-thread note's loop guard, and the two
+# neighbor tests that the per-2-vertex scan reads from its darts.
 FLIPS = [
     ("reducibility.py", "not 0 <= e < g.m]", "not 0 <= e <= g.m]"),
     ("reducibility.py", "reduced.m) < (g.n", "reduced.m) <= (g.n"),
@@ -50,6 +53,12 @@ FLIPS = [
     ("nullstellensatz.py", "and 1 <= j <= nvars and", "and 1 < j <= nvars and"),
     ("facial_coloring.py", "))) < len(seq):", "))) <= len(seq):"),
     ("embedding.py", "gap < cur[0]:", "gap <= cur[0]:"),
+    ("cli.py", "key = id(x), pad", "key = id(x)"),
+    ("embedding.py", "elif lead < 0:", "elif lead <= 0:"),
+    ("embedding.py", "(len(walk.darts) + 2)", "(len(walk.darts) + 1)"),
+    ("discharging.py", "if a != v and b != v and deg[a]", "if deg[a]"),
+    ("discharging.py", "deg[a] < 3 and deg[b] < 3:", "deg[a] < 3 and deg[b] <= 3:"),
+    ("discharging.py", "(a == b or min(deg[a], deg[b]) < 4)", "(min(deg[a], deg[b]) < 4)"),
 ]
 
 

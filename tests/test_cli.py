@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import facet
 from facet import cli
 from facet.cli import main
-from facet.discharging import Transfer, audit
+from facet.discharging import Negative, Transfer, audit
 from facet.embedding import (
     EmbeddedGraph,
     generate,
@@ -857,6 +858,23 @@ class TestGen:
         assert main(["gen", *args]) == 2
         assert capsys.readouterr() == ("", f"error: bad parameters for family {reason}\n")
 
+    @pytest.mark.parametrize(
+        "args, graph",
+        [
+            (["cycle", "1"], lambda: generate("cycle", 1)),
+            (["k4"], lambda: generate("k4")),
+            (["random", "--seed", "4"], lambda: random_plane_graph(4)),
+        ],
+        ids=["cycle-1", "k4", "random-4"],
+    )
+    def test_text_is_the_peg_on_stdout_or_in_out(self, args, graph, tmp_path, capsys):
+        assert main(["gen", *args]) == 0
+        assert capsys.readouterr() == (serialize_peg(graph()), "")
+        path = tmp_path / "g.peg"
+        assert main(["gen", *args, "--out", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert path.read_text() == serialize_peg(graph())
+
     def test_json_wraps_the_peg(self, capsys):
         assert main(["gen", "cycle", "3", "--json"]) == 0
         assert capsys.readouterr() == (
@@ -998,12 +1016,11 @@ _DOCS = st.recursive(
     max_leaves=30,
 )
 # The ledger values ``discharge`` hands to the writer as they are.
-_LEDGER_LEAVES = st.fractions() | st.builds(
-    Transfer,
-    st.text(max_size=4),
-    st.tuples(st.text(max_size=2), st.integers()),
-    st.tuples(st.text(max_size=2), st.integers()),
-    st.fractions(),
+_ELEMENTS = st.tuples(st.text(max_size=2), st.integers())
+_LEDGER_LEAVES = (
+    st.fractions()
+    | st.builds(Transfer, st.text(max_size=4), _ELEMENTS, _ELEMENTS, st.fractions())
+    | st.builds(Negative, _ELEMENTS, st.fractions())
 )
 _LEDGER_DOCS = st.recursive(
     _SCALARS | _LEDGER_LEAVES,
@@ -1104,6 +1121,25 @@ class TestJsonWriter:
             expand_transfers(doc), indent=2, sort_keys=True, default=plain
         )
 
+    def test_shared_ledger_values_at_several_depths(self):
+        # The writer keeps one row text per Fraction object and depth: the
+        # same object at another depth, or an equal but distinct object,
+        # must still come out at its own indentation.
+        q, twin = Fraction(-7, 3), Fraction(-7, 3)
+        t, neg = Transfer("R2", ("v", 1), ("f", 2), q), Negative(("f", 4), q)
+        doc = {
+            "q": q, "t": t, "neg": neg,
+            "list": [q, twin, t, neg, [q, (q, t, neg), {"q": q, "twin": twin}]],
+            "tuple": (neg, q, (q, [t, q, neg]), {"deep": [q, neg, (twin, q)]}),
+            "twins": [twin, Fraction(-7, 3), q, Fraction(14, -6)],
+            "other": [Fraction(0), Fraction(1, 10**30), neg, Negative(("v", 0), twin)],
+        }
+        assert twin is not q and twin == q
+        for x in (doc, [doc, doc], q, t, neg):
+            assert cli._json_text(x) == json.dumps(
+                expand_transfers(x), indent=2, sort_keys=True, default=plain
+            )
+
     def test_emitted_documents_match_json_dumps(self, c7, catalog, tmp_path, monkeypatch, capsys):
         docs = []
         writer = cli._json_text
@@ -1125,6 +1161,7 @@ class TestJsonWriter:
             ]
             if g.m <= 20:
                 runs.append(["chi", *graph])
+        runs += [["gen", "prism", "5", "--json"], ["gen", "random", "--seed", "3", "--json"]]
         subcommands = set()
         for argv in runs:
             docs.clear()
@@ -1137,12 +1174,16 @@ class TestJsonWriter:
                 )
                 assert out == expected + "\n", argv
         assert subcommands == {
-            "verify", "chi", "cn", "reduce", "discharge", "structure", "distance"
+            "verify", "chi", "cn", "reduce", "discharge", "structure", "distance", "gen"
         }
 
     def test_discharge_matches_plain_dict_document(self, catalog, tmp_path, capsys):
+        # Up to the large-audit benchmark's sizes: prisms to n = 50 and
+        # random graphs with 50 or more edges.
         graphs = [random_plane_graph(seed) for seed in range(100)]
-        graphs += [generate("prism", n) for n in range(3, 31)]
+        graphs += [generate("prism", n) for n in range(3, 51)]
+        large = [random_plane_graph(seed, max_ops=60) for seed in range(30)]
+        graphs += [g for g in large if g.m >= 50]
         graphs += [c.host for c in facet.reducibility.catalog()]
         graphs += catalog.values()
         peg = tmp_path / "g.peg"

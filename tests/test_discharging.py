@@ -144,6 +144,31 @@ class TestRuleFiring:
         assert rep.total == -12
 
 
+@pytest.mark.parametrize(
+    "args, noted",
+    [
+        (("theta", 2, 3, 4), [6]),
+        (("theta", 1, 1, 4), [3]),
+        (("cycle", 1), []),
+        (("cycle", 2), [0, 1]),
+        (("cycle", 5), [0, 1, 2, 3, 4]),
+    ],
+    ids=["three-thread", "beside-parallel-edges", "loop", "two-cycle", "five-cycle"],
+)
+def test_three_thread_notes(args, noted):
+    # Only the middle of a 3-thread is noted; a 2-vertex on a loop is its
+    # own neighbor twice and is not; on a 2-cycle both darts of a vertex
+    # lead to the other 2-vertex, so both are.
+    g = generate(*args)
+    notes = apply_rules(g, initial_charges(g)).notes
+    assert notes == tuple(
+        f"3-thread present: vertex {v} has two 2-valent neighbors; "
+        "thread classification is local"
+        for v in noted
+    )
+    assert notes == reference_apply_rules(g, initial_charges(g)).notes
+
+
 class TestRuleTwo:
     def test_six_face_takes_two_thirds(self):
         g = two_ring_host(3, 4, set(), set())
@@ -416,6 +441,18 @@ def test_pair_predicates_match_one_scan_each():
     g = generate("prism", 6)
     for e in (0, 6, 6):
         g = subdivide_edge(g, e).graph
+    hosts.append(g)
+    # A digon from 2-vertex 1 to vertex 0, with a 5-cycle hung at 0 on
+    # each side: both sides of vertex 1 are 7-faces with five 2-vertices,
+    # and its two darts lead to one 4+ neighbor, so predicate 19 fails.
+    g = EmbeddedGraph.build(
+        10,
+        [(0, 1), (1, 0), (0, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+         (0, 6), (6, 7), (7, 8), (8, 9), (9, 0)],
+        [(4, 13, 0, 14, 23, 3), (2, 1), (5, 6), (7, 8), (9, 10), (11, 12),
+         (15, 16), (17, 18), (19, 20), (21, 22)],
+    )
+    assert not structure_report(g).seven_seven_shared_2vertex_4plus
     hosts.append(g)
     seen = set()
     for g in hosts:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from facet.embedding import (
     EmbeddedGraph,
     EmbeddingError,
+    FaceProfile,
     PegParseError,
     SurgeryError,
     contract_edge,
@@ -609,6 +610,22 @@ def test_face_profiles_cached_and_runs_match_reference():
             two = [g.degrees[x] == 2 for x in walk.vertices]
             assert p.length == len(walk)
             assert (p.s1, p.s2) == reference_run_counts(two)
+
+
+@pytest.mark.parametrize(
+    "n, profile",
+    [(1, FaceProfile(1, 1, 1, 0)), (2, FaceProfile(2, 2, 0, 1)), (5, FaceProfile(5, 5, 0, 0))],
+    ids=["loop", "C2", "C5"],
+)
+def test_walk_of_two_vertices_only_is_one_run(n, profile):
+    # A loop at a 2-vertex, a 2-cycle and a 5-cycle: both walks hold
+    # 2-vertices only, so each is one run of its full length, counted by
+    # s1 at length 1, by s2 at length 2 and by neither beyond.
+    g = generate("cycle", n)
+    assert face_profiles(g) == (profile, profile)
+    for walk in g.faces():
+        two = [g.degrees[x] == 2 for x in walk.vertices]
+        assert (profile.s1, profile.s2) == reference_run_counts(two)
 
 
 def test_two_thread_flags_match_reference():
