@@ -136,11 +136,9 @@ def _row(x: Fraction | Transfer | Negative, pad: str, rows: dict) -> str:
 
 
 def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
-    """``doc`` on stdout with ``--json``, else the lines (to ``--out`` if given)."""
-    if args.json:
-        print(_json_text(doc))
-    else:
-        _write_out(args, "".join(line + "\n" for line in text_lines))
+    """``doc`` with ``--json``, else the lines; on stdout, or in ``--out`` if given."""
+    text = _json_text(doc) + "\n" if args.json else "".join(line + "\n" for line in text_lines)
+    _write_out(args, text)
 
 
 def _write_out(args: argparse.Namespace, payload: str) -> None:
@@ -340,11 +338,10 @@ def _cmd_discharge(args: argparse.Namespace) -> int:
 def _cmd_medial(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     m = medial(g)
-    peg = serialize_peg(m)
+    text = serialize_peg(m)
     if args.json:
-        print(json.dumps({"peg": peg, "correspondence": list(range(m.n))}, indent=2))
-    else:
-        _write_out(args, peg)
+        text = json.dumps({"peg": text, "correspondence": list(range(m.n))}, indent=2) + "\n"
+    _write_out(args, text)
     return 0
 
 
@@ -448,7 +445,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("medial", help="emit the medial graph as PEG")
     p.add_argument("--graph", required=True)
-    p.add_argument("--out", metavar="FILE", help="write PEG here instead of stdout")
+    p.add_argument("--out", metavar="FILE", help="write the output here instead of stdout")
     common(p)
     p.set_defaults(func=_cmd_medial)
 

@@ -280,15 +280,15 @@ def _short_cycles(g: EmbeddedGraph) -> Iterator[list[int]]:
     """Yield the simple cycles with at most ``_MAX_LEN`` edges, as dart
     sequences.
 
-    Loops are 1-cycles and parallel pairs 2-cycles.  Each cycle is
-    yielded once (deduplicated by edge set); the start vertex is its
-    minimum.  Enumeration is lazy, so a caller that stops at the first
-    hit skips the rest of the search.  A step to ``w`` is cut when even
-    a shortest way back from ``w`` to the start would pass ``_MAX_LEN``,
-    which drops only paths that cannot close in time.
+    Loops are 1-cycles and parallel pairs 2-cycles.  Each cycle starts
+    at its minimum vertex and is yielded once, in the direction whose
+    first dart comes earlier in that vertex's rotation.  Enumeration is
+    lazy, so a caller that stops at the first hit skips the rest of the
+    search.  A step to ``w`` is cut when even a shortest way back from
+    ``w`` to the start would pass ``_MAX_LEN``, which drops only paths
+    that cannot close in time.
     """
     heads = g._heads
-    seen: set[frozenset[int]] = set()
 
     def back_dist(s: int) -> dict[int, int]:
         # BFS over the vertices >= s.  A path at w has taken at least
@@ -306,31 +306,27 @@ def _short_cycles(g: EmbeddedGraph) -> Iterator[list[int]]:
         return dist
 
     def dfs(
-        s: int, v: int, path: list[int], dist: dict[int, int],
-        visited: set[int], used: set[int],
+        s: int, v: int, path: list[int], dist: dict[int, int], visited: set[int],
+        at: dict[int, int],
     ) -> Iterator[list[int]]:
         for d in g.rotation[v]:
-            e = d >> 1
-            if e in used:
-                continue
             w = heads[d]
             if w == s:
-                key = frozenset(used | {e})
-                if key not in seen:
-                    seen.add(key)
+                # Met once per direction; keep the one whose first dart
+                # comes first at s.  Straight back along the first edge ties.
+                if at[path[0] if path else d] < at[d ^ 1]:
                     yield path + [d]
                 continue
             back = dist.get(w)
             if back is None or len(path) + 1 + back > _MAX_LEN or w in visited:
                 continue
             visited.add(w)
-            used.add(e)
-            yield from dfs(s, w, path + [d], dist, visited, used)
+            yield from dfs(s, w, path + [d], dist, visited, at)
             visited.discard(w)
-            used.discard(e)
 
     for s in range(g.n):
-        yield from dfs(s, s, [], back_dist(s), {s}, set())
+        at = {d: i for i, d in enumerate(g.rotation[s])}
+        yield from dfs(s, s, [], back_dist(s), {s}, at)
 
 
 def _cycle_separating(g: EmbeddedGraph, cyc: list[int]) -> bool:

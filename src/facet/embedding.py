@@ -145,27 +145,21 @@ class EmbeddedGraph:
             if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
                 raise EmbeddingError(f"edge {e} endpoint out of range")
         self.sigma  # checks every dart while it fills sigma
-        # Per-component sphere check: V - E + F = 2, one empty face for a
-        # dartless component.  Equivalent to the plane-drawing formula
-        # V - E + F = 1 + #components once outer faces are merged.
-        comp = self._component_labels
-        ncomp = 1 + max(comp, default=0) if self.n else 0
-        verts = [0] * ncomp
-        edgec = [0] * ncomp
-        facec = [0] * ncomp
-        for v in range(self.n):
-            verts[comp[v]] += 1
-        for u, _ in self.endpoints:
-            edgec[comp[u]] += 1
-        for walk in self.faces():
-            facec[comp[walk.vertices[0]]] += 1
-        for c in range(ncomp):
-            f = facec[c] if facec[c] else 1
-            if verts[c] - edgec[c] + f != 2:
-                raise EmbeddingError(
-                    "rotation system is not a plane embedding: component "
-                    f"{c} has V-E+F = {verts[c]}-{edgec[c]}+{f}"
-                )
+        # Each connected rotation system has V - E + F = 2 - 2g <= 2, one
+        # empty face for a dartless component, so the sum over components
+        # is 2 * #components exactly when every component is plane.
+        faces, ncomp = self.faces(), self.component_count
+        if self.n - self.m + len(faces) + self.rotation.count(()) != 2 * ncomp:
+            comp = self._component_labels
+            for c in range(ncomp):
+                v = comp.count(c)
+                e = sum(comp[u] == c for u, _ in self.endpoints)
+                f = sum(comp[w.vertices[0]] == c for w in faces) or 1
+                if v - e + f != 2:
+                    raise EmbeddingError(
+                        "rotation system is not a plane embedding: component "
+                        f"{c} has V-E+F = {v}-{e}+{f}"
+                    )
 
     # -- basic accessors ----------------------------------------------
 

@@ -111,8 +111,7 @@ def neighborhood_audit(
     counts every uncolored edge's colored neighbors at once.
     """
     for e in uncolored:
-        if not 0 <= e < g.m:
-            raise EmbeddingError(f"edge id {e} out of range")
+        embedding._check_edge(g, e)
     counts = dict.fromkeys(uncolored, 0)
     for a, b in g.edge_gap_table(ell):
         if (a in counts) != (b in counts):

@@ -35,7 +35,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # (with <= a later walk at equal gap takes the witness).  The last six:
 # the JSON writer's row key without its depth, the face profile's first
 # run and table size, the 3-thread note's loop guard, and the two
-# neighbor tests that the per-2-vertex scan reads from its darts.
+# neighbor tests that the per-2-vertex scan reads from its darts.  Then
+# the short-cycle direction rule, where <= also yields the walk straight
+# back along the first edge and > the other direction, both killed by
+# test_lazy_enumeration_matches_full_list; and the Euler identity, where
+# > lets a torus through, killed by test_nonplanar_rotation_rejected.
 FLIPS = [
     ("reducibility.py", "not 0 <= e < g.m]", "not 0 <= e <= g.m]"),
     ("reducibility.py", "reduced.m) < (g.n", "reduced.m) <= (g.n"),
@@ -59,6 +63,9 @@ FLIPS = [
     ("discharging.py", "if a != v and b != v and deg[a]", "if deg[a]"),
     ("discharging.py", "deg[a] < 3 and deg[b] < 3:", "deg[a] < 3 and deg[b] <= 3:"),
     ("discharging.py", "(a == b or min(deg[a], deg[b]) < 4)", "(min(deg[a], deg[b]) < 4)"),
+    ("discharging.py", "if path else d] < at[d ^ 1]:", "if path else d] <= at[d ^ 1]:"),
+    ("discharging.py", "if path else d] < at[d ^ 1]:", "if path else d] > at[d ^ 1]:"),
+    ("embedding.py", "rotation.count(()) != 2 * ncomp", "rotation.count(()) > 2 * ncomp"),
 ]
 
 

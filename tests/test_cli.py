@@ -583,6 +583,14 @@ class TestMedial:
         assert main(["medial", "--graph", str(c7), "--out", str(out)]) == 0
         assert parse_peg(out.read_text()).n == 7
 
+    def test_json_out_file_gets_the_stdout_bytes(self, c7, tmp_path, capsys):
+        assert main(["medial", "--graph", str(c7), "--json"]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "m.json"
+        assert main(["medial", "--graph", str(c7), "--json", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == stdout.encode()
+
     def test_edgeless_graph_is_input_error(self, tmp_path, capsys):
         f = tmp_path / "k1.peg"
         f.write_text(K1_PEG)
@@ -864,16 +872,20 @@ class TestGen:
             (["cycle", "1"], lambda: generate("cycle", 1)),
             (["k4"], lambda: generate("k4")),
             (["random", "--seed", "4"], lambda: random_plane_graph(4)),
+            (["cycle", "1", "--json"], lambda: generate("cycle", 1)),
+            (["random", "--seed", "4", "--json"], lambda: random_plane_graph(4)),
         ],
-        ids=["cycle-1", "k4", "random-4"],
+        ids=["cycle-1", "k4", "random-4", "cycle-1-json", "random-4-json"],
     )
     def test_text_is_the_peg_on_stdout_or_in_out(self, args, graph, tmp_path, capsys):
+        peg = serialize_peg(graph())
+        expected = json.dumps({"peg": peg}, indent=2) + "\n" if "--json" in args else peg
         assert main(["gen", *args]) == 0
-        assert capsys.readouterr() == (serialize_peg(graph()), "")
+        assert capsys.readouterr() == (expected, "")
         path = tmp_path / "g.peg"
         assert main(["gen", *args, "--out", str(path)]) == 0
         assert capsys.readouterr() == ("", "")
-        assert path.read_text() == serialize_peg(graph())
+        assert path.read_text() == expected
 
     def test_json_wraps_the_peg(self, capsys):
         assert main(["gen", "cycle", "3", "--json"]) == 0

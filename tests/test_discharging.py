@@ -293,6 +293,61 @@ class TestStructurePredicates:
             assert not structure_report(g).all_pass, name
 
 
+# (n, endpoints, rotation, 2-connected?) built by hand.  Their loops and
+# parallel pairs also host 1- and 2-cycles: most loops sit at vertex 0,
+# the minimum, and the last one at vertex 1 lists its darts reversed.
+HAND_CASES = [
+    (1, [(0, 0)], [[0, 1]], False),
+    (2, [(0, 1)], [[0], [1]], False),
+    (2, [(0, 1), (0, 1)], [[0, 2], [1, 3]], True),
+    (2, [(0, 1), (0, 0)], [[0, 2, 3], [1]], False),
+    (3, [(0, 1), (1, 2)], [[0], [1, 2], [3]], False),
+    (
+        5,
+        [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],
+        [[0, 5, 6, 11], [1, 2], [3, 4], [7, 8], [9, 10]],
+        False,
+    ),
+    (3, [(0, 1), (0, 1), (1, 2), (2, 0)], [[0, 2, 7], [3, 1, 4], [5, 6]], True),
+    (3, [(0, 1), (1, 2), (2, 0), (0, 0)], [[0, 6, 7, 5], [1, 2], [3, 4]], True),
+    # A loop around a pendant block meets its base once on each
+    # face walk beside it, hiding the cut vertex from the walks.
+    (
+        5,
+        [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 0)],
+        [[0, 5, 12, 6, 11, 13], [1, 2], [3, 4], [7, 8], [9, 10]],
+        False,
+    ),
+    (
+        4,
+        [(0, 1), (1, 2), (2, 0), (0, 3), (0, 0)],
+        [[0, 5, 8, 6, 9], [1, 2], [3, 4], [7]],
+        False,
+    ),
+    (
+        6,
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+        [[0, 5], [2, 1], [4, 3], [6, 11], [8, 7], [10, 9]],
+        False,
+    ),
+    (2, [(0, 1), (1, 1)], [[0], [1, 3, 2]], False),
+]
+HAND_CASE_IDS = [
+    "single-loop",
+    "single-edge",
+    "two-cycle",
+    "edge-and-loop",
+    "path",
+    "two-triangles-one-vertex",
+    "triangle-with-parallel",
+    "triangle-with-loop",
+    "loop-around-pendant-triangle",
+    "loop-around-pendant-edge",
+    "two-triangles-apart",
+    "edge-and-reversed-loop",
+]
+
+
 class TestSeparatingCycles:
     def test_bipyramid_rim_separates_the_hubs(self):
         g = bipyramid5()
@@ -320,6 +375,9 @@ class TestSeparatingCycles:
             yield random_plane_graph(seed, max_ops=3 + seed % 8)
         for seed in (5, 12, 34):  # m = 91, 95, 104
             yield random_plane_graph(seed, max_ops=70)
+        for n, endpoints, rotation, _ in HAND_CASES:
+            yield EmbeddedGraph.build(n, endpoints, rotation)
+        yield generate("theta", 1, 1, 3)
 
     def test_lazy_enumeration_matches_full_list(self):
         for g in self.cycle_hosts():
@@ -348,55 +406,7 @@ def _surgery_results(g):
 
 class TestTwoConnected:
     @pytest.mark.parametrize(
-        "n, endpoints, rotation, expected",
-        [
-            (1, [(0, 0)], [[0, 1]], False),
-            (2, [(0, 1)], [[0], [1]], False),
-            (2, [(0, 1), (0, 1)], [[0, 2], [1, 3]], True),
-            (2, [(0, 1), (0, 0)], [[0, 2, 3], [1]], False),
-            (3, [(0, 1), (1, 2)], [[0], [1, 2], [3]], False),
-            (
-                5,
-                [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],
-                [[0, 5, 6, 11], [1, 2], [3, 4], [7, 8], [9, 10]],
-                False,
-            ),
-            (3, [(0, 1), (0, 1), (1, 2), (2, 0)], [[0, 2, 7], [3, 1, 4], [5, 6]], True),
-            (3, [(0, 1), (1, 2), (2, 0), (0, 0)], [[0, 6, 7, 5], [1, 2], [3, 4]], True),
-            # A loop around a pendant block meets its base once on each
-            # face walk beside it, hiding the cut vertex from the walks.
-            (
-                5,
-                [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 0)],
-                [[0, 5, 12, 6, 11, 13], [1, 2], [3, 4], [7, 8], [9, 10]],
-                False,
-            ),
-            (
-                4,
-                [(0, 1), (1, 2), (2, 0), (0, 3), (0, 0)],
-                [[0, 5, 8, 6, 9], [1, 2], [3, 4], [7]],
-                False,
-            ),
-            (
-                6,
-                [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
-                [[0, 5], [2, 1], [4, 3], [6, 11], [8, 7], [10, 9]],
-                False,
-            ),
-        ],
-        ids=[
-            "single-loop",
-            "single-edge",
-            "two-cycle",
-            "edge-and-loop",
-            "path",
-            "two-triangles-one-vertex",
-            "triangle-with-parallel",
-            "triangle-with-loop",
-            "loop-around-pendant-triangle",
-            "loop-around-pendant-edge",
-            "two-triangles-apart",
-        ],
+        "n, endpoints, rotation, expected", HAND_CASES, ids=HAND_CASE_IDS
     )
     def test_hand_cases(self, n, endpoints, rotation, expected):
         g = EmbeddedGraph.build(n, endpoints, rotation)

@@ -224,6 +224,22 @@ class TestPeg:
         ):
             EmbeddedGraph.build(4, endpoints, rotations)
 
+    def test_nonplanar_component_is_named_with_its_own_counts(self):
+        # a plane triangle, then the torus K4 above on vertices 3..6
+        endpoints = [(0, 1), (1, 2), (2, 0), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
+        rotations = [[0, 5], [1, 2], [3, 4], [10, 8, 6], [7, 14, 12], [13, 16, 9], [11, 17, 15]]
+        with pytest.raises(
+            EmbeddingError,
+            match=r"^rotation system is not a plane embedding: "
+            r"component 1 has V-E\+F = 4-6\+2$",
+        ):
+            EmbeddedGraph.build(7, endpoints, rotations)
+
+    def test_isolated_vertices_beside_a_plane_component_build(self):
+        # each isolated vertex is a component with one empty face
+        g = EmbeddedGraph.build(5, [(1, 2), (2, 3), (3, 1)], [[], [0, 5], [1, 2], [3, 4], []])
+        assert (g.component_count, len(g.faces())) == (3, 2)
+
     @pytest.mark.parametrize(
         "n, endpoints, rotation, message",
         [
