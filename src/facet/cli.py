@@ -122,17 +122,23 @@ def _row(x: Fraction | Transfer | Negative, pad: str, rows: dict) -> str:
     i = pad + "  "
     if type(x) is Transfer:
         num, den = x.amount.as_integer_ratio()
-        return (f'{{{i}"den": {den},{i}"dst": {_escape(_elt(x.dst))},{i}"num": {num},'
-                f'{i}"rule": {_escape(x.rule)},{i}"src": {_escape(_elt(x.src))}{pad}}}')
+        return (f'{{{i}"den": {den},{i}"dst": {_elt_json(x.dst, rows)},{i}"num": {num},'
+                f'{i}"rule": {_escape(x.rule)},{i}"src": {_elt_json(x.src, rows)}{pad}}}')
     if type(x) is Negative:
         den, num = _row(x.charge, pad, rows).split(",", 1)
-        return f'{den},{i}"element": {_escape(_elt(x.element))},{num}'
+        return f'{den},{i}"element": {_elt_json(x.element, rows)},{num}'
     key = id(x), pad
     text = rows.get(key)
     if text is None:
         num, den = x.as_integer_ratio()
         text = rows[key] = f'{{{i}"den": {den},{i}"num": {num}{pad}}}'
     return text
+
+
+def _elt_json(e: tuple[str, int], rows: dict) -> str:
+    """``e``'s escaped ``kind:id`` text, kept in ``rows`` under ``e``, a
+    ``(str, int)`` pair that no ``(id, pad)`` key of a ``Fraction`` equals."""
+    return rows.get(e) or rows.setdefault(e, _escape(f"{e[0]}:{e[1]}"))
 
 
 def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
@@ -147,10 +153,6 @@ def _write_out(args: argparse.Namespace, payload: str) -> None:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _elt(e: tuple[str, int]) -> str:
-    return f"{e[0]}:{e[1]}"
 
 
 def _dot_conflicts(g: EmbeddedGraph, ell: int, path: str) -> None:
@@ -327,7 +329,7 @@ def _cmd_discharge(args: argparse.Namespace) -> int:
         f"transfers = {len(led.transfers)}",
         f"gaps = {len(led.gaps)}",
         f"notes = {len(led.notes)}",
-        *(f"negative {_elt(e)} = {ch}" for e, ch in doc["negative"]),
+        *(f"negative {kind}:{i} = {ch}" for (kind, i), ch in doc["negative"]),
         "structure failing: " + (", ".join(rep.structure.failing()) or "none"),
         f"verdict = {rep.verdict}",
     ]

@@ -144,17 +144,17 @@ class EmbeddedGraph:
                 raise EmbeddingError(f"edge {e} has {len(uv)} endpoints, not 2") from None
             if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
                 raise EmbeddingError(f"edge {e} endpoint out of range")
-        self.sigma  # checks every dart while it fills sigma
         # Each connected rotation system has V - E + F = 2 - 2g <= 2, one
         # empty face for a dartless component, so the sum over components
-        # is 2 * #components exactly when every component is plane.
-        faces, ncomp = self.faces(), self.component_count
-        if self.n - self.m + len(faces) + self.rotation.count(()) != 2 * ncomp:
-            comp = self._component_labels
+        # is 2 * #components exactly when every component is plane.  Sigma,
+        # read first by the face labels, checks every dart.
+        starts, ncomp = self._face_labels[1], self.component_count
+        if self.n - self.m + len(starts) + self.rotation.count(()) != 2 * ncomp:
+            comp, tails = self._component_labels, self._tails
             for c in range(ncomp):
                 v = comp.count(c)
                 e = sum(comp[u] == c for u, _ in self.endpoints)
-                f = sum(comp[w.vertices[0]] == c for w in faces) or 1
+                f = sum(comp[tails[d]] == c for d in starts) or 1
                 if v - e + f != 2:
                     raise EmbeddingError(
                         "rotation system is not a plane embedding: component "
@@ -200,8 +200,8 @@ class EmbeddedGraph:
 
     @cached_attribute
     def _component_labels(self) -> list[int]:
-        comp = [-1] * self.n
-        heads = self._heads
+        # heads read as the twins' tails, which build has already listed
+        comp, rotation, tails = [-1] * self.n, self.rotation, self._tails
         nxt = 0
         for s in range(self.n):
             if comp[s] != -1:
@@ -210,8 +210,8 @@ class EmbeddedGraph:
             stack = [s]
             while stack:
                 x = stack.pop()
-                for d in self.rotation[x]:
-                    y = heads[d]
+                for d in rotation[x]:
+                    y = tails[d ^ 1]
                     if comp[y] == -1:
                         comp[y] = nxt
                         stack.append(y)
@@ -262,38 +262,42 @@ class EmbeddedGraph:
         return tuple(out)
 
     def faces(self) -> tuple[FaceWalk, ...]:
-        """Face walks as phi-orbits, indexed by discovery order over darts."""
+        """Face walks as phi-orbits, built on first call from the face labels."""
         return self._faces
 
     @cached_attribute
     def _faces(self) -> tuple[FaceWalk, ...]:
-        sigma = self.sigma
-        tails = self._tails
-        seen = [False] * (2 * self.m)
+        sigma, tails = self.sigma, self._tails
         walks = []
-        for start in range(2 * self.m):
-            if seen[start]:
-                continue
-            orbit = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
+        for start in self._face_labels[1]:
+            orbit, d = [start], sigma[start ^ 1]
+            while d != start:
                 orbit.append(d)
                 d = sigma[d ^ 1]
-            darts = tuple(orbit)
             edges = tuple([d >> 1 for d in orbit])
             vertices = tuple([tails[d] for d in orbit])
-            walks.append(FaceWalk(len(walks), darts, edges, vertices))
+            walks.append(FaceWalk(len(walks), tuple(orbit), edges, vertices))
         return tuple(walks)
 
     @cached_attribute
     def face_of_dart(self) -> list[int]:
         """``face_of_dart[d]``: the index of the face walk through ``d``."""
-        lookup = [0] * (2 * self.m)
-        for walk in self.faces():
-            for d in walk.darts:
-                lookup[d] = walk.index
-        return lookup
+        return self._face_labels[0]
+
+    @cached_attribute
+    def _face_labels(self) -> tuple[list[int], list[int]]:
+        """One pass over the face permutation: each dart's face and each
+        face's least dart, faces numbered in the order of that dart."""
+        sigma = self.sigma
+        face, starts = [-1] * (2 * self.m), []
+        for d in range(len(face)):
+            if face[d] < 0:
+                f, x = len(starts), d
+                starts.append(d)
+                while face[x] < 0:
+                    face[x] = f
+                    x = sigma[x ^ 1]
+        return face, starts
 
     @cached_attribute
     def _face_profiles(self) -> tuple[FaceProfile, ...]:

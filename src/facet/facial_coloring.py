@@ -10,7 +10,7 @@ problems on it.
 from __future__ import annotations
 
 import operator
-import re
+from collections import Counter
 from typing import Iterable, NamedTuple
 
 from facet.choosability import SearchBudgetError, SimpleGraph, list_color
@@ -80,19 +80,20 @@ def _verdict(
 def _judge(
     g: EmbeddedGraph, key: str, ell: int, coloring: dict[int, int], require_total: bool
 ) -> Verdict:
-    """:func:`_verdict` on the close pairs of the face walks whose
-    ``key`` ids, read as colors, repeat a color; an uncolored id ``x``
-    reads as ``~x``, which no color equals.  A pair sharing a color lies
-    on such a walk at each of its gaps, so its least gap and first
-    witness face are those of the full gap table."""
+    """:func:`_verdict` on the close pairs of the walks whose ``key`` ids,
+    read as colors, repeat one (an uncolored ``x`` reads as ``~x``), found
+    through the ids whose color another id carries.  A pair sharing a
+    color lies on such a walk at each of its gaps, so its least gap and
+    first witness face are those of the full gap table."""
     count, kind = (g.m, "edge") if key == "edges" else (g.n, "vertex")
     _check_ids(coloring, count, kind)
-    get = coloring.get
+    tally, side, get = Counter(coloring.values()), g.face_of_dart, coloring.get
+    darts = g.rotation.__getitem__ if key == "vertices" else lambda x: (2 * x, 2 * x + 1)
     walks = []
-    for walk in g.faces():
-        seq = getattr(walk, key)
+    for f in sorted({side[d] for x, c in coloring.items() if tally[c] > 1 for d in darts(x)}):
+        seq = getattr(g.faces()[f], key)
         if len(set(map(get, seq, map(operator.invert, seq)))) < len(seq):
-            walks.append(walk)
+            walks.append(g.faces()[f])
     return _verdict(_close_pairs(walks, key, ell).items(), coloring, count, require_total)
 
 
@@ -222,20 +223,29 @@ def chromatic_index(
 
 # -- coloring text format --------------------------------------------------
 
-_COLOR_LINE = re.compile(r"^c\s+([0-9]+)\s+([0-9]+)$")
-
-
 def parse_coloring(text: str) -> dict[int, int]:
-    """Parse ``c <edge> <color>`` lines; ``#`` comments allowed."""
-    out: dict[int, int] = {}
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+    """Parse ``c <edge> <color>`` lines of ASCII digits; ``#`` comments
+    allowed.  Good text is read in bulk, bad text up to its first bad line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    rows = [parts for parts in map(str.split, lines) if parts]
+    if set(map(len, rows)) == {3}:
+        cs, es, colors = zip(*rows)
+        ids = "".join(es + colors)
+        if set(cs) == {"c"} and ids.isascii() and ids.isdigit():
+            out = dict(zip(map(int, es), map(int, colors)))
+            if len(out) == len(rows):
+                return out
+    out = {}
+    for line in lines:
+        parts = line.split()
+        if not parts:
             continue
-        m = _COLOR_LINE.match(stripped)
-        if not m:
-            raise ColoringError(f"malformed coloring line {stripped!r}")
-        e, c = int(m.group(1)), int(m.group(2))
+        digits = "".join(parts[1:])
+        if len(parts) != 3 or parts[0] != "c" or not (digits.isascii() and digits.isdigit()):
+            raise ColoringError(f"malformed coloring line {line.strip()!r}")
+        e, c = int(parts[1]), int(parts[2])
         if e in out:
             raise ColoringError(f"edge {e} colored twice")
         out[e] = c

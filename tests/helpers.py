@@ -1,5 +1,6 @@
 """Shared graph builders for the test suite."""
 
+import re
 import sys
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from facet.embedding import (
     generate,
     twin,
 )
-from facet.facial_coloring import Verdict, _check_ids, _verdict
+from facet.facial_coloring import ColoringError, Verdict, _check_ids, _verdict
 from facet.nullstellensatz import pack, unpack
 
 
@@ -678,6 +679,27 @@ def reference_verify_vertex(
     """``facial_coloring.verify_vertex`` over the full vertex gap table."""
     _check_ids(coloring, g.n, "vertex")
     return _verdict(g.vertex_gap_table(ell).items(), coloring, g.n, require_total)
+
+
+_COLOR_LINE = re.compile(r"^c\s+([0-9]+)\s+([0-9]+)$")
+
+
+def reference_parse_coloring(text: str) -> dict[int, int]:
+    """The earlier regex reader of ``c <edge> <color>`` lines: the oracle
+    for ``facial_coloring.parse_coloring``, which splits each line once."""
+    out: dict[int, int] = {}
+    for raw in text.splitlines():
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        m = _COLOR_LINE.match(stripped)
+        if not m:
+            raise ColoringError(f"malformed coloring line {stripped!r}")
+        e, c = int(m.group(1)), int(m.group(2))
+        if e in out:
+            raise ColoringError(f"edge {e} colored twice")
+        out[e] = c
+    return out
 
 
 def reference_apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:

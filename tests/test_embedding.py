@@ -234,6 +234,14 @@ class TestPeg:
             r"component 1 has V-E\+F = 4-6\+2$",
         ):
             EmbeddedGraph.build(7, endpoints, rotations)
+        # an isolated vertex first: its component counts one empty face
+        shifted = [(u - 2, v - 2) for u, v in endpoints[3:]]
+        with pytest.raises(
+            EmbeddingError,
+            match=r"^rotation system is not a plane embedding: "
+            r"component 1 has V-E\+F = 4-6\+2$",
+        ):
+            EmbeddedGraph.build(5, shifted, [[], *([d - 6 for d in r] for r in rotations[3:])])
 
     def test_isolated_vertices_beside_a_plane_component_build(self):
         # each isolated vertex is a component with one empty face
@@ -527,18 +535,46 @@ def surgery_results(g):
 
 def assert_faces_match_reference(g, label):
     ref = reference_faces(g)
-    # a copy made without build computes sigma on first use instead
-    for h in (g, EmbeddedGraph(g.n, g.endpoints, g.rotation)):
+    # copies made without build compute sigma, the face labels and the
+    # walks on first use instead; the first builds its walks before
+    # anything else is read
+    copies = [EmbeddedGraph(g.n, g.endpoints, g.rotation) for _ in range(2)]
+    copies[0].faces()
+    for h in (g, *copies):
         assert h.sigma == ref["sigma"], label
         assert h.face_of_dart == ref["face_of_dart"], label
         walks = [(w.index, w.darts, w.edges, w.vertices) for w in h.faces()]
         assert walks == ref["walks"], label
 
 
-@pytest.mark.parametrize("hosts", ["catalog", *(f"random-{s}" for s in range(0, 100, 10))])
+def odd_hosts():
+    """Walks that repeat an edge or a vertex and graphs of several
+    components: a bridge path, a lone loop, a loop beside a pendant
+    edge, two isolated vertices beside a triangle, two triangles, and
+    an edgeless graph."""
+    yield "pendant-path", pendant_path_host()
+    yield "loop", generate("cycle", 1)
+    yield "loop-and-pendant", EmbeddedGraph.build(2, [(0, 1), (1, 1)], [[0], [1, 2, 3]])
+    yield "isolated", EmbeddedGraph.build(
+        5, [(1, 2), (2, 3), (3, 1)], [[], [0, 5], [1, 2], [3, 4], []]
+    )
+    yield "two-triangles", EmbeddedGraph.build(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+        [[0, 5], [1, 2], [3, 4], [6, 11], [7, 8], [9, 10]],
+    )
+    yield "edgeless", EmbeddedGraph.build(3, [], [[], [], []])
+
+
+@pytest.mark.parametrize(
+    "hosts", ["catalog", "prisms", "odd", *(f"random-{s}" for s in range(0, 100, 10))]
+)
 def test_faces_match_reference(hosts, catalog):
     if hosts == "catalog":
         graphs = list(catalog.items())
+    elif hosts == "prisms":
+        graphs = [(f"prism-{n}", generate("prism", n)) for n in range(3, 13)]
+    elif hosts == "odd":
+        graphs = list(odd_hosts())
     else:
         first = int(hosts.split("-")[1])
         graphs = [(f"random-{s}", random_plane_graph(s)) for s in range(first, first + 10)]

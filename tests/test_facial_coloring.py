@@ -12,7 +12,9 @@ from facet.embedding import (
     EmbeddedGraph,
     facial_distance,
     generate,
+    parse_peg,
     random_plane_graph,
+    serialize_peg,
 )
 from facet.facial_coloring import (
     ColoringError,
@@ -38,6 +40,7 @@ from helpers import (
     pendant_path_host,
     reference_chromatic_index,
     reference_gap_table,
+    reference_parse_coloring,
     reference_verify,
     reference_verify_vertex,
     standard_catalog,
@@ -170,7 +173,8 @@ def _oracle_hosts():
     """The standard catalog, the reduction hosts, seeded random graphs
     (two with faces far longer than 2*ell+1), and walks that repeat an
     edge or a vertex: a bridge path, a lone loop and a loop beside a
-    pendant edge."""
+    pendant edge; last, isolated vertices, which no walk visits, beside a
+    triangle."""
     hosts = [g for _, g in standard_catalog()]
     hosts += [config.host for config in reduction_catalog()]
     hosts += [random_plane_graph(seed) for seed in range(30)]
@@ -178,6 +182,7 @@ def _oracle_hosts():
     hosts.append(pendant_path_host())
     hosts.append(generate("cycle", 1))
     hosts.append(EmbeddedGraph.build(2, [(0, 1), (1, 1)], [[0], [1, 2, 3]]))
+    hosts.append(EmbeddedGraph.build(5, [(1, 2), (2, 3), (3, 1)], [[], [0, 5], [1, 2], [3, 4], []]))
     return hosts
 
 
@@ -261,6 +266,31 @@ class TestVerifyAgainstOracle:
             assert scanned[-1] == [
                 w.index for w in g.faces() if a in w.edges and b in w.edges
             ]
+        # The outer walk of a host with bridges repeats edges and vertices
+        # but no color, so an all-distinct coloring scans no walk; a clash
+        # keeps only the walks through the clashing ids that repeat a color.
+        g = pendant_path_host()
+        del scanned[:]
+        assert verify(g, 3, {e: e + 1 for e in range(g.m)}).ok
+        assert verify_vertex(g, 3, {v: v + 1 for v in range(g.n)}).ok
+        assert scanned == [[], []]
+        for a, b in ((0, 3), (4, 5), (0, 1)):
+            coloring = {e: e + 1 for e in range(g.m)}
+            coloring[b] = coloring[a]
+            verify(g, 3, coloring)
+            assert scanned[-1] == [
+                w.index for w in g.faces()
+                if {a, b} & set(w.edges) and len(set(map(coloring.get, w.edges))) < len(w)
+            ]
+
+    def test_all_distinct_coloring_builds_no_walk(self):
+        # the face labels validate the graph; verify reads no walk
+        for g in (parse_peg(serialize_peg(generate("prism", 9))), pendant_path_host()):
+            assert verify(g, 3, {e: e + 1 for e in range(g.m)}).ok
+            assert verify_vertex(g, 3, {v: v + 1 for v in range(g.n)}).ok
+            assert "_faces" not in vars(g)
+            assert not verify(g, 3, {e: 1 for e in range(g.m)}).ok
+            assert "_faces" in vars(g)
 
     def test_ell_zero_rejected_when_no_walk_repeats_a_color(self, catalog):
         g = catalog["prism-5"]
@@ -454,6 +484,41 @@ class TestColoringFiles:
     def test_parse_duplicate_edge(self):
         with pytest.raises(ColoringError, match="twice"):
             parse_coloring("c 0 1\nc 0 2\n")
+
+    @pytest.mark.parametrize("text", [
+        "c 0 1\n", "c 0 1", "c 0 1\r\nc 1 2\r\n", "\n\n  \t\n", "", "# only\n",
+        "c 3 4 # note\n", "c 3 4#c 5 6\n", "  c\t007   010  \n", "c 0 1\nc 0 2\n",
+        "c 0 1\nc 1 2\nc 1 2\n", "c\u30000\u30001\n", "c 0\xa01\n", "c 0\x1f1\n",
+        "c\x1f0 1 x\n", "c 0 \u00b2\n", "c \u0661 1\n", "c 0 1\u00b2\n", "c 0\n", "c\n",
+        "c 0 1 2\n", "c 0 1 2 3\n", "c0 1\n", "C 0 1\n", "cc 0 1\n", "c -1 2\n",
+        "c +1 2\n", "c 1_0 2\n", "c 0 1\x0bc 1 2\n", "c 0 1\x1cc 0 3\n", "x\n",
+        "c 0 1\u2028c 2 3\n", "c 0 1\r# c 0 1\rc 1 1\r",
+    ])
+    def test_parse_matches_regex_reader(self, text):
+        assert _parse_outcome(parse_coloring, text) == _parse_outcome(
+            reference_parse_coloring, text
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(st.one_of(
+        st.text(st.sampled_from(list("c019 \t#x-+_") + ["\u3000", "\xa0", "\x1f",
+                "\u00b2", "\u0661", "\uff11", "\r", "\x85"]), max_size=12),
+        st.builds("c {} {}{}".format, st.integers(0, 30), st.integers(0, 9),
+                  st.sampled_from(["", " ", " 1", "#", " # c 0 1", "\xa0", "\u0661"])),
+    ), max_size=6), end=st.sampled_from(["\n", "\r\n"]))
+    def test_parse_matches_regex_reader_on_fuzzed_lines(self, lines, end):
+        text = end.join(lines)
+        assert _parse_outcome(parse_coloring, text) == _parse_outcome(
+            reference_parse_coloring, text
+        )
+
+
+def _parse_outcome(reader, text):
+    """``reader(text)``, or the type and message of the error it raised."""
+    try:
+        return reader(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=40, deadline=None)
