@@ -250,7 +250,7 @@ def apply_rules(g: EmbeddedGraph, ledger: ChargeLedger) -> ChargeLedger:
 # -- structure predicates ---------------------------------------------------
 
 
-def _two_connected(g: EmbeddedGraph, loopless: bool) -> bool:
+def _two_connected(g: EmbeddedGraph) -> bool:
     """2-connectivity of the pseudograph, read from its face walks.
 
     A connected plane graph with at least three vertices is 2-connected
@@ -259,10 +259,10 @@ def _two_connected(g: EmbeddedGraph, loopless: bool) -> bool:
     Surfaces*, 2001, section 2.1).  Loops never decide the answer, but a
     loop that encloses part of the graph hides a cut vertex from the
     walks: its base appears once on each side of it.  So a graph with
-    loops (not ``loopless``) is first rebuilt without them.  On two
-    vertices two parallel edges count; a single edge, a bridge, does not.
+    loops is first rebuilt without them.  On two vertices a 2-cycle (two
+    parallel edges) counts; a single edge, a bridge, does not.
     """
-    if not loopless:
+    if any(u == v for u, v in g.endpoints):
         heads = g._heads
         rotations = {v: [d for d in rot if heads[d] != v] for v, rot in enumerate(g.rotation)}
         g = _compact(g, g.endpoints, rotations).graph
@@ -423,8 +423,8 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
     prof = face_profiles(g)
     deg, thread = g.degrees, g.two_thread
     ok = dict.fromkeys(StructureReport._fields, True)
+    ok["two_connected"] = _two_connected(g)
     ok["loopless"] = all(u != v for u, v in g.endpoints)
-    ok["two_connected"] = _two_connected(g, ok["loopless"])
     ok["min_degree_two"] = all(d >= 2 for d in deg)
     # 4: a 4-vertex has at most three 2-valent neighbors
     ok["four_vertex_two_neighbors"] = all(

@@ -91,9 +91,10 @@ def _judge(
     darts = g.rotation.__getitem__ if key == "vertices" else lambda x: (2 * x, 2 * x + 1)
     walks = []
     for f in sorted({side[d] for x, c in coloring.items() if tally[c] > 1 for d in darts(x)}):
-        seq = getattr(g.faces()[f], key)
+        walk = g.faces()[f]
+        seq = getattr(walk, key)
         if len(set(map(get, seq, map(operator.invert, seq)))) < len(seq):
-            walks.append(g.faces()[f])
+            walks.append(walk)
     return _verdict(_close_pairs(walks, key, ell).items(), coloring, count, require_total)
 
 
@@ -224,21 +225,10 @@ def chromatic_index(
 # -- coloring text format --------------------------------------------------
 
 def parse_coloring(text: str) -> dict[int, int]:
-    """Parse ``c <edge> <color>`` lines of ASCII digits; ``#`` comments
-    allowed.  Good text is read in bulk, bad text up to its first bad line."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [raw.split("#", 1)[0] for raw in lines]
-    rows = [parts for parts in map(str.split, lines) if parts]
-    if set(map(len, rows)) == {3}:
-        cs, es, colors = zip(*rows)
-        ids = "".join(es + colors)
-        if set(cs) == {"c"} and ids.isascii() and ids.isdigit():
-            out = dict(zip(map(int, es), map(int, colors)))
-            if len(out) == len(rows):
-                return out
-    out = {}
-    for line in lines:
+    """Parse ``c <edge> <color>`` lines of ASCII digits; ``#`` comments allowed."""
+    out: dict[int, int] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0]
         parts = line.split()
         if not parts:
             continue

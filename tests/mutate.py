@@ -45,8 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # test_only_walks_that_repeat_a_color_are_scanned; the face labeling's
 # new-face test, where <= counts phantom faces so that no graph builds,
 # killed by test_isolated_vertices_beside_a_plane_component_build; and
-# the coloring reader's ASCII test in its bulk path and in its line
-# loop, each killed by test_parse_ids_are_ascii_decimal.
+# the coloring reader's ASCII test, killed by
+# test_parse_ids_are_ascii_decimal.
 FLIPS = [
     ("reducibility.py", "not 0 <= e < g.m]", "not 0 <= e <= g.m]"),
     ("reducibility.py", "reduced.m) < (g.n", "reduced.m) <= (g.n"),
@@ -75,7 +75,6 @@ FLIPS = [
     ("embedding.py", "rotation.count(()) != 2 * ncomp", "rotation.count(()) > 2 * ncomp"),
     ("facial_coloring.py", "tally[c] > 1", "tally[c] >= 1"),
     ("embedding.py", "if face[d] < 0:", "if face[d] <= 0:"),
-    ("facial_coloring.py", "ids.isascii() and ", ""),
     ("facial_coloring.py", "digits.isascii() and ", ""),
 ]
 
