@@ -381,7 +381,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and its subcommand parsers by name."""
     top = argparse.ArgumentParser(
         prog="facet",
         description="facial edge-coloring toolkit for plane pseudographs",
@@ -477,12 +478,25 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_distance)
 
-    return top
+    return top, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``top.parse_args(argv)`` less ``subcommand``, parsed once by the named
+    subcommand's parser.  The top-level parser runs only for usage and
+    errors: no subcommand, an unknown one, or arguments left over."""
+    top, subs = _parser()
+    sub = subs.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return top.parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2

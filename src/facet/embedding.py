@@ -267,17 +267,18 @@ class EmbeddedGraph:
 
     @cached_attribute
     def _faces(self) -> tuple[FaceWalk, ...]:
-        sigma, tails = self.sigma, self._tails
-        walks = []
-        for start in self._face_labels[1]:
-            orbit, d = [start], sigma[start ^ 1]
-            while d != start:
-                orbit.append(d)
-                d = sigma[d ^ 1]
-            edges = tuple([d >> 1 for d in orbit])
-            vertices = tuple([tails[d] for d in orbit])
-            walks.append(FaceWalk(len(walks), tuple(orbit), edges, vertices))
-        return tuple(walks)
+        return tuple(map(self.face_walk, range(len(self._face_labels[1]))))
+
+    def face_walk(self, f: int) -> FaceWalk:
+        """``faces()[f]``, walked alone from the face's least dart.  The
+        caller checks ``0 <= f``: a negative ``f`` would wrap."""
+        sigma, tails, start = self.sigma, self._tails, self._face_labels[1][f]
+        orbit, d = [start], sigma[start ^ 1]
+        while d != start:
+            orbit.append(d)
+            d = sigma[d ^ 1]
+        edges, vertices = tuple([d >> 1 for d in orbit]), tuple([tails[d] for d in orbit])
+        return FaceWalk(f, tuple(orbit), edges, vertices)
 
     @cached_attribute
     def face_of_dart(self) -> list[int]:
@@ -397,7 +398,7 @@ def facial_distance(g: EmbeddedGraph, e: int, f: int) -> float:
         return 0
     best = math.inf
     for index in {g.face_of_dart[2 * e], g.face_of_dart[2 * e + 1]}:
-        seq = g.faces()[index].edges
+        seq = g.face_walk(index).edges
         at_e = [i for i, x in enumerate(seq) if x == e]
         for j, x in enumerate(seq):
             if x == f:
@@ -621,10 +622,9 @@ def contract_face(g: EmbeddedGraph, face: int) -> SurgeryResult:
     clockwise around the merged vertex, which takes the id of the
     walk's first vertex.
     """
-    walks = g.faces()
-    if not (0 <= face < len(walks)):
+    if not (0 <= face < len(g._face_labels[1])):
         raise SurgeryError(f"face id {face} out of range")
-    walk = walks[face]
+    walk = g.face_walk(face)
     if len(set(walk.vertices)) != len(walk.vertices):
         raise SurgeryError("non-simple face: walk repeats a vertex")
     if len(set(walk.edges)) != len(walk):
@@ -665,10 +665,9 @@ def identify_edges(g: EmbeddedGraph, e: int, f: int, face: int) -> SurgeryResult
     _check_edge(g, f)
     if e == f:
         raise SurgeryError("cannot identify an edge with itself")
-    walks = g.faces()
-    if not (0 <= face < len(walks)):
+    if not (0 <= face < len(g._face_labels[1])):
         raise SurgeryError(f"face id {face} out of range")
-    walk = walks[face]
+    walk = g.face_walk(face)
     pos_e = [i for i, x in enumerate(walk.edges) if x == e]
     pos_f = [i for i, x in enumerate(walk.edges) if x == f]
     if len(pos_e) != 1 or len(pos_f) != 1:

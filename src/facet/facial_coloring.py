@@ -91,7 +91,7 @@ def _judge(
     darts = g.rotation.__getitem__ if key == "vertices" else lambda x: (2 * x, 2 * x + 1)
     walks = []
     for f in sorted({side[d] for x, c in coloring.items() if tally[c] > 1 for d in darts(x)}):
-        walk = g.faces()[f]
+        walk = g.face_walk(f)
         seq = getattr(walk, key)
         if len(set(map(get, seq, map(operator.invert, seq)))) < len(seq):
             walks.append(walk)

@@ -5,6 +5,8 @@ import gc
 import hashlib
 import io
 import json
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -897,6 +899,134 @@ class TestGen:
 
     def test_unknown_family(self):
         assert main(["gen", "moebius", "5"]) == 2
+
+
+def _parse_outcome(parse, argv):
+    """(namespace less ``subcommand``, exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    ns, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    if ns is not None:
+        ns.pop("subcommand", None)
+    return ns, code, out.getvalue(), err.getvalue()
+
+
+# A call each subcommand accepts, before any noise is added.
+VALID_ARGV = {
+    "verify": ["--graph", "g.peg", "--coloring", "c.txt"],
+    "chi": ["--graph", "g.peg"],
+    "cn": ["--lemma", "L"],
+    "reduce": [],
+    "discharge": ["--graph", "g.peg"],
+    "medial": ["--graph", "g.peg"],
+    "gen": ["prism", "5"],
+    "structure": ["--graph", "g.peg"],
+    "distance": ["--graph", "g.peg", "0", "1"],
+}
+ARG_VALUES = ["3", "0", "-1", "x.peg", "prism", "random", "7", ""]
+ARG_NOISE = ["--", "-h", "--help", "--h", "--he", "--gr", "--c", "--nope", "-x", "extra", "nosuch"]
+
+
+def _random_argv(rng, options):
+    """An empty argv, or a subcommand (most often), an unknown one or a
+    bare option, then up to seven tokens: the subcommand's own options,
+    some abbreviated, bare, with a value or as ``--opt=value``, values and
+    noise, often after a call the subcommand accepts."""
+    r = rng.random()
+    if r < 0.04:
+        return []
+    if r < 0.88:
+        head = rng.choice(list(options))
+        argv = [head, *VALID_ARGV[head]] if rng.random() < 0.6 else [head]
+    else:
+        head = rng.choice(["nosuch", "-h", "--help", "--h", "--", "--json", "CHI"])
+        argv = [head]
+    pool = options.get(head) or [o for opts in options.values() for o in opts]
+    for _ in range(rng.randint(0, 7)):
+        k = rng.random()
+        if k < 0.5:
+            opt = rng.choice(pool)
+            if opt.startswith("--") and rng.random() < 0.25:
+                opt = opt[: rng.randint(3, len(opt))]
+            value = rng.choice(ARG_VALUES)
+            argv += [f"{opt}={value}"] if k < 0.12 else [opt, value] if k < 0.35 else [opt]
+        elif k < 0.8:
+            argv.append(rng.choice(ARG_VALUES))
+        else:
+            argv.append(rng.choice(ARG_NOISE))
+    return argv
+
+
+class TestParseArgs:
+    """``cli._parse_args`` against ``top.parse_args``: the same namespace
+    (less ``subcommand``), exit code, stdout and stderr for every argv."""
+
+    @staticmethod
+    def _options():
+        _top, subs = cli._parser()
+        return {
+            name: re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", p.format_usage())
+            for name, p in subs.items()
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["--h"],
+            ["nosuch"],
+            ["--", "chi"],
+            ["chi"],
+            ["chi", "-h"],
+            ["chi", "--h"],
+            ["chi", "--gr", "g.peg"],
+            ["chi", "--graph=g.peg", "--ell=0"],
+            ["chi", "--graph", "g.peg", "--", "x"],
+            ["chi", "--graph", "g.peg", "--nope"],
+            ["chi", "--graph", "g.peg", "extra"],
+            ["reduce", "--c", "x"],
+            ["reduce", "--config-f", "x.json", "--json"],
+            ["cn", "--lemma", "L", "--pairs", "p.txt"],
+            ["gen", "prism", "5", "--seed=-1"],
+            ["gen", "random", "--max-ops", "0"],
+            ["distance", "--graph", "g.peg", "0", "-1"],
+            ["verify", "--graph", "g.peg", "--coloring", "c.txt", "--partial", "--dot", "d"],
+        ],
+    )
+    def test_fixed_argv_match_the_top_level_parser(self, argv):
+        top, _subs = cli._parser()
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(top.parse_args, argv)
+
+    def test_random_argv_match_the_top_level_parser(self):
+        top, _subs = cli._parser()
+        options = self._options()
+        assert options["chi"] == ["-h", "--graph", "--budget", "--witness", "--dot", "--json", "--ell"]
+        rng = random.Random(0)
+        parsed = helped = leftover = 0
+        for _ in range(3000):
+            argv = _random_argv(rng, options)
+            got = _parse_outcome(cli._parse_args, argv)
+            assert got == _parse_outcome(top.parse_args, argv), argv
+            parsed += got[0] is not None
+            helped += got[1] == 0
+            leftover += "unrecognized arguments" in got[3]
+        # clean parses, help and arguments left over all occur
+        assert parsed > 200 and helped > 200 and leftover > 200, (parsed, helped, leftover)
+
+    @pytest.mark.parametrize("name", sorted(VALID_ARGV))
+    def test_a_clean_call_is_parsed_once_by_its_subcommand(self, name, monkeypatch):
+        # the top-level parser, which would set ``subcommand``, never runs
+        top, subs = cli._parser()
+        monkeypatch.setattr(top, "parse_args", None)
+        args = cli._parse_args([name, *VALID_ARGV[name]])
+        assert "subcommand" not in vars(args)
+        assert args.func is subs[name].get_default("func")
 
 
 class TestHarness:

@@ -328,8 +328,16 @@ class TestPeg:
         (lambda g: facial_distance(g, g.m, 0), "edge id 6 out of range"),
         (lambda g: delete_edge(g, g.m), "edge id 6 out of range"),
         (lambda g: delete_vertex(g, g.n), "vertex id 4 out of range"),
+        (lambda g: contract_face(g, len(g.faces())), "face id 4 out of range"),
+        (lambda g: identify_edges(g, 0, 5, len(g.faces())), "face id 4 out of range"),
+        # face_walk indexes a list, so a negative face must be refused first
+        (lambda g: contract_face(g, -1), "face id -1 out of range"),
+        (lambda g: identify_edges(g, 0, 5, -1), "face id -1 out of range"),
     ],
-    ids=["distance-f", "distance-e", "delete-edge", "delete-vertex"],
+    ids=[
+        "distance-f", "distance-e", "delete-edge", "delete-vertex",
+        "contract-face", "identify-face", "contract-face-negative", "identify-face-negative",
+    ],
 )
 def test_id_at_the_end_of_its_range_refused(call, message):
     with pytest.raises(EmbeddingError, match=f"^{message}$"):
@@ -537,14 +545,18 @@ def assert_faces_match_reference(g, label):
     ref = reference_faces(g)
     # copies made without build compute sigma, the face labels and the
     # walks on first use instead; the first builds its walks before
-    # anything else is read
-    copies = [EmbeddedGraph(g.n, g.endpoints, g.rotation) for _ in range(2)]
+    # anything else is read, the last walks each face alone and never
+    # builds faces()
+    copies = [EmbeddedGraph(g.n, g.endpoints, g.rotation) for _ in range(3)]
     copies[0].faces()
-    for h in (g, *copies):
+    for h in (g, *copies[:2]):
         assert h.sigma == ref["sigma"], label
         assert h.face_of_dart == ref["face_of_dart"], label
         walks = [(w.index, w.darts, w.edges, w.vertices) for w in h.faces()]
         assert walks == ref["walks"], label
+    alone = [copies[2].face_walk(f) for f in range(len(ref["walks"]))]
+    assert alone == list(g.faces()), label
+    assert "_faces" not in vars(copies[2]), label
 
 
 def odd_hosts():

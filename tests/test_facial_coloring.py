@@ -284,13 +284,15 @@ class TestVerifyAgainstOracle:
             ]
 
     def test_all_distinct_coloring_builds_no_walk(self):
-        # the face labels validate the graph; verify reads no walk
+        # the face labels validate the graph; verify reads no walk, and a
+        # clash walks only its candidate faces, never the full faces()
         for g in (parse_peg(serialize_peg(generate("prism", 9))), pendant_path_host()):
             assert verify(g, 3, {e: e + 1 for e in range(g.m)}).ok
             assert verify_vertex(g, 3, {v: v + 1 for v in range(g.n)}).ok
             assert "_faces" not in vars(g)
             assert not verify(g, 3, {e: 1 for e in range(g.m)}).ok
-            assert "_faces" in vars(g)
+            assert not verify_vertex(g, 3, {v: 1 for v in range(g.n)}).ok
+            assert "_faces" not in vars(g)
 
     def test_ell_zero_rejected_when_no_walk_repeats_a_color(self, catalog):
         g = catalog["prism-5"]
