@@ -42,7 +42,7 @@ from facet.facial_coloring import (
     serialize_coloring,
     verify,
 )
-from facet.nullstellensatz import coefficient, lemma_polynomial
+from facet.nullstellensatz import CERTIFICATES, coefficient
 from facet.reducibility import catalog, check, configuration_from_json
 
 _INPUT_ERRORS = (OSError, ValueError, SearchBudgetError)
@@ -244,7 +244,11 @@ def _parse_pairs_file(text: str) -> tuple[list[tuple[int, int]], tuple[int, ...]
 
 def _cmd_cn(args: argparse.Namespace) -> int:
     if args.lemma:
-        pairs, target, _caps = lemma_polynomial(args.lemma)
+        cert = CERTIFICATES.get(args.lemma)
+        if cert is None:
+            known = ", ".join(sorted(CERTIFICATES))
+            raise ValueError(f"unknown certificate {args.lemma!r}; known: {known}")
+        pairs, target = cert.pairs, cert.target
     else:
         pairs, target = _parse_pairs_file(_read(args.pairs))
     coeff = coefficient(pairs, target)
@@ -298,7 +302,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _structure_doc(rep: StructureReport) -> dict:
     return {
-        "predicates": rep.as_dict(),
+        "predicates": rep._asdict(),
         "all_pass": rep.all_pass,
         "failing": list(rep.failing()),
     }

@@ -364,10 +364,6 @@ def _cycle_separating(g: EmbeddedGraph, cyc: list[int]) -> bool:
     return False
 
 
-def _no_short_separating_cycle(g: EmbeddedGraph) -> bool:
-    return not any(_cycle_separating(g, c) for c in _short_cycles(g))
-
-
 class StructureReport(NamedTuple):
     """One boolean per structural conclusion, in a fixed field order.
 
@@ -400,9 +396,6 @@ class StructureReport(NamedTuple):
     ten_face_two_2vertices: bool  # 22
     section_count_bounds: bool  # 23
 
-    def as_dict(self) -> dict[str, bool]:
-        return self._asdict()
-
     @property
     def all_pass(self) -> bool:
         return all(self)
@@ -432,7 +425,9 @@ def structure_report(g: EmbeddedGraph) -> StructureReport:
         for v in range(g.n)
         if deg[v] == 4
     )
-    ok["no_short_separating_cycle"] = _no_short_separating_cycle(g)
+    ok["no_short_separating_cycle"] = not any(
+        _cycle_separating(g, c) for c in _short_cycles(g)
+    )
 
     for walk, (k, n2, s1, s2) in zip(walks, prof):
         verts = walk.vertices

@@ -37,7 +37,6 @@ from facet.embedding import (
 )
 from facet.nullstellensatz import (
     CERTIFICATES,
-    EXPECTED_COEFFICIENTS,
     ExponentOverflow,
     check_certificate,
     cn_witness,
@@ -245,11 +244,10 @@ def check(config: Configuration) -> CheckReport:
             agree = set(cert.pairs) == set(config.conflicts) and cert.caps == config.caps
             log("certificate-transcription", agree, "pairs and caps agree")
             coef = check_certificate(cert)
-            want = EXPECTED_COEFFICIENTS[cert.name]
             log(
                 "certificate-coefficient",
-                coef == want and coef != 0,
-                f"coefficient {coef}, pinned {want}",
+                coef == cert.pinned and coef != 0,
+                f"coefficient {coef}, pinned {cert.pinned}",
             )
             room = all(t + 1 <= c for t, c in zip(cert.target, cert.caps))
             log("certificate-room", room, "target exponents fit below caps")
@@ -384,6 +382,13 @@ def _identified_ring_config(
     )
 
 
+def _certified(name: str) -> dict:
+    """The conflicts, caps and certificate of an entry that the bundled
+    certificate ``name`` backs, taken from that certificate."""
+    cert = CERTIFICATES[name]
+    return dict(conflicts=cert.pairs, caps=cert.caps, certificate=name)
+
+
 def catalog() -> list[Configuration]:
     """The eight reducible configurations, checked by the test suite."""
     out: list[Configuration] = []
@@ -401,9 +406,7 @@ def catalog() -> list[Configuration]:
             surgery=(("delete_vertex", 0),) * 5,
             variables=tuple(range(8)),
             dummies=(),
-            conflicts=CERTIFICATES["four-vertex"].pairs,
-            caps=CERTIFICATES["four-vertex"].caps,
-            certificate="four-vertex",
+            **_certified("four-vertex"),
         )
     )
 
@@ -476,9 +479,7 @@ def catalog() -> list[Configuration]:
             f_pos=4,
             var_positions={1: 1, 2: 2, 3: 3, 4: 5, 5: 6, 6: 7, 7: 8},
             dummies=(),
-            conflicts=CERTIFICATES["nine-face"].pairs,
-            caps=CERTIFICATES["nine-face"].caps,
-            certificate="nine-face",
+            **_certified("nine-face"),
         )
     )
 
@@ -494,9 +495,7 @@ def catalog() -> list[Configuration]:
             f_pos=7,
             var_positions=ten_vars,
             dummies=(4, 8),
-            conflicts=CERTIFICATES["ten-face-adjacent"].pairs,
-            caps=CERTIFICATES["ten-face-adjacent"].caps,
-            certificate="ten-face-adjacent",
+            **_certified("ten-face-adjacent"),
         )
     )
 
@@ -511,9 +510,7 @@ def catalog() -> list[Configuration]:
             f_pos=8,
             var_positions=ten_vars,
             dummies=(5, 9),
-            conflicts=CERTIFICATES["ten-face-dist3"].pairs,
-            caps=CERTIFICATES["ten-face-dist3"].caps,
-            certificate="ten-face-dist3",
+            **_certified("ten-face-dist3"),
         )
     )
 
@@ -528,9 +525,7 @@ def catalog() -> list[Configuration]:
             f_pos=8,
             var_positions=ten_vars,
             dummies=(5, 9),
-            conflicts=CERTIFICATES["ten-face-dist4"].pairs,
-            caps=CERTIFICATES["ten-face-dist4"].caps,
-            certificate="ten-face-dist4",
+            **_certified("ten-face-dist4"),
         )
     )
 

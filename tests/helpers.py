@@ -936,7 +936,7 @@ def reference_discharge_doc(rep) -> dict:
             for e, ch in led.negatives()
         ],
         "structure": {
-            "predicates": rep.structure.as_dict(),
+            "predicates": rep.structure._asdict(),
             "all_pass": rep.structure.all_pass,
             "failing": list(rep.structure.failing()),
         },

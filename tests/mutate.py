@@ -51,7 +51,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # by test_random_argv_match_the_top_level_parser; and the face range
 # check of identify_edges (its text is the same as contract_face's, so
 # the flip starts on the line before), where <= hands the face count to
-# face_walk, killed by test_id_at_the_end_of_its_range_refused.
+# face_walk, killed by test_id_at_the_end_of_its_range_refused.  Last,
+# the three certificate steps of check: a transcription that always
+# agrees, killed by test_dropped_conflict_fails_certificate_transcription;
+# a coefficient step that reads no pin, killed by
+# test_wrong_pin_fails_certificate_coefficient; and a room test that lets
+# the target reach a cap, killed by
+# test_target_at_a_cap_fails_certificate_room.
 FLIPS = [
     ("reducibility.py", "not 0 <= e < g.m]", "not 0 <= e <= g.m]"),
     ("reducibility.py", "reduced.m) < (g.n", "reduced.m) <= (g.n"),
@@ -83,6 +89,9 @@ FLIPS = [
     ("facial_coloring.py", "digits.isascii() and ", ""),
     ("cli.py", "if not extra:", "if extra:"),
     ("embedding.py", 'itself")\n    if not (0 <= face < len(', 'itself")\n    if not (0 <= face <= len('),
+    ("reducibility.py", '"certificate-transcription", agree,', '"certificate-transcription", True,'),
+    ("reducibility.py", "coef == cert.pinned and coef != 0", "coef != 0"),
+    ("reducibility.py", "t + 1 <= c for t, c", "t <= c for t, c"),
 ]
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from facet import choosability
+from facet._cached import cached_attribute
 from facet.choosability import (
     ListColoringError,
     SearchBudgetError,
@@ -275,6 +276,10 @@ class TestGraphFactCache:
         assert g._search_plan is g._search_plan
         assert g._search_plan == ((2, 0, 1, 3, 4), tuple(map(tuple, g.adjacency)))
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == before
+
+    def test_cached_fact_read_on_the_class_is_its_descriptor(self):
+        assert isinstance(SimpleGraph.degrees, cached_attribute)
+        assert SimpleGraph.degrees.attrname == "degrees"
 
 
 def _small_atlas_graphs():

@@ -226,6 +226,12 @@ class TestCn:
         assert main(["cn", "--pairs", str(f)]) == 0
         assert lines(capsys) == ["coefficient = 1"]
 
+    def test_pairs_file_skips_blank_and_comment_lines(self, tmp_path, capsys):
+        f = tmp_path / "tri.cn"
+        f.write_text("# a triangle\n\np 1 2\n   \np 2 3  # second\n# none\np 1 3\nt 2 1 0\n")
+        assert main(["cn", "--pairs", str(f)]) == 0
+        assert lines(capsys) == ["coefficient = 1"]
+
     def test_zero_coefficient_exits_one(self, tmp_path, capsys):
         f = tmp_path / "zero.cn"
         f.write_text("p 1 2\nt 1 1\n")

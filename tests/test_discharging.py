@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from facet import discharging
 from facet.discharging import (
     ChargeLedger,
     DischargingError,
@@ -244,7 +245,7 @@ class TestRuleTwo:
 class TestStructurePredicates:
     def test_report_shape(self):
         s = structure_report(generate("k4"))
-        d = s.as_dict()
+        d = s._asdict()
         assert len(d) == 23
         assert all(isinstance(v, bool) for v in d.values())
         assert list(d)[0] == "two_connected"
@@ -467,7 +468,7 @@ def test_pair_predicates_match_one_scan_each():
     seen = set()
     for g in hosts:
         want = reference_pair_predicates(g)
-        got = structure_report(g).as_dict()
+        got = structure_report(g)._asdict()
         assert {k: got[k] for k in want} == want
         seen.update(want.items())
     assert len(seen) == 2 * len(want)
@@ -526,7 +527,7 @@ def test_structure_report_golden_on_sweep():
     digest = hashlib.sha256()
     counts = {name: [0, 0] for name in SWEEP_COUNTS}
     for g in _predicate_sweep():
-        report = structure_report(g).as_dict()
+        report = structure_report(g)._asdict()
         digest.update("".join("01"[ok] for ok in report.values()).encode() + b"\n")
         for name, ok in report.items():
             counts[name][not ok] += 1
@@ -618,6 +619,19 @@ class TestAudit:
         zero, third = F(0), F(-1, 3)
         led = ChargeLedger((zero,) * 3, (zero,) * 2, (zero, third, F(1)), (F(-2), zero))
         assert led.negatives() == ((("v", 1), third), (("f", 0), F(-2)))
+
+    def test_lost_charge_fails_conservation(self, monkeypatch):
+        # a ledger whose final charges sum to -13 instead of -12
+        def leaky(g, ledger):
+            led = apply_rules(g, ledger)
+            first, *rest = led.vertex_final
+            return dataclasses.replace(led, vertex_final=(first - 1, *rest))
+
+        monkeypatch.setattr(discharging, "apply_rules", leaky)
+        with pytest.raises(
+            DischargingError, match="^charge conservation broken: initial -12, final -13$"
+        ):
+            audit(generate("prism", 5))
 
     def test_ledger_totals_computed_once_per_ledger(self):
         led = audit(generate("prism", 7)).ledger

@@ -649,6 +649,11 @@ def test_gap_table_ell_below_one_rejected(key, ell):
         getattr(generate("prism", 4), key)(ell)
 
 
+def test_unknown_family_rejected():
+    with pytest.raises(ValueError, match="^unknown family 'wheel'$"):
+        generate("wheel", 5)
+
+
 def test_neighborhood_ell_zero_rejected():
     with pytest.raises(ValueError, match="ell must be >= 1"):
         facial_neighborhood(generate("prism", 4), 0, 0)

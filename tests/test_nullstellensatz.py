@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from facet.nullstellensatz import (
     CERTIFICATES,
     Certificate,
-    EXPECTED_COEFFICIENTS,
     ExponentOverflow,
     check_certificate,
     cn_witness,
     coefficient,
     graph_polynomial_coefficient,
-    lemma_polynomial,
     pack,
     unpack,
 )
 from facet import nullstellensatz
+from facet.cli import main
 from facet.nullstellensatz import _capped_expansion
 
 from helpers import (
@@ -171,7 +170,7 @@ class TestGoldenCertificates:
         coeff = check_certificate(cert)
         witness = cn_witness(cert.pairs, cert.caps)
         elapsed = time.perf_counter() - start
-        assert coeff == EXPECTED_COEFFICIENTS[name]
+        assert coeff == cert.pinned
         assert witness is not None
         assert elapsed < 5.0
         # the target itself respects the caps with one spare color
@@ -203,13 +202,13 @@ class TestGoldenCertificates:
 )
 def test_certificate_validation(pairs, target, caps, detail):
     with pytest.raises(ValueError, match=f"^{detail}$"):
-        Certificate("bad", pairs, target, caps)
+        Certificate("bad", pairs, target, caps, pinned=0)
 
 
 @pytest.mark.parametrize("pair", [(1, 3), (3, 1)])
 def test_pair_index_at_either_end_accepted(pair):
     # i and j each take the values 1 and nvars = 3
-    assert Certificate("ends", (pair,), (1, 0, 0), (2, 2, 2)).pairs == (pair,)
+    assert Certificate("ends", (pair,), (1, 0, 0), (2, 2, 2), pinned=1).pairs == (pair,)
 
 
 def test_coefficient_wrapper_degree_mismatch_is_zero():
@@ -223,16 +222,19 @@ def test_coefficient_wrapper_rejects_bad_pair():
         coefficient([(1, 5)], (1, 1))
 
 
-def test_lemma_polynomial_known_names():
-    pairs, target, caps = lemma_polynomial("four-vertex")
-    assert coefficient(pairs, target) == 6
-    assert len(caps) == len(target)
+def test_cn_lemma_known_names(capsys):
+    assert main(["cn", "--lemma", "four-vertex"]) == 0
+    assert capsys.readouterr().out == "coefficient = 6\n"
+    cert = CERTIFICATES["four-vertex"]
+    assert len(cert.caps) == len(cert.target)
 
 
-def test_lemma_polynomial_unknown_name():
-    with pytest.raises(ValueError) as err:
-        lemma_polynomial("no-such-lemma")
-    assert "four-vertex" in str(err.value)
+def test_cn_lemma_unknown_name(capsys):
+    assert main(["cn", "--lemma", "no-such-lemma"]) == 2
+    known = "four-vertex, nine-face, ten-face-adjacent, ten-face-dist3, ten-face-dist4"
+    assert capsys.readouterr() == (
+        "", f"error: unknown certificate 'no-such-lemma'; known: {known}\n"
+    )
 
 
 def test_expand_respects_caps():

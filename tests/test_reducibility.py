@@ -1,5 +1,6 @@
 """The reducible-configuration catalog and its replay checker."""
 
+import dataclasses
 import json
 import math
 import random
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from facet.choosability import SimpleGraph, list_color
 from facet.reducibility import (
     ConfigurationError,
+    _ring_assignment,
     catalog,
     check,
     configuration_from_json,
@@ -307,6 +310,78 @@ def test_certified_configs_replay_their_certificates(configs):
             "certificate-room",
             "extension",
         ], name
+
+
+CERTIFIED = [name for name in EXPECTED_NAMES if name in nullstellensatz.CERTIFICATES]
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_dropped_conflict_fails_certificate_transcription(configs, name):
+    config = configs[name]
+    report = check(config._replace(conflicts=config.conflicts[:-1]))
+    step = next(s for s in report.steps if s.label == "certificate-transcription")
+    assert (step.ok, step.detail) == (False, "pairs and caps agree")
+
+
+def test_wrong_pin_fails_certificate_coefficient(configs, monkeypatch):
+    cert = nullstellensatz.CERTIFICATES["four-vertex"]
+    wrong = dataclasses.replace(cert, pinned=7)
+    monkeypatch.setitem(nullstellensatz.CERTIFICATES, "four-vertex", wrong)
+    assert [(s.label, s.detail) for s in check(configs["four-vertex"]).failures()] == [
+        ("certificate-coefficient", "coefficient 6, pinned 7")
+    ]
+
+
+def test_target_at_a_cap_fails_certificate_room(configs, monkeypatch):
+    # one unit moved from variable 8 to variable 1 keeps the degree, and
+    # the new target's coefficient is pinned, but X1^4 reaches cap 4
+    cert = nullstellensatz.CERTIFICATES["four-vertex"]
+    moved = dataclasses.replace(cert, target=(4, 3, 3, 3, 2, 2, 2, 1), pinned=-6)
+    monkeypatch.setitem(nullstellensatz.CERTIFICATES, "four-vertex", moved)
+    assert [(s.label, s.detail) for s in check(configs["four-vertex"]).failures()] == [
+        ("certificate-room", "target exponents fit below caps")
+    ]
+
+
+def _list_draws(config, seed, count):
+    """``count`` seeded list assignments, each variable's list of its cap
+    size drawn from the palette 1..max(caps); ``None`` marks a draw that
+    ``list_color`` cannot color on the configuration's conflict graph."""
+    g = SimpleGraph.from_edges(len(config.caps), ((a - 1, b - 1) for a, b in config.conflicts))
+    palette = range(1, max(config.caps) + 1)
+    rng = random.Random(seed)
+    for _ in range(count):
+        lists = [rng.sample(palette, cap) for cap in config.caps]
+        yield lists, list_color(g, lists)
+
+
+@pytest.mark.parametrize("name", EXPECTED_NAMES)
+def test_random_lists_of_cap_size_always_color(configs, name):
+    # a third route to each extension claim, beside the witness monomial
+    # and the certificate: the lists themselves, drawn from a palette
+    # small enough that they overlap
+    config = configs[name]
+    for lists, coloring in _list_draws(config, 0, 500):
+        assert coloring is not None, lists
+        assert all(coloring[v] in lists[v] for v in range(len(lists)))
+        assert all(coloring[a - 1] != coloring[b - 1] for a, b in config.conflicts)
+
+
+@pytest.mark.parametrize("name", ["ten-face-dist3", "ten-face-dist4"])
+@pytest.mark.parametrize("var", [4, 10])
+def test_random_lists_catch_a_lowered_cap(configs, name, var):
+    caps = list(configs[name].caps)
+    caps[var - 1] -= 1
+    config = configs[name]._replace(caps=tuple(caps))
+    assert any(coloring is None for _, coloring in _list_draws(config, 0, 500))
+
+
+def test_ring_assignment_errors():
+    p4 = generate("prism", 4)
+    with pytest.raises(ConfigurationError, match="^inner ring face not found$"):
+        _ring_assignment(p4, [0, 1, 2], frozenset())
+    with pytest.raises(ConfigurationError, match=r"^no orientation puts 2-vertices at \[0\]$"):
+        _ring_assignment(p4, [4, 5, 6, 7], frozenset({0}))
 
 
 def test_three_thread_middle_edge_neighborhood(configs):
