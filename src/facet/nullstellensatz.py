@@ -189,8 +189,8 @@ def coefficient(
 def check_certificate(cert: Certificate) -> int:
     """The coefficient of a certificate's target monomial.
 
-    The certificate is valid when it is nonzero and ``cert.pinned``, and
-    the target respects the caps.
+    The certificate is valid when it is nonzero and equals
+    ``cert.pinned``, and the target respects the caps.
     """
     return graph_polynomial_coefficient(cert.pairs, cert.target)
 
