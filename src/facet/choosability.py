@@ -3,9 +3,10 @@
 The degree-feasibility guarantee: a connected graph with lists of size
 at least the degree at every vertex is list-colorable unless every list
 is exactly degree-sized and every block of the graph is a complete graph
-or an odd cycle (a Gallai tree).  ``degree_feasible_colorable`` exposes
-both the guarantee test and an exact search so callers can confirm the
-two agree.
+or an odd cycle (a Gallai tree).  ``degree_feasible_colorable`` colors
+lists with slack by the guarantee's own construction (Erdős, Rubin and
+Taylor): greedily, in reverse BFS order from a vertex with slack.  Tight
+lists go to the exact search, whose verdict the Gallai-tree test backs.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ class SimpleGraph:
         descending (ties by id), and each vertex's neighbors as a tuple."""
         order = sorted(range(self.n), key=lambda v: -self.degrees[v])
         return tuple(order), tuple(tuple(a) for a in self.adjacency)
+
+    @cached_attribute
+    def _coloring_plans(self) -> list:
+        """``_coloring_plan`` per root, filled on first use."""
+        return [None] * self.n
 
     @cached_attribute
     def _gallai_tree(self) -> bool:
@@ -248,15 +254,36 @@ def _search(g: SimpleGraph, colors: tuple, domains: list, max_nodes: int) -> Opt
                 domains[u] |= b
 
 
+def _coloring_plan(g: SimpleGraph, root: int) -> tuple:
+    """Reverse BFS order from ``root``, neighbors visited by ascending id,
+    as (vertex, its neighbors colored after it) pairs; cached per root."""
+    plan = g._coloring_plans[root]
+    if plan is None:
+        order, rank = [root], {root: 0}
+        for v in order:
+            for u in sorted(g.adjacency[v] - rank.keys()):
+                rank[u] = len(order)
+                order.append(u)
+        plan = g._coloring_plans[root] = tuple(
+            (v, tuple(u for u in g.adjacency[v] if rank[u] < rank[v])) for v in reversed(order)
+        )
+    return plan
+
+
 def degree_feasible_colorable(
     g: SimpleGraph, lists: Sequence[Collection[Hashable]]
 ) -> tuple[bool, bool, Optional[dict[int, Hashable]]]:
-    """Degree-feasibility guarantee plus exact confirmation.
+    """Degree-feasibility guarantee, with a coloring when there is one.
 
     Requires a connected graph and ``|L(v)| >= d(v)`` in distinct colors.
-    Returns ``(guaranteed, colorable, coloring)`` where ``guaranteed`` is
-    True when some list exceeds its degree or the graph is not a Gallai
-    tree; in that case :func:`list_color`'s set-up and search must succeed.
+    Returns ``(guaranteed, colorable, coloring)``, the dict in coloring
+    order.  When some list exceeds its degree, both flags are True and
+    the coloring is built in reverse BFS order from the least such
+    vertex: each vertex takes its first free color by ``repr``, and one
+    is left, as its BFS parent is still uncolored or, at the root, its
+    list has slack.  Otherwise
+    :func:`list_color`'s search decides, within its vertex budget, and
+    ``guaranteed`` is True when the graph is not a Gallai tree.
     """
     if not g.is_connected:
         raise ListColoringError("guarantee needs a connected graph")
@@ -267,9 +294,15 @@ def degree_feasible_colorable(
     if not all(map(operator.ge, sizes, g.degrees)):
         v = next(v for v, d in enumerate(g.degrees) if sizes[v] < d)
         raise ListColoringError(f"list at vertex {v} smaller than its degree")
-    coloring = _search(g, colors, domains, _MAX_NODES)
-    # past the checks above, every size is at least its degree, so some
-    # size is above its degree exactly when the sums differ
-    guaranteed = sum(sizes) > sum(g.degrees) or not is_gallai_tree(g)
-    return guaranteed, coloring is not None, coloring
-
+    slack = list(map(operator.gt, sizes, g.degrees))
+    if True not in slack:
+        coloring = _search(g, colors, domains, _MAX_NODES)
+        return not is_gallai_tree(g), coloring is not None, coloring
+    coloring = {}
+    for v, later in _coloring_plan(g, slack.index(True)):
+        d = domains[v]
+        b = d & -d
+        coloring[v] = colors[b.bit_length() - 1]
+        for u in later:
+            domains[u] &= ~b
+    return True, True, coloring

@@ -241,16 +241,34 @@ def check(config: Configuration) -> CheckReport:
         if cert is None:
             log("certificate", False, f"unknown certificate {config.certificate!r}")
         else:
-            agree = set(cert.pairs) == set(config.conflicts) and cert.caps == config.caps
-            log("certificate-transcription", agree, "pairs and caps agree")
+            pairs, conflicts = set(cert.pairs), set(config.conflicts)
+            diff = []
+            if conflicts - pairs:
+                diff.append(f"extra pairs {[p for p in config.conflicts if p not in pairs]}")
+            if pairs - conflicts:
+                diff.append(f"missing pairs {[p for p in cert.pairs if p not in conflicts]}")
+            if cert.caps != config.caps:
+                diff.append(f"caps {config.caps}, certificate caps {cert.caps}")
+            log(
+                "certificate-transcription",
+                not diff,
+                "; ".join(diff) or "pairs and caps agree",
+            )
             coef = check_certificate(cert)
             log(
                 "certificate-coefficient",
                 coef == cert.pinned and coef != 0,
                 f"coefficient {coef}, pinned {cert.pinned}",
             )
-            room = all(t + 1 <= c for t, c in zip(cert.target, cert.caps))
-            log("certificate-room", room, "target exponents fit below caps")
+            reached = [
+                f"X{i} exponent {t} reaches cap {c}"
+                for i, (t, c) in enumerate(zip(cert.target, cert.caps), 1) if t >= c
+            ]
+            log(
+                "certificate-room",
+                not reached,
+                "; ".join(reached) or "target exponents fit below caps",
+            )
 
     # Every coloring of the reduced graph leaves each variable its cap of
     # colors, so a witness monomial shows the lists can be colored.  It

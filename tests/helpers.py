@@ -398,7 +398,9 @@ def reference_list_color(g, lists, max_nodes: int = 25):
 def reference_degree_feasible_colorable(g, lists):
     """``choosability.degree_feasible_colorable`` built from the reference
     routines above: same checks, same error messages, same result tuple,
-    with every graph-only fact recomputed per call."""
+    with every graph-only fact recomputed per call.  Slack lists are
+    colored by :func:`reference_slack_coloring`, which the search must
+    confirm within its budget; tight lists by the search."""
     if not reference_connected(g):
         raise ListColoringError("guarantee needs a connected graph")
     sizes = [len(set(l)) for l in lists]
@@ -408,10 +410,31 @@ def reference_degree_feasible_colorable(g, lists):
     for v in range(g.n):
         if sizes[v] < degrees[v]:
             raise ListColoringError(f"list at vertex {v} smaller than its degree")
-    slack = any(sizes[v] > degrees[v] for v in range(g.n))
-    guaranteed = slack or not reference_gallai_tree(g)
+    roots = [v for v in range(g.n) if sizes[v] > degrees[v]]
+    if roots:
+        if g.n <= 25 and reference_list_color(g, lists) is None:
+            raise AssertionError(f"slack lists {lists} refused by the search")
+        return True, True, reference_slack_coloring(g, lists, roots[0])
     coloring = reference_list_color(g, lists)
-    return guaranteed, coloring is not None, coloring
+    return not reference_gallai_tree(g), coloring is not None, coloring
+
+
+def reference_slack_coloring(g, lists, root):
+    """The degree guarantee's construction on plain sets: BFS from
+    ``root`` with neighbors in ascending id, then each vertex in reverse
+    BFS order takes the least color by ``repr`` that no colored neighbor
+    holds.  The dict is in coloring order."""
+    order = [root]
+    for v in order:
+        order += [u for u in sorted(g.adjacency[v]) if u not in order]
+    coloring = {}
+    for v in reversed(order):
+        taken = {coloring[u] for u in g.adjacency[v] if u in coloring}
+        free = sorted(set(lists[v]) - taken, key=repr)
+        if not free:
+            raise AssertionError(f"vertex {v} has no free color")
+        coloring[v] = free[0]
+    return coloring
 
 
 def reference_degree_guarantee(g, sizes) -> bool:

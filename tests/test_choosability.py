@@ -26,6 +26,7 @@ from helpers import (
     reference_degree_guarantee,
     reference_gallai_tree,
     reference_list_color,
+    reference_slack_coloring,
 )
 
 
@@ -210,9 +211,46 @@ class TestDegreeFeasible:
                 ), (g, lists)
 
     def test_budget(self):
+        # tight lists still go to the search, and its budget
         g = path(26)
         with pytest.raises(SearchBudgetError, match="26 vertices"):
             degree_feasible_colorable(g, [range(g.degrees[v]) for v in range(g.n)])
+
+    def test_slack_coloring_is_reverse_bfs_from_the_least_slack_vertex(self):
+        # vertex 2 is the only one with slack: BFS 2, 1, 3, 0, colored
+        # backwards; from vertex 0, or with the root first, a vertex
+        # would find its one color taken
+        lists = [{1}, {1, 2}, {1, 2, 3}, {1}]
+        guaranteed, colorable, coloring = degree_feasible_colorable(path(4), lists)
+        assert (guaranteed, colorable) == (True, True)
+        assert list(coloring.items()) == [(0, 1), (3, 1), (1, 2), (2, 3)]
+
+    def test_slack_lists_never_reach_the_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact search run on slack lists")
+
+        monkeypatch.setattr(choosability, "_search", refuse)
+        rng = random.Random(10)
+        for g in filter(lambda g: g.is_connected, _small_atlas_graphs()):
+            for root in range(g.n):
+                lists = [rng.sample(range(1, 7), g.degrees[v]) for v in range(g.n)]
+                lists[root].append(7)
+                got = degree_feasible_colorable(g, lists)
+                assert got[:2] == (True, True), (g, lists)
+                _assert_proper(g, lists, got[2])
+                want = reference_slack_coloring(g, lists, root)
+                assert list(got[2].items()) == list(want.items()), (g, lists)
+
+    @pytest.mark.parametrize("g", [path(40), cycle(60)], ids=["path40", "cycle60"])
+    def test_slack_lists_past_the_search_budget(self, g):
+        rng = random.Random(g.n)
+        for _ in range(20):
+            lists = [rng.sample(range(1, 5), g.degrees[v]) for v in range(g.n)]
+            lists[rng.randrange(g.n)].append(5)
+            got = _outcome(degree_feasible_colorable, g, lists)
+            assert got == _outcome(reference_degree_feasible_colorable, g, lists)
+            assert got[:2] == (True, True)
+            _assert_proper(g, lists, dict(got[2]))
 
 
 class TestDegreeGuarantee:
@@ -292,11 +330,21 @@ def _small_atlas_graphs():
     return out
 
 
+def _assert_proper(g, lists, coloring):
+    """Every vertex colored from its list, no edge with one color."""
+    assert sorted(coloring) == list(range(g.n))
+    assert all(coloring[v] in lists[v] for v in range(g.n)), (lists, coloring)
+    assert all(coloring[u] != coloring[v] for u, v in g.edges()), coloring
+
+
 def _outcome(fn, *args):
     try:
-        return fn(*args)
+        out = fn(*args)
     except ListColoringError as exc:
         return ("raised", str(exc))
+    if isinstance(out, tuple) and out[2] is not None:
+        return (*out[:2], list(out[2].items()))  # the coloring order counts too
+    return out
 
 
 @pytest.mark.parametrize("seed", range(3))

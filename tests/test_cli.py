@@ -469,6 +469,18 @@ class TestReduce:
             "all = fail",
         ]
 
+    def test_extra_conflict_named_by_certificate_transcription(self, tmp_path, capsys):
+        config = next(c for c in catalog() if c.name == "nine-face")
+        doc = json.loads(configuration_to_json(config))
+        doc["conflicts"].append([1, 4])
+        f = tmp_path / "extra.json"
+        f.write_text(json.dumps(doc))
+        assert main(["reduce", "--config-file", str(f)]) == 1
+        assert lines(capsys) == [
+            "FAIL nine-face: certificate-transcription (extra pairs [(1, 4)])",
+            "all = fail",
+        ]
+
     def test_caps_without_a_witness_fail_extension(self, tmp_path, capsys):
         config = next(c for c in catalog() if c.name == "eight-face")
         doc = json.loads(configuration_to_json(config))

@@ -320,7 +320,28 @@ def test_dropped_conflict_fails_certificate_transcription(configs, name):
     config = configs[name]
     report = check(config._replace(conflicts=config.conflicts[:-1]))
     step = next(s for s in report.steps if s.label == "certificate-transcription")
-    assert (step.ok, step.detail) == (False, "pairs and caps agree")
+    assert (step.ok, step.detail) == (False, f"missing pairs [{config.conflicts[-1]}]")
+
+
+def test_extra_conflict_fails_certificate_transcription(configs):
+    config = configs["nine-face"]
+    report = check(config._replace(conflicts=config.conflicts + ((1, 4),)))
+    step = report.failures()[0]
+    assert (step.label, step.detail) == ("certificate-transcription", "extra pairs [(1, 4)]")
+
+
+def test_swapped_pair_and_changed_caps_fail_certificate_transcription(configs):
+    # every difference is named, in the order extra, missing, caps
+    config = configs["four-vertex"]
+    caps = (2,) + config.caps[1:]
+    conflicts = ((2, 1),) + config.conflicts[1:]
+    report = check(config._replace(conflicts=conflicts, caps=caps))
+    step = next(s for s in report.steps if s.label == "certificate-transcription")
+    assert (step.ok, step.detail) == (
+        False,
+        f"extra pairs [(2, 1)]; missing pairs [{config.conflicts[0]}]; "
+        f"caps {caps}, certificate caps {config.caps}",
+    )
 
 
 def test_wrong_pin_fails_certificate_coefficient(configs, monkeypatch):
@@ -339,7 +360,7 @@ def test_target_at_a_cap_fails_certificate_room(configs, monkeypatch):
     moved = dataclasses.replace(cert, target=(4, 3, 3, 3, 2, 2, 2, 1), pinned=-6)
     monkeypatch.setitem(nullstellensatz.CERTIFICATES, "four-vertex", moved)
     assert [(s.label, s.detail) for s in check(configs["four-vertex"]).failures()] == [
-        ("certificate-room", "target exponents fit below caps")
+        ("certificate-room", "X1 exponent 4 reaches cap 4")
     ]
 
 
